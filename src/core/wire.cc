@@ -1,6 +1,8 @@
 #include "src/core/wire.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "src/cpu/entry_check.h"
 #include "src/cpu/vmx_checks.h"
@@ -9,29 +11,105 @@ namespace neco {
 namespace wire {
 namespace {
 
-constexpr size_t kHeaderSize = kFrameHeaderSize;
-
-// --- Little-endian writer ------------------------------------------------
+// --- One field list, three passes ----------------------------------------
 //
-// Encoding is two-pass: every payload is a generic lambda run first
-// against a Sizer (which only accumulates the byte count) and then
-// against a Writer over an exactly-sized buffer. One pass of arithmetic
-// buys a single allocation per record with capacity == size — no
-// push_back growth doubling, no over-reserve slack riding along a pipe
-// write — and the shared lambda makes the two passes impossible to
-// desynchronize.
+// Each record's layout is written once, as a Fields(io, record) function
+// (further down) that names its fields in wire order: `io(a, b, ...)`
+// visits fields and `io.Check(condition)` states a cross-field invariant.
+// Three passes drive every list:
+//
+//   Sizer   sums the payload size, so Frame() allocates header + payload
+//           exactly once (capacity == size, no growth doubling);
+//   Writer  writes the payload into that buffer;
+//   Reader  reads it back bounds-checked, and rejects the record on the
+//           first short read, impossible count, or failed Check().
+//
+// A field's wire form follows from its C++ type. Integers, enums, bools
+// and doubles are fixed-width little-endian scalars of sizeof(T) bytes
+// (a double as its IEEE-754 image), assembled byte by byte so frames
+// decode identically across hosts. Strings and byte vectors are a u32 length plus
+// the bytes, copied as one block. Other vectors are a u32 count plus the
+// elements, arrays are their elements, pointers are what they point to,
+// and any other struct is its own field list.
 
-// Pass 1: same method surface as Writer, accumulates the payload size.
+static_assert(sizeof(size_t) == 8, "size_t fields travel as u64");
+
+template <class T>
+inline constexpr bool kIsScalar = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+
+template <class T>
+inline constexpr bool kIsBlob =
+    std::is_same_v<T, std::string> || std::is_same_v<T, FuzzInput>;
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+// Routes one field to the pass's leaf for its type (see above).
+template <class Io, class T>
+void Visit(Io& io, T& field) {
+  using U = std::remove_cv_t<T>;
+  if constexpr (kIsScalar<U>) {
+    io.Scalar(field);
+  } else if constexpr (kIsBlob<U>) {
+    io.Blob(field);
+  } else if constexpr (kIsVector<U>) {
+    io.Vector(field);
+  } else if constexpr (std::is_pointer_v<U>) {
+    Visit(io, *field);
+  } else if constexpr (std::is_array_v<U>) {
+    for (auto& element : field) {
+      Visit(io, element);
+    }
+  } else {
+    // Field lists take a mutable record so Reader can fill it; the encode
+    // passes never write through it.
+    Fields(io, const_cast<U&>(field));
+  }
+}
+
+// Pass 1: accumulates the payload size.
 class Sizer {
  public:
-  void U8(uint8_t) { size_ += 1; }
-  void U16(uint16_t) { size_ += 2; }
-  void U32(uint32_t) { size_ += 4; }
-  void U64(uint64_t) { size_ += 8; }
-  void I32(int) { size_ += 4; }
-  void F64(double) { size_ += 8; }
-  void Str(const std::string& s) { size_ += 4 + s.size(); }
-  void Bytes(const std::vector<uint8_t>& b) { size_ += 4 + b.size(); }
+  template <class... Ts>
+  void operator()(Ts&&... fields) {
+    (Visit(*this, fields), ...);
+  }
+  void Check(bool) {}
+
+  template <class T>
+  void Scalar(const T&) {
+    size_ += sizeof(T);
+  }
+  template <class Bytes>
+  void Blob(const Bytes& bytes) {
+    size_ += 4 + bytes.size();
+  }
+  template <class T>
+  void Vector(const std::vector<T>& values) {
+    size_ += 4;
+    if constexpr (kIsScalar<T>) {
+      size_ += values.size() * sizeof(T);
+    } else {
+      for (const T& value : values) {
+        Visit(*this, value);
+      }
+    }
+  }
+  // Two parallel arrays under one count, elements interleaved.
+  template <class A, class B>
+  void Zip(const std::vector<A>& a, const std::vector<B>& b) {
+    size_ += 4;
+    if constexpr (kIsScalar<A> && kIsScalar<B>) {
+      size_ += a.size() * (sizeof(A) + sizeof(B));
+    } else {
+      for (size_t i = 0; i < a.size(); ++i) {
+        Visit(*this, a[i]);
+        Visit(*this, b[i]);
+      }
+    }
+  }
 
   size_t size() const { return size_; }
 
@@ -39,1037 +117,480 @@ class Sizer {
   size_t size_ = 0;
 };
 
-// Pass 2: indexed writes into the pre-sized buffer; bulk payloads go
-// through one memcpy instead of a per-byte loop.
+// The fewest wire bytes one T can take: the size of a default T, whose
+// strings and vectors are empty. Reader's count guard is built on it.
+template <class T>
+size_t MinWireSize() {
+  Sizer sizer;
+  T value{};
+  Visit(sizer, value);
+  return sizer.size();
+}
+
+// Pass 2: writes into the buffer Frame() sized with pass 1.
 class Writer {
  public:
-  Writer(Buffer& out, size_t pos) : out_(out), pos_(pos) {}
+  explicit Writer(uint8_t* out) : out_(out) {}
 
-  void U8(uint8_t v) { out_[pos_++] = v; }
-  void U16(uint16_t v) {
-    for (int i = 0; i < 2; ++i) {
-      out_[pos_++] = static_cast<uint8_t>(v >> (8 * i));
-    }
+  template <class... Ts>
+  void operator()(Ts&&... fields) {
+    (Visit(*this, fields), ...);
   }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_[pos_++] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_[pos_++] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-  void I32(int v) { U32(static_cast<uint32_t>(v)); }
-  void F64(double v) {
+  void Check(bool) {}
+
+  template <class T>
+  void Scalar(T value) {
     uint64_t image = 0;
-    static_assert(sizeof(image) == sizeof(v));
-    std::memcpy(&image, &v, sizeof(image));
-    U64(image);
+    if constexpr (std::is_floating_point_v<T>) {
+      static_assert(sizeof(image) == sizeof(value));
+      std::memcpy(&image, &value, sizeof(image));
+    } else {
+      image = static_cast<uint64_t>(value);
+    }
+    // Assembled locally and stored once: byte stores straight into the
+    // frame get vectorized into byte scatters inside vector loops, which
+    // is slower than one store per field.
+    uint8_t bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<uint8_t>(image >> (8 * i));
+    }
+    std::memcpy(out_, bytes, sizeof(T));
+    out_ += sizeof(T);
   }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Append(s.data(), s.size());
+  template <class Bytes>
+  void Blob(const Bytes& bytes) {
+    Scalar(static_cast<uint32_t>(bytes.size()));
+    if (!bytes.empty()) {
+      std::memcpy(out_, bytes.data(), bytes.size());
+      out_ += bytes.size();
+    }
   }
-  void Bytes(const std::vector<uint8_t>& b) {
-    U32(static_cast<uint32_t>(b.size()));
-    Append(b.data(), b.size());
+  template <class T>
+  void Vector(const std::vector<T>& values) {
+    Scalar(static_cast<uint32_t>(values.size()));
+    for (const T& value : values) {
+      Visit(*this, value);
+    }
+  }
+  template <class A, class B>
+  void Zip(const std::vector<A>& a, const std::vector<B>& b) {
+    Scalar(static_cast<uint32_t>(a.size()));
+    for (size_t i = 0; i < a.size(); ++i) {
+      Visit(*this, a[i]);
+      Visit(*this, b[i]);
+    }
   }
 
  private:
-  void Append(const void* data, size_t n) {
-    if (n != 0) {
-      std::memcpy(out_.data() + pos_, data, n);
-      pos_ += n;
-    }
-  }
-
-  Buffer& out_;
-  size_t pos_;
+  uint8_t* out_;
 };
 
-// Frames one record: sizes the payload, allocates header + payload
-// exactly, writes the header (length known up front — no patching), then
-// writes the payload. `payload` must be a generic lambda ([](auto& w))
-// so the same body drives both passes.
-template <typename PayloadFn>
-Buffer Frame(RecordType type, PayloadFn&& payload) {
-  Sizer sizer;
-  payload(sizer);
-  const size_t length = sizer.size();
-  Buffer out(kHeaderSize + length);
-  out[0] = static_cast<uint8_t>(type);
-  out[1] = kVersion;
-  for (int i = 0; i < 4; ++i) {
-    out[2 + static_cast<size_t>(i)] = static_cast<uint8_t>(length >> (8 * i));
-  }
-  Writer writer(out, kHeaderSize);
-  payload(writer);
-  return out;
-}
-
-// --- Bounds-checked little-endian reader ---------------------------------
-
+// Decoding: bounds-checked reads over one payload.
 class Reader {
  public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  Reader(const uint8_t* data, size_t size) : pos_(data), end_(data + size) {}
 
-  size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
-  bool ok() const { return ok_; }
-  Reader& Fail() {
-    ok_ = false;
-    return *this;
+  template <class... Ts>
+  void operator()(Ts&&... fields) {
+    (Visit(*this, fields), ...);
   }
+  // A record that breaks one of its own invariants is corrupt.
+  void Check(bool condition) { ok_ = ok_ && condition; }
   // A record must consume its payload exactly; trailing bytes are corrupt.
-  bool Done() const { return ok_ && pos_ == size_; }
+  bool Done() const { return ok_ && pos_ == end_; }
 
-  uint8_t U8() {
-    if (!Require(1)) return 0;
-    return data_[pos_++];
-  }
-  uint16_t U16() {
-    if (!Require(2)) return 0;
-    uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<uint16_t>(
-          v | static_cast<uint16_t>(data_[pos_++]) << (8 * i));
+  template <class T>
+  void Scalar(T& value) {
+    if (!Require(sizeof(T))) {
+      return;
     }
-    return v;
-  }
-  uint32_t U32() {
-    if (!Require(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
+    uint64_t image = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      image |= static_cast<uint64_t>(pos_[i]) << (8 * i);
     }
-    return v;
-  }
-  uint64_t U64() {
-    if (!Require(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
+    pos_ += sizeof(T);
+    if constexpr (std::is_floating_point_v<T>) {
+      std::memcpy(&value, &image, sizeof(value));
+    } else if constexpr (std::is_enum_v<T>) {
+      value = static_cast<T>(static_cast<std::underlying_type_t<T>>(image));
+    } else {
+      value = static_cast<T>(image);
     }
-    return v;
   }
-  int I32() { return static_cast<int>(static_cast<int32_t>(U32())); }
-  double F64() {
-    const uint64_t image = U64();
-    double v = 0.0;
-    std::memcpy(&v, &image, sizeof(v));
-    return v;
-  }
-  std::string Str() {
-    const uint32_t n = U32();
-    if (!Require(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  std::vector<uint8_t> Bytes() {
-    const uint32_t n = U32();
-    if (!Require(n)) return {};
-    std::vector<uint8_t> b(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-    return b;
-  }
-  // Guards a count field before a reserve/loop: each element needs at
-  // least `element_size` bytes, so a count the remaining payload cannot
-  // possibly hold is corrupt (and would otherwise trigger a huge
-  // allocation from four attacker-controlled bytes).
-  bool FitsCount(uint32_t count, size_t element_size) {
-    if (!ok_ || count > remaining() / element_size) {
-      ok_ = false;
-      return false;
+  template <class Bytes>
+  void Blob(Bytes& bytes) {
+    uint32_t size = 0;
+    Scalar(size);
+    if (!Require(size)) {
+      return;
     }
-    return true;
+    const auto* data =
+        reinterpret_cast<const typename Bytes::value_type*>(pos_);
+    bytes.assign(data, data + size);
+    pos_ += size;
+  }
+  template <class T>
+  void Vector(std::vector<T>& values) {
+    const uint32_t count = Count(MinWireSize<T>());
+    values.resize(count);
+    for (T& value : values) {
+      Visit(*this, value);
+    }
+  }
+  template <class A, class B>
+  void Zip(std::vector<A>& a, std::vector<B>& b) {
+    const uint32_t count = Count(MinWireSize<A>() + MinWireSize<B>());
+    a.resize(count);
+    b.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      Visit(*this, a[i]);
+      Visit(*this, b[i]);
+    }
   }
 
  private:
   bool Require(size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
+    ok_ = ok_ && static_cast<size_t>(end_ - pos_) >= n;
+    return ok_;
+  }
+  // Reads a count field and guards it before anything is allocated: each
+  // element needs at least `element_size` bytes, so a count the remaining
+  // payload cannot hold is corrupt (and would otherwise turn four
+  // attacker-controlled bytes into a huge allocation). 0 once failed.
+  uint32_t Count(size_t element_size) {
+    uint32_t count = 0;
+    Scalar(count);
+    Check(count <= static_cast<size_t>(end_ - pos_) / element_size);
+    return ok_ ? count : 0;
   }
 
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
+  const uint8_t* pos_;
+  const uint8_t* end_;
   bool ok_ = true;
 };
 
-// Validates the frame header and returns a reader over the payload (with
-// ok() == false on any header problem).
-Reader OpenFrame(const uint8_t* data, size_t size, RecordType expected) {
-  if (data == nullptr || size < kHeaderSize ||
-      data[0] != static_cast<uint8_t>(expected) || data[1] != kVersion) {
-    return Reader(nullptr, 0).Fail();
+// --- Field lists ---------------------------------------------------------
+//
+// One per record, plus the structs records embed. Each lists the fields
+// in wire order and states the record's invariants; a record's type byte
+// comes from its position in wire::Records.
+
+template <class Io>
+void Fields(Io& io, AnomalyReport& r) {
+  io(r.kind, r.bug_id, r.message);
+  io.Check(r.kind <= AnomalyKind::kLogWarning);
+}
+
+template <class Io>
+void Fields(Io& io, BitmapDelta& r) {
+  io.Zip(r.cells, r.bits);
+}
+
+template <class Io>
+void Fields(Io& io, QueueEntry& r) {
+  io(r.input, r.discovered_at_iter, r.times_fuzzed, r.new_edges, r.favored);
+}
+
+template <class Io>
+void Fields(Io& io, Rng::State& r) {
+  io(r.s);
+}
+
+// Crash reproduction pairs travel as two arrays that are parallel by
+// contract; a record whose arrays disagree is corrupt, not misaligned.
+template <class Io, class Record>
+void CrashPairs(Io& io, Record& r) {
+  io(r.crash_ids, r.crash_inputs);
+  io.Check(r.crash_ids.size() == r.crash_inputs.size());
+}
+
+// `queue` is a parameter so the zero-copy Encode overload can write corpus
+// pointers where the record's own queue entries would go.
+template <class Io, class Delta, class Queue>
+void ShardDeltaFields(Io& io, Delta& r, Queue& queue) {
+  io(r.worker, r.epoch, r.iterations, r.imported, r.virgin, r.covered_points,
+     queue, r.findings);
+  CrashPairs(io, r);
+}
+
+template <class Io>
+void Fields(Io& io, ShardDelta& r) {
+  ShardDeltaFields(io, r, r.queue_entries);
+}
+
+template <class Io>
+void Fields(Io& io, SampleEvent& r) {
+  io(r.epoch, r.iteration, r.percent, r.covered_points);
+}
+
+template <class Io>
+void Fields(Io& io, FindingEvent& r) {
+  io(r.epoch, r.worker, r.report);
+}
+
+template <class Io>
+void Fields(Io& io, CorpusSyncEvent& r) {
+  io(r.epoch, r.worker, r.published, r.imported);
+}
+
+template <class Io>
+void Fields(Io& io, ShardDoneEvent& r) {
+  io(r.worker, r.iterations, r.final_percent, r.covered_points, r.queue_size,
+     r.findings, r.corpus_imports, r.watchdog_restarts);
+}
+
+template <class Io>
+void Fields(Io& io, FinishEvent& r) {
+  io(r.workers, r.epochs, r.iterations, r.final_percent, r.covered_points,
+     r.total_points, r.findings, r.corpus_imports);
+}
+
+template <class Io>
+void Fields(Io& io, FeedbackRecord& r) {
+  io(r.epoch, r.worker, r.pool_entries, r.virgin);
+}
+
+template <class Io>
+void Fields(Io& io, ShardResultRecord& r) {
+  io(r.worker, r.final_percent, r.covered_points, r.total_points,
+     r.covered_set, r.findings, r.iterations, r.queue_size,
+     r.unique_anomalies, r.bitmap_edges, r.watchdog_restarts, r.imports,
+     r.snapshot_hits, r.snapshot_misses, r.config_memo_hits, r.restore_ns);
+  CrashPairs(io, r);
+}
+
+template <class Io>
+void Fields(Io& io, ShardChildConfigRecord& r) {
+  io(r.target, r.worker, r.workers, r.epochs, r.arch, r.iterations,
+     r.samples, r.seed, r.syncing, r.coverage_guidance, r.havoc_stack,
+     r.splice_percent, r.use_harness, r.use_validator, r.use_configurator,
+     r.oracle_interval, r.snapshot_cache_size, r.crash_dir, r.start_epoch,
+     r.snapshot_every);
+  io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
+  // A tail that ends before it begins: nothing legitimate encodes that.
+  io.Check(r.start_epoch <= r.epochs);
+}
+
+template <class Io>
+void Fields(Io& io, ShardHelloRecord& r) {
+  io(r.magic, r.worker);
+  io.Check(r.magic == ShardHelloRecord::kMagic);  // Else a stray peer.
+}
+
+template <class Io>
+void Fields(Io& io, CampaignManifestRecord& r) {
+  io(r.magic, r.committed_epochs, r.snapshot_epochs, r.crash_artifacts,
+     r.epochs, r.workers, r.samples, r.arch, r.iterations, r.seed,
+     r.corpus_sync, r.coverage_guidance, r.havoc_stack, r.splice_percent,
+     r.use_harness, r.use_validator, r.use_configurator, r.oracle_interval,
+     r.target);
+  io.Check(r.magic == CampaignManifestRecord::kMagic);
+  // The snapshot must cover a committed prefix.
+  io.Check(r.snapshot_epochs <= r.committed_epochs);
+  io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
+}
+
+template <class Io>
+void Fields(Io& io, EpochCommitRecord& r) {
+  io(r.epoch, r.workers, r.checksum, r.iterations, r.covered_points,
+     r.pool_end, r.findings, r.crash_artifacts, r.percent);
+}
+
+template <class Io>
+void Fields(Io& io, CrashArtifactRecord& r) {
+  io(r.seq, r.report, r.hypervisor, r.arch, r.iteration, r.input);
+}
+
+// Quirk values index the CheckId / VmxFixupId enums; anything at or past
+// the kCount sentinel cannot round-trip through the validators.
+template <class Value, class Enum>
+bool AllBelow(const std::vector<Value>& values, Enum count) {
+  return std::all_of(values.begin(), values.end(), [count](Value value) {
+    return value < static_cast<Value>(count);
+  });
+}
+
+template <class Io>
+void Fields(Io& io, WorkerStateRecord& r) {
+  io(r.worker, r.epochs_covered, r.mutator_rng, r.corpus_rng, r.iterations,
+     r.corpus, r.virgin);
+  CrashPairs(io, r);
+  io(r.executions, r.watchdog_restarts, r.snapshot_hits, r.snapshot_misses,
+     r.config_memo_hits, r.restore_ns, r.findings, r.vmx_suppressed_checks,
+     r.vmx_learned_fixups, r.svm_suppressed_checks, r.host_crashed,
+     r.host_restarts, r.covered, r.hit_events, r.imports);
+  io.Check(AllBelow(r.vmx_suppressed_checks, CheckId::kCount) &&
+           AllBelow(r.vmx_learned_fixups, VmxFixupId::kCount) &&
+           AllBelow(r.svm_suppressed_checks, CheckId::kCount));
+}
+
+template <class Io>
+void Fields(Io& io, SnapshotMergedStateRecord& r) {
+  io(r.epochs_covered, r.virgin, r.covered, r.findings, r.prior_pool_end,
+     r.pool_end);
+  io.Zip(r.pool_origins, r.pool_inputs);
+  io.Zip(r.series_iterations, r.series_percents);
+  io(r.total_iterations, r.feedback_virgin);
+  // The shipped pool slice is exactly [prior_pool_end, pool_end).
+  io.Check(r.prior_pool_end <= r.pool_end &&
+           r.pool_end - r.prior_pool_end == r.pool_origins.size());
+}
+
+template <class Io>
+void Fields(Io& io, CampaignSnapshotRecord& r) {
+  io(r.magic, r.epochs_covered, r.workers, r.checksum);
+  io.Check(r.magic == CampaignSnapshotRecord::kMagic);
+}
+
+// --- Framing -------------------------------------------------------------
+
+template <class Record, class... Listed>
+constexpr uint8_t TypeByte(TypeList<Listed...>) {
+  const bool match[] = {std::is_same_v<Record, Listed>...};
+  for (uint8_t i = 0; i < sizeof...(Listed); ++i) {
+    if (match[i]) {
+      return static_cast<uint8_t>(i + 1);
+    }
   }
+  return 0;
+}
+
+// A record's RecordType is its position in wire::Records, plus one.
+template <class Record>
+constexpr uint8_t kTypeByte = TypeByte<Record>(Records{});
+
+uint32_t PayloadLength(const uint8_t* header) {
   uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(data[2 + i]) << (8 * i);
+    length |= static_cast<uint32_t>(header[2 + i]) << (8 * i);
   }
-  if (length != size - kHeaderSize) {
-    return Reader(nullptr, 0).Fail();
-  }
-  return Reader(data + kHeaderSize, size - kHeaderSize);
+  return length;
 }
 
-// --- Shared payload pieces -----------------------------------------------
-
-template <typename W>
-void WriteReport(W& w, const AnomalyReport& report) {
-  w.U8(static_cast<uint8_t>(report.kind));
-  w.Str(report.bug_id);
-  w.Str(report.message);
+// Frames one payload: the Sizer pass fixes the length up front, so the
+// frame is one exact allocation and the header is written once. `fields`
+// is a generic lambda that runs the payload's field list on either pass.
+template <class Record, class FieldsFn>
+Buffer Frame(FieldsFn&& fields) {
+  static_assert(kTypeByte<Record> != 0, "record missing from wire::Records");
+  Sizer sizer;
+  fields(sizer);
+  Buffer out(kFrameHeaderSize + sizer.size());
+  Writer writer(out.data());
+  writer(kTypeByte<Record>, kVersion, static_cast<uint32_t>(sizer.size()));
+  fields(writer);
+  return out;
 }
 
-bool ReadReport(Reader& r, AnomalyReport* out) {
-  const uint8_t kind = r.U8();
-  if (kind > static_cast<uint8_t>(AnomalyKind::kLogWarning)) {
+template <class Record>
+Buffer EncodeRecord(const Record& record) {
+  return Frame<Record>([&](auto& io) { io(record); });
+}
+
+template <class Record>
+bool DecodeRecord(const uint8_t* data, size_t size, Record* out) {
+  if (data == nullptr || size < kFrameHeaderSize ||
+      data[0] != kTypeByte<Record> || data[1] != kVersion ||
+      PayloadLength(data) != size - kFrameHeaderSize) {
     return false;
   }
-  out->kind = static_cast<AnomalyKind>(kind);
-  out->bug_id = r.Str();
-  out->message = r.Str();
-  return r.ok();
-}
-
-// BitmapDelta wire form: count + (cell, bits) pairs — the shape every
-// virgin-map section already uses inline; the snapshot records carry
-// three of them, so the shared helpers keep those codecs readable.
-template <typename W>
-void WriteBitmapDelta(W& w, const BitmapDelta& delta) {
-  w.U32(static_cast<uint32_t>(delta.size()));
-  for (size_t i = 0; i < delta.size(); ++i) {
-    w.U32(delta.cells[i]);
-    w.U8(delta.bits[i]);
-  }
-}
-
-bool ReadBitmapDelta(Reader& r, BitmapDelta* out) {
-  *out = {};
-  const uint32_t count = r.U32();
-  if (!r.FitsCount(count, 5)) return false;
-  out->Reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t cell = r.U32();
-    out->Append(cell, r.U8());
-  }
-  return r.ok();
+  Reader reader(data + kFrameHeaderSize, size - kFrameHeaderSize);
+  reader(*out);
+  return reader.Done();
 }
 
 }  // namespace
 
-namespace {
+// The public overloads (wire.h): each runs its record's field list.
 
-// Shared ShardDelta payload; `queue` writes the queue-entry section
-// (count + entries), so the owning and referencing Encode overloads
-// produce byte-identical frames from the same body.
-template <typename QueueFn>
-Buffer EncodeShardDeltaWith(const ShardDelta& record, QueueFn&& queue) {
-  return Frame(RecordType::kShardDelta, [&](auto& w) {
-    w.I32(record.worker);
-    w.U64(record.epoch);
-    w.U64(record.iterations);
-    w.U64(record.imported);
-    w.U32(static_cast<uint32_t>(record.virgin.size()));
-    for (size_t i = 0; i < record.virgin.size(); ++i) {
-      w.U32(record.virgin.cells[i]);
-      w.U8(record.virgin.bits[i]);
-    }
-    w.U32(static_cast<uint32_t>(record.covered_points.size()));
-    for (uint32_t point : record.covered_points) {
-      w.U32(point);
-    }
-    queue(w);
-    w.U32(static_cast<uint32_t>(record.findings.size()));
-    for (const AnomalyReport& report : record.findings) {
-      WriteReport(w, report);
-    }
-    w.U32(static_cast<uint32_t>(record.crash_ids.size()));
-    for (const std::string& id : record.crash_ids) {
-      w.Str(id);
-    }
-    w.U32(static_cast<uint32_t>(record.crash_inputs.size()));
-    for (const FuzzInput& input : record.crash_inputs) {
-      w.Bytes(input);
-    }
-  });
+Buffer Encode(const ShardDelta& record) { return EncodeRecord(record); }
+Buffer Encode(const SampleEvent& record) { return EncodeRecord(record); }
+Buffer Encode(const FindingEvent& record) { return EncodeRecord(record); }
+Buffer Encode(const CorpusSyncEvent& record) { return EncodeRecord(record); }
+Buffer Encode(const ShardDoneEvent& record) { return EncodeRecord(record); }
+Buffer Encode(const FinishEvent& record) { return EncodeRecord(record); }
+Buffer Encode(const FeedbackRecord& record) { return EncodeRecord(record); }
+Buffer Encode(const ShardResultRecord& record) { return EncodeRecord(record); }
+Buffer Encode(const ShardChildConfigRecord& record) {
+  return EncodeRecord(record);
+}
+Buffer Encode(const ShardHelloRecord& record) { return EncodeRecord(record); }
+Buffer Encode(const CampaignManifestRecord& record) {
+  return EncodeRecord(record);
+}
+Buffer Encode(const EpochCommitRecord& record) { return EncodeRecord(record); }
+Buffer Encode(const CrashArtifactRecord& record) {
+  return EncodeRecord(record);
+}
+Buffer Encode(const WorkerStateRecord& record) { return EncodeRecord(record); }
+Buffer Encode(const SnapshotMergedStateRecord& record) {
+  return EncodeRecord(record);
+}
+Buffer Encode(const CampaignSnapshotRecord& record) {
+  return EncodeRecord(record);
 }
 
-}  // namespace
-
-Buffer Encode(const ShardDelta& record) {
-  return EncodeShardDeltaWith(record, [&](auto& w) {
-    w.U32(static_cast<uint32_t>(record.queue_entries.size()));
-    for (const FuzzInput& input : record.queue_entries) {
-      w.Bytes(input);
-    }
-  });
+bool Decode(const uint8_t* data, size_t size, ShardDelta* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, SampleEvent* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, FindingEvent* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, CorpusSyncEvent* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, ShardDoneEvent* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, FinishEvent* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, FeedbackRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, ShardResultRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, ShardChildConfigRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, ShardHelloRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, CampaignManifestRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, EpochCommitRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, CrashArtifactRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, WorkerStateRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, SnapshotMergedStateRecord* out) {
+  return DecodeRecord(data, size, out);
+}
+bool Decode(const uint8_t* data, size_t size, CampaignSnapshotRecord* out) {
+  return DecodeRecord(data, size, out);
 }
 
 Buffer Encode(const ShardDelta& record,
               const std::vector<const FuzzInput*>& queue_entries) {
-  return EncodeShardDeltaWith(record, [&](auto& w) {
-    w.U32(static_cast<uint32_t>(queue_entries.size()));
-    for (const FuzzInput* input : queue_entries) {
-      w.Bytes(*input);
-    }
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, ShardDelta* out) {
-  Reader r = OpenFrame(data, size, RecordType::kShardDelta);
-  out->worker = r.I32();
-  out->epoch = r.U64();
-  out->iterations = r.U64();
-  out->imported = r.U64();
-  out->virgin = {};
-  const uint32_t virgin_count = r.U32();
-  // FitsCount bounds each count by the remaining payload, so the
-  // reserves below size by trusted arithmetic, not attacker bytes.
-  if (!r.FitsCount(virgin_count, 5)) return false;
-  out->virgin.Reserve(virgin_count);
-  for (uint32_t i = 0; i < virgin_count; ++i) {
-    const uint32_t cell = r.U32();
-    out->virgin.Append(cell, r.U8());
-  }
-  out->covered_points.clear();
-  const uint32_t covered_count = r.U32();
-  if (!r.FitsCount(covered_count, 4)) return false;
-  out->covered_points.reserve(covered_count);
-  for (uint32_t i = 0; i < covered_count; ++i) {
-    out->covered_points.push_back(r.U32());
-  }
-  out->queue_entries.clear();
-  const uint32_t queue_count = r.U32();
-  if (!r.FitsCount(queue_count, 4)) return false;
-  out->queue_entries.reserve(queue_count);
-  for (uint32_t i = 0; i < queue_count; ++i) {
-    out->queue_entries.push_back(r.Bytes());
-  }
-  out->findings.clear();
-  const uint32_t finding_count = r.U32();
-  if (!r.FitsCount(finding_count, 9)) return false;
-  out->findings.reserve(finding_count);
-  for (uint32_t i = 0; i < finding_count; ++i) {
-    AnomalyReport report;
-    if (!ReadReport(r, &report)) return false;
-    out->findings.push_back(std::move(report));
-  }
-  out->crash_ids.clear();
-  const uint32_t crash_count = r.U32();
-  if (!r.FitsCount(crash_count, 4)) return false;
-  out->crash_ids.reserve(crash_count);
-  for (uint32_t i = 0; i < crash_count; ++i) {
-    out->crash_ids.push_back(r.Str());
-  }
-  out->crash_inputs.clear();
-  const uint32_t input_count = r.U32();
-  // The arrays are parallel by contract; a record that disagrees with
-  // itself is corrupt.
-  if (input_count != crash_count || !r.FitsCount(input_count, 4)) {
-    return false;
-  }
-  out->crash_inputs.reserve(input_count);
-  for (uint32_t i = 0; i < input_count; ++i) {
-    out->crash_inputs.push_back(r.Bytes());
-  }
-  return r.Done();
-}
-
-Buffer Encode(const SampleEvent& record) {
-  return Frame(RecordType::kSample, [&](auto& w) {
-    w.U64(record.epoch);
-    w.U64(record.iteration);
-    w.F64(record.percent);
-    w.U64(record.covered_points);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, SampleEvent* out) {
-  Reader r = OpenFrame(data, size, RecordType::kSample);
-  out->epoch = static_cast<size_t>(r.U64());
-  out->iteration = r.U64();
-  out->percent = r.F64();
-  out->covered_points = static_cast<size_t>(r.U64());
-  return r.Done();
-}
-
-Buffer Encode(const FindingEvent& record) {
-  return Frame(RecordType::kFinding, [&](auto& w) {
-    w.U64(record.epoch);
-    w.I32(record.worker);
-    WriteReport(w, record.report);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, FindingEvent* out) {
-  Reader r = OpenFrame(data, size, RecordType::kFinding);
-  out->epoch = static_cast<size_t>(r.U64());
-  out->worker = r.I32();
-  if (!ReadReport(r, &out->report)) return false;
-  return r.Done();
-}
-
-Buffer Encode(const CorpusSyncEvent& record) {
-  return Frame(RecordType::kCorpusSync, [&](auto& w) {
-    w.U64(record.epoch);
-    w.I32(record.worker);
-    w.U64(record.published);
-    w.U64(record.imported);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, CorpusSyncEvent* out) {
-  Reader r = OpenFrame(data, size, RecordType::kCorpusSync);
-  out->epoch = static_cast<size_t>(r.U64());
-  out->worker = r.I32();
-  out->published = r.U64();
-  out->imported = r.U64();
-  return r.Done();
-}
-
-Buffer Encode(const ShardDoneEvent& record) {
-  return Frame(RecordType::kShardDone, [&](auto& w) {
-    w.I32(record.worker);
-    w.U64(record.iterations);
-    w.F64(record.final_percent);
-    w.U64(record.covered_points);
-    w.U64(record.queue_size);
-    w.U64(record.findings);
-    w.U64(record.corpus_imports);
-    w.U64(record.watchdog_restarts);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, ShardDoneEvent* out) {
-  Reader r = OpenFrame(data, size, RecordType::kShardDone);
-  out->worker = r.I32();
-  out->iterations = r.U64();
-  out->final_percent = r.F64();
-  out->covered_points = static_cast<size_t>(r.U64());
-  out->queue_size = r.U64();
-  out->findings = static_cast<size_t>(r.U64());
-  out->corpus_imports = r.U64();
-  out->watchdog_restarts = r.U64();
-  return r.Done();
-}
-
-Buffer Encode(const FinishEvent& record) {
-  return Frame(RecordType::kFinish, [&](auto& w) {
-    w.I32(record.workers);
-    w.U64(record.epochs);
-    w.U64(record.iterations);
-    w.F64(record.final_percent);
-    w.U64(record.covered_points);
-    w.U64(record.total_points);
-    w.U64(record.findings);
-    w.U64(record.corpus_imports);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, FinishEvent* out) {
-  Reader r = OpenFrame(data, size, RecordType::kFinish);
-  out->workers = r.I32();
-  out->epochs = static_cast<size_t>(r.U64());
-  out->iterations = r.U64();
-  out->final_percent = r.F64();
-  out->covered_points = static_cast<size_t>(r.U64());
-  out->total_points = static_cast<size_t>(r.U64());
-  out->findings = static_cast<size_t>(r.U64());
-  out->corpus_imports = r.U64();
-  return r.Done();
-}
-
-Buffer Encode(const FeedbackRecord& record) {
-  return Frame(RecordType::kFeedback, [&](auto& w) {
-    w.U64(record.epoch);
-    w.I32(record.worker);
-    w.U32(static_cast<uint32_t>(record.pool_entries.size()));
-    for (const FuzzInput& input : record.pool_entries) {
-      w.Bytes(input);
-    }
-    w.U32(static_cast<uint32_t>(record.virgin.size()));
-    for (size_t i = 0; i < record.virgin.size(); ++i) {
-      w.U32(record.virgin.cells[i]);
-      w.U8(record.virgin.bits[i]);
-    }
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, FeedbackRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kFeedback);
-  out->epoch = r.U64();
-  out->worker = r.I32();
-  out->pool_entries.clear();
-  const uint32_t pool_count = r.U32();
-  if (!r.FitsCount(pool_count, 4)) return false;
-  out->pool_entries.reserve(pool_count);
-  for (uint32_t i = 0; i < pool_count; ++i) {
-    out->pool_entries.push_back(r.Bytes());
-  }
-  out->virgin = {};
-  const uint32_t virgin_count = r.U32();
-  if (!r.FitsCount(virgin_count, 5)) return false;
-  out->virgin.Reserve(virgin_count);
-  for (uint32_t i = 0; i < virgin_count; ++i) {
-    const uint32_t cell = r.U32();
-    out->virgin.Append(cell, r.U8());
-  }
-  return r.Done();
-}
-
-Buffer Encode(const ShardResultRecord& record) {
-  return Frame(RecordType::kShardResult, [&](auto& w) {
-    w.I32(record.worker);
-    w.F64(record.final_percent);
-    w.U64(record.covered_points);
-    w.U64(record.total_points);
-    w.U32(static_cast<uint32_t>(record.covered_set.size()));
-    for (uint32_t point : record.covered_set) {
-      w.U32(point);
-    }
-    w.U32(static_cast<uint32_t>(record.findings.size()));
-    for (const AnomalyReport& report : record.findings) {
-      WriteReport(w, report);
-    }
-    w.U64(record.iterations);
-    w.U64(record.queue_size);
-    w.U64(record.unique_anomalies);
-    w.U64(record.bitmap_edges);
-    w.U64(record.watchdog_restarts);
-    w.U64(record.imports);
-    w.U64(record.snapshot_hits);
-    w.U64(record.snapshot_misses);
-    w.U64(record.config_memo_hits);
-    w.U64(record.restore_ns);
-    w.U32(static_cast<uint32_t>(record.crash_ids.size()));
-    for (const std::string& id : record.crash_ids) {
-      w.Str(id);
-    }
-    w.U32(static_cast<uint32_t>(record.crash_inputs.size()));
-    for (const FuzzInput& input : record.crash_inputs) {
-      w.Bytes(input);
-    }
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, ShardResultRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kShardResult);
-  out->worker = r.I32();
-  out->final_percent = r.F64();
-  out->covered_points = r.U64();
-  out->total_points = r.U64();
-  out->covered_set.clear();
-  const uint32_t covered_count = r.U32();
-  if (!r.FitsCount(covered_count, 4)) return false;
-  out->covered_set.reserve(covered_count);
-  for (uint32_t i = 0; i < covered_count; ++i) {
-    out->covered_set.push_back(r.U32());
-  }
-  out->findings.clear();
-  const uint32_t finding_count = r.U32();
-  if (!r.FitsCount(finding_count, 9)) return false;
-  out->findings.reserve(finding_count);
-  for (uint32_t i = 0; i < finding_count; ++i) {
-    AnomalyReport report;
-    if (!ReadReport(r, &report)) return false;
-    out->findings.push_back(std::move(report));
-  }
-  out->iterations = r.U64();
-  out->queue_size = r.U64();
-  out->unique_anomalies = r.U64();
-  out->bitmap_edges = r.U64();
-  out->watchdog_restarts = r.U64();
-  out->imports = r.U64();
-  out->snapshot_hits = r.U64();
-  out->snapshot_misses = r.U64();
-  out->config_memo_hits = r.U64();
-  out->restore_ns = r.U64();
-  out->crash_ids.clear();
-  const uint32_t crash_count = r.U32();
-  if (!r.FitsCount(crash_count, 4)) return false;
-  out->crash_ids.reserve(crash_count);
-  for (uint32_t i = 0; i < crash_count; ++i) {
-    out->crash_ids.push_back(r.Str());
-  }
-  out->crash_inputs.clear();
-  const uint32_t input_count = r.U32();
-  // The arrays are parallel by contract; a record that disagrees with
-  // itself is corrupt.
-  if (input_count != crash_count || !r.FitsCount(input_count, 4)) {
-    return false;
-  }
-  out->crash_inputs.reserve(input_count);
-  for (uint32_t i = 0; i < input_count; ++i) {
-    out->crash_inputs.push_back(r.Bytes());
-  }
-  return r.Done();
-}
-
-Buffer Encode(const ShardChildConfigRecord& record) {
-  return Frame(RecordType::kChildConfig, [&](auto& w) {
-    w.Str(record.target);
-    w.I32(record.worker);
-    w.I32(record.workers);
-    w.U64(record.epochs);
-    w.U8(record.arch);
-    w.U64(record.iterations);
-    w.I32(record.samples);
-    w.U64(record.seed);
-    w.U8(record.syncing);
-    w.U8(record.coverage_guidance);
-    w.U32(record.havoc_stack);
-    w.U32(record.splice_percent);
-    w.U8(record.use_harness);
-    w.U8(record.use_validator);
-    w.U8(record.use_configurator);
-    w.U32(record.oracle_interval);
-    w.U64(record.snapshot_cache_size);
-    w.Str(record.crash_dir);
-    w.U64(record.start_epoch);
-    w.U64(record.snapshot_every);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, ShardChildConfigRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kChildConfig);
-  out->target = r.Str();
-  out->worker = r.I32();
-  out->workers = r.I32();
-  out->epochs = r.U64();
-  out->arch = r.U8();
-  if (r.ok() && out->arch > 1) return false;  // Arch::{kIntel,kAmd}.
-  out->iterations = r.U64();
-  out->samples = r.I32();
-  out->seed = r.U64();
-  out->syncing = r.U8();
-  out->coverage_guidance = r.U8();
-  out->havoc_stack = r.U32();
-  out->splice_percent = r.U32();
-  out->use_harness = r.U8();
-  out->use_validator = r.U8();
-  out->use_configurator = r.U8();
-  out->oracle_interval = r.U32();
-  out->snapshot_cache_size = r.U64();
-  out->crash_dir = r.Str();
-  out->start_epoch = r.U64();
-  out->snapshot_every = r.U64();
-  // start_epoch > epochs would schedule a tail that ends before it
-  // begins; nothing legitimate encodes that.
-  if (r.ok() && out->start_epoch > out->epochs) return false;
-  return r.Done();
-}
-
-Buffer Encode(const ShardHelloRecord& record) {
-  return Frame(RecordType::kShardHello, [&](auto& w) {
-    w.U32(record.magic);
-    w.I32(record.worker);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, ShardHelloRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kShardHello);
-  out->magic = r.U32();
-  if (r.ok() && out->magic != ShardHelloRecord::kMagic) {
-    return false;  // A stray peer, not a shard child.
-  }
-  out->worker = r.I32();
-  return r.Done();
-}
-
-Buffer Encode(const CampaignManifestRecord& record) {
-  return Frame(RecordType::kManifest, [&](auto& w) {
-    w.U32(record.magic);
-    w.U64(record.committed_epochs);
-    w.U64(record.snapshot_epochs);
-    w.U64(record.crash_artifacts);
-    w.U64(record.epochs);
-    w.I32(record.workers);
-    w.I32(record.samples);
-    w.U8(record.arch);
-    w.U64(record.iterations);
-    w.U64(record.seed);
-    w.U8(record.corpus_sync);
-    w.U8(record.coverage_guidance);
-    w.U32(record.havoc_stack);
-    w.U32(record.splice_percent);
-    w.U8(record.use_harness);
-    w.U8(record.use_validator);
-    w.U8(record.use_configurator);
-    w.U32(record.oracle_interval);
-    w.Str(record.target);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, CampaignManifestRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kManifest);
-  out->magic = r.U32();
-  if (r.ok() && out->magic != CampaignManifestRecord::kMagic) {
-    return false;  // Not a NecoFuzz state manifest.
-  }
-  out->committed_epochs = r.U64();
-  out->snapshot_epochs = r.U64();
-  out->crash_artifacts = r.U64();
-  // A manifest whose snapshot horizon ran ahead of its commit point is
-  // internally inconsistent — the snapshot must cover a committed prefix.
-  if (r.ok() && out->snapshot_epochs > out->committed_epochs) return false;
-  out->epochs = r.U64();
-  out->workers = r.I32();
-  out->samples = r.I32();
-  out->arch = r.U8();
-  if (r.ok() && out->arch > 1) return false;  // Arch::{kIntel,kAmd}.
-  out->iterations = r.U64();
-  out->seed = r.U64();
-  out->corpus_sync = r.U8();
-  out->coverage_guidance = r.U8();
-  out->havoc_stack = r.U32();
-  out->splice_percent = r.U32();
-  out->use_harness = r.U8();
-  out->use_validator = r.U8();
-  out->use_configurator = r.U8();
-  out->oracle_interval = r.U32();
-  out->target = r.Str();
-  return r.Done();
-}
-
-Buffer Encode(const EpochCommitRecord& record) {
-  return Frame(RecordType::kEpochCommit, [&](auto& w) {
-    w.U64(record.epoch);
-    w.I32(record.workers);
-    w.U64(record.checksum);
-    w.U64(record.iterations);
-    w.U64(record.covered_points);
-    w.U64(record.pool_end);
-    w.U64(record.findings);
-    w.U64(record.crash_artifacts);
-    w.F64(record.percent);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, EpochCommitRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kEpochCommit);
-  out->epoch = r.U64();
-  out->workers = r.I32();
-  out->checksum = r.U64();
-  out->iterations = r.U64();
-  out->covered_points = r.U64();
-  out->pool_end = r.U64();
-  out->findings = r.U64();
-  out->crash_artifacts = r.U64();
-  out->percent = r.F64();
-  return r.Done();
-}
-
-Buffer Encode(const CrashArtifactRecord& record) {
-  return Frame(RecordType::kCrashArtifact, [&](auto& w) {
-    w.U64(record.seq);
-    WriteReport(w, record.report);
-    w.Str(record.hypervisor);
-    w.Str(record.arch);
-    w.U64(record.iteration);
-    w.Bytes(record.input);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, CrashArtifactRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kCrashArtifact);
-  out->seq = r.U64();
-  if (!ReadReport(r, &out->report)) return false;
-  out->hypervisor = r.Str();
-  out->arch = r.Str();
-  out->iteration = r.U64();
-  out->input = r.Bytes();
-  return r.Done();
-}
-
-Buffer Encode(const WorkerStateRecord& record) {
-  return Frame(RecordType::kWorkerState, [&](auto& w) {
-    w.I32(record.worker);
-    w.U64(record.epochs_covered);
-    for (uint64_t word : record.mutator_rng.s) {
-      w.U64(word);
-    }
-    for (uint64_t word : record.corpus_rng.s) {
-      w.U64(word);
-    }
-    w.U64(record.iterations);
-    w.U32(static_cast<uint32_t>(record.corpus.size()));
-    for (const QueueEntry& entry : record.corpus) {
-      w.Bytes(entry.input);
-      w.U64(entry.discovered_at_iter);
-      w.U64(entry.times_fuzzed);
-      w.U64(entry.new_edges);
-      w.U8(entry.favored ? 1 : 0);
-    }
-    WriteBitmapDelta(w, record.virgin);
-    w.U32(static_cast<uint32_t>(record.crash_ids.size()));
-    for (const std::string& id : record.crash_ids) {
-      w.Str(id);
-    }
-    w.U32(static_cast<uint32_t>(record.crash_inputs.size()));
-    for (const FuzzInput& input : record.crash_inputs) {
-      w.Bytes(input);
-    }
-    w.U64(record.executions);
-    w.U64(record.watchdog_restarts);
-    w.U64(record.snapshot_hits);
-    w.U64(record.snapshot_misses);
-    w.U64(record.config_memo_hits);
-    w.U64(record.restore_ns);
-    w.U32(static_cast<uint32_t>(record.findings.size()));
-    for (const AnomalyReport& report : record.findings) {
-      WriteReport(w, report);
-    }
-    w.U32(static_cast<uint32_t>(record.vmx_suppressed_checks.size()));
-    for (uint16_t check : record.vmx_suppressed_checks) {
-      w.U16(check);
-    }
-    w.U32(static_cast<uint32_t>(record.vmx_learned_fixups.size()));
-    for (uint8_t fixup : record.vmx_learned_fixups) {
-      w.U8(fixup);
-    }
-    w.U32(static_cast<uint32_t>(record.svm_suppressed_checks.size()));
-    for (uint16_t check : record.svm_suppressed_checks) {
-      w.U16(check);
-    }
-    w.U8(record.host_crashed);
-    w.U64(record.host_restarts);
-    w.U32(static_cast<uint32_t>(record.covered.size()));
-    for (uint32_t point : record.covered) {
-      w.U32(point);
-    }
-    w.U64(record.hit_events);
-    w.U64(record.imports);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, WorkerStateRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kWorkerState);
-  out->worker = r.I32();
-  out->epochs_covered = r.U64();
-  for (uint64_t& word : out->mutator_rng.s) {
-    word = r.U64();
-  }
-  for (uint64_t& word : out->corpus_rng.s) {
-    word = r.U64();
-  }
-  out->iterations = r.U64();
-  out->corpus.clear();
-  const uint32_t corpus_count = r.U32();
-  // Each entry is at least a length prefix + three counters + a flag.
-  if (!r.FitsCount(corpus_count, 29)) return false;
-  out->corpus.reserve(corpus_count);
-  for (uint32_t i = 0; i < corpus_count; ++i) {
-    QueueEntry entry;
-    entry.input = r.Bytes();
-    entry.discovered_at_iter = r.U64();
-    entry.times_fuzzed = r.U64();
-    entry.new_edges = static_cast<size_t>(r.U64());
-    entry.favored = r.U8() != 0;
-    out->corpus.push_back(std::move(entry));
-  }
-  if (!ReadBitmapDelta(r, &out->virgin)) return false;
-  out->crash_ids.clear();
-  const uint32_t crash_count = r.U32();
-  if (!r.FitsCount(crash_count, 4)) return false;
-  out->crash_ids.reserve(crash_count);
-  for (uint32_t i = 0; i < crash_count; ++i) {
-    out->crash_ids.push_back(r.Str());
-  }
-  out->crash_inputs.clear();
-  const uint32_t input_count = r.U32();
-  // The arrays are parallel by contract; a record that disagrees with
-  // itself is corrupt.
-  if (input_count != crash_count || !r.FitsCount(input_count, 4)) {
-    return false;
-  }
-  out->crash_inputs.reserve(input_count);
-  for (uint32_t i = 0; i < input_count; ++i) {
-    out->crash_inputs.push_back(r.Bytes());
-  }
-  out->executions = r.U64();
-  out->watchdog_restarts = r.U64();
-  out->snapshot_hits = r.U64();
-  out->snapshot_misses = r.U64();
-  out->config_memo_hits = r.U64();
-  out->restore_ns = r.U64();
-  out->findings.clear();
-  const uint32_t finding_count = r.U32();
-  if (!r.FitsCount(finding_count, 9)) return false;
-  out->findings.reserve(finding_count);
-  for (uint32_t i = 0; i < finding_count; ++i) {
-    AnomalyReport report;
-    if (!ReadReport(r, &report)) return false;
-    out->findings.push_back(std::move(report));
-  }
-  out->vmx_suppressed_checks.clear();
-  const uint32_t vmx_check_count = r.U32();
-  if (!r.FitsCount(vmx_check_count, 2)) return false;
-  out->vmx_suppressed_checks.reserve(vmx_check_count);
-  for (uint32_t i = 0; i < vmx_check_count; ++i) {
-    const uint16_t check = r.U16();
-    // Quirk values index the CheckId / VmxFixupId enums; anything at or
-    // past the kCount sentinel cannot round-trip through the validators.
-    if (r.ok() && check >= static_cast<uint16_t>(CheckId::kCount)) {
-      return false;
-    }
-    out->vmx_suppressed_checks.push_back(check);
-  }
-  out->vmx_learned_fixups.clear();
-  const uint32_t fixup_count = r.U32();
-  if (!r.FitsCount(fixup_count, 1)) return false;
-  out->vmx_learned_fixups.reserve(fixup_count);
-  for (uint32_t i = 0; i < fixup_count; ++i) {
-    const uint8_t fixup = r.U8();
-    if (r.ok() && fixup >= static_cast<uint8_t>(VmxFixupId::kCount)) {
-      return false;
-    }
-    out->vmx_learned_fixups.push_back(fixup);
-  }
-  out->svm_suppressed_checks.clear();
-  const uint32_t svm_check_count = r.U32();
-  if (!r.FitsCount(svm_check_count, 2)) return false;
-  out->svm_suppressed_checks.reserve(svm_check_count);
-  for (uint32_t i = 0; i < svm_check_count; ++i) {
-    const uint16_t check = r.U16();
-    if (r.ok() && check >= static_cast<uint16_t>(CheckId::kCount)) {
-      return false;
-    }
-    out->svm_suppressed_checks.push_back(check);
-  }
-  out->host_crashed = r.U8();
-  out->host_restarts = r.U64();
-  out->covered.clear();
-  const uint32_t covered_count = r.U32();
-  if (!r.FitsCount(covered_count, 4)) return false;
-  out->covered.reserve(covered_count);
-  for (uint32_t i = 0; i < covered_count; ++i) {
-    out->covered.push_back(r.U32());
-  }
-  out->hit_events = r.U64();
-  out->imports = r.U64();
-  return r.Done();
-}
-
-Buffer Encode(const SnapshotMergedStateRecord& record) {
-  return Frame(RecordType::kSnapshotMerged, [&](auto& w) {
-    w.U64(record.epochs_covered);
-    WriteBitmapDelta(w, record.virgin);
-    w.U32(static_cast<uint32_t>(record.covered.size()));
-    for (uint32_t point : record.covered) {
-      w.U32(point);
-    }
-    w.U32(static_cast<uint32_t>(record.findings.size()));
-    for (const AnomalyReport& report : record.findings) {
-      WriteReport(w, report);
-    }
-    w.U64(record.prior_pool_end);
-    w.U64(record.pool_end);
-    w.U32(static_cast<uint32_t>(record.pool_origins.size()));
-    for (size_t i = 0; i < record.pool_origins.size(); ++i) {
-      w.I32(record.pool_origins[i]);
-      w.Bytes(record.pool_inputs[i]);
-    }
-    w.U32(static_cast<uint32_t>(record.series_iterations.size()));
-    for (size_t i = 0; i < record.series_iterations.size(); ++i) {
-      w.U64(record.series_iterations[i]);
-      w.F64(record.series_percents[i]);
-    }
-    w.U64(record.total_iterations);
-    WriteBitmapDelta(w, record.feedback_virgin);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, SnapshotMergedStateRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kSnapshotMerged);
-  out->epochs_covered = r.U64();
-  if (!ReadBitmapDelta(r, &out->virgin)) return false;
-  out->covered.clear();
-  const uint32_t covered_count = r.U32();
-  if (!r.FitsCount(covered_count, 4)) return false;
-  out->covered.reserve(covered_count);
-  for (uint32_t i = 0; i < covered_count; ++i) {
-    out->covered.push_back(r.U32());
-  }
-  out->findings.clear();
-  const uint32_t finding_count = r.U32();
-  if (!r.FitsCount(finding_count, 9)) return false;
-  out->findings.reserve(finding_count);
-  for (uint32_t i = 0; i < finding_count; ++i) {
-    AnomalyReport report;
-    if (!ReadReport(r, &report)) return false;
-    out->findings.push_back(std::move(report));
-  }
-  out->prior_pool_end = r.U64();
-  out->pool_end = r.U64();
-  out->pool_origins.clear();
-  out->pool_inputs.clear();
-  const uint32_t pool_count = r.U32();
-  if (!r.FitsCount(pool_count, 8)) return false;
-  // The shipped slice is exactly [prior_pool_end, pool_end); a record
-  // whose bounds and slice disagree is corrupt.
-  if (r.ok() && (out->prior_pool_end > out->pool_end ||
-                 out->pool_end - out->prior_pool_end != pool_count)) {
-    return false;
-  }
-  out->pool_origins.reserve(pool_count);
-  out->pool_inputs.reserve(pool_count);
-  for (uint32_t i = 0; i < pool_count; ++i) {
-    out->pool_origins.push_back(r.I32());
-    out->pool_inputs.push_back(r.Bytes());
-  }
-  out->series_iterations.clear();
-  out->series_percents.clear();
-  const uint32_t series_count = r.U32();
-  if (!r.FitsCount(series_count, 16)) return false;
-  out->series_iterations.reserve(series_count);
-  out->series_percents.reserve(series_count);
-  for (uint32_t i = 0; i < series_count; ++i) {
-    out->series_iterations.push_back(r.U64());
-    out->series_percents.push_back(r.F64());
-  }
-  out->total_iterations = r.U64();
-  if (!ReadBitmapDelta(r, &out->feedback_virgin)) return false;
-  return r.Done();
-}
-
-Buffer Encode(const CampaignSnapshotRecord& record) {
-  return Frame(RecordType::kCampaignSnapshot, [&](auto& w) {
-    w.U32(record.magic);
-    w.U64(record.epochs_covered);
-    w.I32(record.workers);
-    w.U64(record.checksum);
-  });
-}
-
-bool Decode(const uint8_t* data, size_t size, CampaignSnapshotRecord* out) {
-  Reader r = OpenFrame(data, size, RecordType::kCampaignSnapshot);
-  out->magic = r.U32();
-  if (r.ok() && out->magic != CampaignSnapshotRecord::kMagic) {
-    return false;  // Not a NecoFuzz snapshot trailer.
-  }
-  out->epochs_covered = r.U64();
-  out->workers = r.I32();
-  out->checksum = r.U64();
-  return r.Done();
+  return Frame<ShardDelta>(
+      [&](auto& io) { ShardDeltaFields(io, record, queue_entries); });
 }
 
 bool PeekType(const uint8_t* data, size_t size, RecordType* out) {
-  if (data == nullptr || size < kHeaderSize) {
+  if (data == nullptr || size < kFrameHeaderSize || data[0] < 1 ||
+      data[0] > Records::kSize) {
     return false;
   }
-  const uint8_t type = data[0];
-  if (type < static_cast<uint8_t>(RecordType::kShardDelta) ||
-      type > static_cast<uint8_t>(RecordType::kCampaignSnapshot)) {
-    return false;
-  }
-  *out = static_cast<RecordType>(type);
+  *out = static_cast<RecordType>(data[0]);
   return true;
 }
 
@@ -1078,14 +599,11 @@ bool FrameSize(const uint8_t* data, size_t size, size_t* out) {
   if (!PeekType(data, size, &type)) {
     return false;
   }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(data[2 + i]) << (8 * i);
-  }
+  const uint32_t length = PayloadLength(data);
   if (length > kMaxFramePayload) {
     return false;
   }
-  *out = kHeaderSize + static_cast<size_t>(length);
+  *out = kFrameHeaderSize + static_cast<size_t>(length);
   return true;
 }
 

@@ -37,7 +37,11 @@
 // buffer, or out-of-range enum/count is rejected (returns false) without
 // reading out of bounds. This is the exact payload a process-level shard
 // ships over a pipe, so robustness against corrupt input is part of the
-// contract and is fuzz-tested in tests/wire_test.cc.
+// contract; tests/wire_test.cc checks it for every record in
+// wire::Records.
+//
+// Each record's layout is defined once, as a field list in wire.cc that
+// sizes, encodes and decodes it, so the two directions cannot drift.
 #ifndef SRC_CORE_WIRE_H_
 #define SRC_CORE_WIRE_H_
 
@@ -63,6 +67,8 @@ struct SampleEvent {
   uint64_t iteration = 0;  // Campaign-wide iterations completed.
   double percent = 0.0;    // Merged coverage after this epoch.
   size_t covered_points = 0;
+
+  bool operator==(const SampleEvent&) const = default;
 };
 
 // A finding entered the global deduplicated set for the first time.
@@ -70,6 +76,8 @@ struct FindingEvent {
   size_t epoch = 0;
   int worker = 0;  // Shard whose report won the (deterministic) merge.
   AnomalyReport report;
+
+  bool operator==(const FindingEvent&) const = default;
 };
 
 // One shard's corpus exchange at an epoch boundary. `published` counts
@@ -80,6 +88,8 @@ struct CorpusSyncEvent {
   int worker = 0;
   uint64_t published = 0;
   uint64_t imported = 0;
+
+  bool operator==(const CorpusSyncEvent&) const = default;
 };
 
 // A shard finished its budget (fired per worker, in worker-id order).
@@ -92,6 +102,8 @@ struct ShardDoneEvent {
   size_t findings = 0;
   uint64_t corpus_imports = 0;
   uint64_t watchdog_restarts = 0;
+
+  bool operator==(const ShardDoneEvent&) const = default;
 };
 
 // The campaign completed; the merged summary.
@@ -104,6 +116,8 @@ struct FinishEvent {
   size_t total_points = 0;
   size_t findings = 0;
   uint64_t corpus_imports = 0;
+
+  bool operator==(const FinishEvent&) const = default;
 };
 
 // --- ShardDelta ----------------------------------------------------------
@@ -131,6 +145,8 @@ struct ShardDelta {
   // arrays; Decode() rejects a record whose lengths disagree.
   std::vector<std::string> crash_ids;
   std::vector<FuzzInput> crash_inputs;
+
+  bool operator==(const ShardDelta&) const = default;
 };
 
 // --- Process-sharding records --------------------------------------------
@@ -147,6 +163,8 @@ struct FeedbackRecord {
   // Global novelty (cells merged into the global virgin map) since this
   // worker's previous feedback.
   BitmapDelta virgin;
+
+  bool operator==(const FeedbackRecord&) const = default;
 };
 
 // A child shard's final per-worker state, shipped after its last delta so
@@ -180,6 +198,8 @@ struct ShardResultRecord {
   // another machine) — they never stay resident in the shard. Decode()
   // rejects a record whose two crash arrays disagree in length.
   std::vector<FuzzInput> crash_inputs;
+
+  bool operator==(const ShardResultRecord&) const = default;
 };
 
 // The first frame a socket-mode shard child sends after dialing the
@@ -193,6 +213,8 @@ struct ShardHelloRecord {
   static constexpr uint32_t kMagic = 0x4E43534Bu;  // "KSCN" little-endian.
   uint32_t magic = kMagic;
   int worker = 0;
+
+  bool operator==(const ShardHelloRecord&) const = default;
 };
 
 // Everything an exec'd --necofuzz-shard-child process needs to rebuild its
@@ -234,6 +256,8 @@ struct ShardChildConfigRecord {
   // CampaignOptions::snapshot_every_epochs, so the child publishes its
   // WorkerStateRecord at exactly the parent's snapshot epochs.
   uint64_t snapshot_every = 0;
+
+  bool operator==(const ShardChildConfigRecord&) const = default;
 };
 
 // --- Durable campaign state records (src/core/state/journal.h) -----------
@@ -282,6 +306,8 @@ struct CampaignManifestRecord {
   uint8_t use_configurator = 1;
   uint32_t oracle_interval = 64;
   std::string target;  // Registry name ("" for factory/borrowed sessions).
+
+  bool operator==(const CampaignManifestRecord&) const = default;
 };
 
 // The trailer of an epoch journal file: the epoch's identity, a checksum
@@ -298,6 +324,8 @@ struct EpochCommitRecord {
   uint64_t findings = 0;    // Global deduplicated finding count.
   uint64_t crash_artifacts = 0;  // Persisted crash records so far.
   double percent = 0.0;     // Merged coverage after this epoch.
+
+  bool operator==(const EpochCommitRecord&) const = default;
 };
 
 // One persisted crash: the authoritative `<seq>-<id>.record` file a
@@ -310,6 +338,8 @@ struct CrashArtifactRecord {
   std::string arch;
   uint64_t iteration = 0;
   FuzzInput input;
+
+  bool operator==(const CrashArtifactRecord&) const = default;
 };
 
 // --- Materialized snapshot records (wire v6) -----------------------------
@@ -364,6 +394,8 @@ struct WorkerStateRecord {
   std::vector<uint32_t> covered;  // Accumulated line-coverage point ids.
   uint64_t hit_events = 0;
   uint64_t imports = 0;  // Pool entries adopted so far (post-dedup).
+
+  bool operator==(const WorkerStateRecord&) const = default;
 };
 
 // The merge pipeline's global state at the snapshot horizon: the merged
@@ -392,6 +424,8 @@ struct SnapshotMergedStateRecord {
   // The horizon epoch's feedback virgin delta (what a cursor that already
   // consumed epochs < horizon still needs).
   BitmapDelta feedback_virgin;
+
+  bool operator==(const SnapshotMergedStateRecord&) const = default;
 };
 
 // The snapshot file's trailer: identity + checksum over the preceding
@@ -402,6 +436,8 @@ struct CampaignSnapshotRecord {
   uint64_t epochs_covered = 0;
   int workers = 1;        // WorkerStateRecord frames in this file.
   uint64_t checksum = 0;  // FNV-1a 64 over the preceding frames' bytes.
+
+  bool operator==(const CampaignSnapshotRecord&) const = default;
 };
 
 // --- Encode / decode -----------------------------------------------------
@@ -445,7 +481,25 @@ enum class RecordType : uint8_t {
   kWorkerState = 14,
   kSnapshotMerged = 15,
   kCampaignSnapshot = 16,
+  kEnd,  // One past the last record type; keep it last.
 };
+
+template <class... Types>
+struct TypeList {
+  static constexpr size_t kSize = sizeof...(Types);
+};
+
+// Every framed record, in RecordType order: entry i is framed as type
+// i + 1. wire.cc derives each record's type byte from its position here,
+// and tests/wire_test.cc runs one typed suite over the whole list.
+using Records =
+    TypeList<ShardDelta, SampleEvent, FindingEvent, CorpusSyncEvent,
+             ShardDoneEvent, FinishEvent, FeedbackRecord, ShardResultRecord,
+             ShardChildConfigRecord, ShardHelloRecord, CampaignManifestRecord,
+             EpochCommitRecord, CrashArtifactRecord, WorkerStateRecord,
+             SnapshotMergedStateRecord, CampaignSnapshotRecord>;
+static_assert(Records::kSize + 1 == static_cast<size_t>(RecordType::kEnd),
+              "every RecordType needs its record in wire::Records");
 
 using Buffer = std::vector<uint8_t>;
 

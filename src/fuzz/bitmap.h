@@ -57,6 +57,8 @@ struct BitmapDelta {
     cells.insert(cells.end(), other.cells.begin(), other.cells.end());
     bits.insert(bits.end(), other.bits.begin(), other.bits.end());
   }
+
+  bool operator==(const BitmapDelta&) const = default;
 };
 
 class CoverageBitmap {

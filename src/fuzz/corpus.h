@@ -16,6 +16,8 @@ struct QueueEntry {
   uint64_t times_fuzzed = 0;
   size_t new_edges = 0;   // Edges this entry contributed when found.
   bool favored = false;
+
+  bool operator==(const QueueEntry&) const = default;
 };
 
 class Corpus {

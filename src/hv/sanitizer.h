@@ -30,6 +30,8 @@ struct AnomalyReport {
   std::string bug_id;
   // Human-readable detail, styled after the real report lines.
   std::string message;
+
+  bool operator==(const AnomalyReport&) const = default;
 };
 
 class SanitizerSink {

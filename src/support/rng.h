@@ -78,6 +78,8 @@ class Rng {
   // four state words travel through the wire codec verbatim.
   struct State {
     uint64_t s[4] = {};
+
+    bool operator==(const State&) const = default;
   };
 
   State GetState() const {

@@ -66,17 +66,6 @@ void ExpectDetects(const char* fixture, const char* rule,
       << result.output;
 }
 
-TEST(NecolintTest, DetectsMissingWireNegativeTest) {
-  ExpectDetects("wire_missing_negative_test", "wire-negative-test",
-                "src/core/wire.h");
-  // The covered record must not be flagged — the rule distinguishes, it
-  // does not blanket-fail every codec.
-  const LintResult result = RunLint(Fixture("wire_missing_negative_test"));
-  EXPECT_NE(result.output.find("UncoveredRecord"), std::string::npos);
-  EXPECT_EQ(result.output.find("CoveredRecord has"), std::string::npos)
-      << result.output;
-}
-
 TEST(NecolintTest, DetectsRawStrerror) {
   ExpectDetects("raw_strerror", "raw-strerror", "src/errors.cc");
   // Exactly one: the strerror_r call and the comment mention are exempt.

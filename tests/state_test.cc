@@ -597,6 +597,10 @@ void ExpectSameResult(const EngineResult& a, const EngineResult& b) {
             b.merged.fuzzer_stats.unique_anomalies);
   EXPECT_EQ(a.merged.fuzzer_stats.bitmap_edges,
             b.merged.fuzzer_stats.bitmap_edges);
+  EXPECT_EQ(a.merged.watchdog_restarts, b.merged.watchdog_restarts);
+  EXPECT_EQ(a.merged.agent_stats.executions, b.merged.agent_stats.executions);
+  // Not snapshot_hits/misses or config_memo_hits: campaign snapshots do not
+  // save the VM snapshot cache, so those differ after a snapshot resume.
   EXPECT_EQ(a.corpus_imports, b.corpus_imports);
   ASSERT_EQ(a.merged.series.size(), b.merged.series.size());
   for (size_t i = 0; i < a.merged.series.size(); ++i) {
@@ -615,8 +619,16 @@ void ExpectSameResult(const EngineResult& a, const EngineResult& b) {
   for (size_t w = 0; w < a.per_worker.size(); ++w) {
     EXPECT_EQ(a.per_worker[w].covered_set, b.per_worker[w].covered_set);
     EXPECT_EQ(a.per_worker[w].final_percent, b.per_worker[w].final_percent);
+    EXPECT_EQ(a.per_worker[w].fuzzer_stats.iterations,
+              b.per_worker[w].fuzzer_stats.iterations);
     EXPECT_EQ(a.per_worker[w].fuzzer_stats.queue_size,
               b.per_worker[w].fuzzer_stats.queue_size);
+    EXPECT_EQ(a.per_worker[w].fuzzer_stats.unique_anomalies,
+              b.per_worker[w].fuzzer_stats.unique_anomalies);
+    EXPECT_EQ(a.per_worker[w].fuzzer_stats.bitmap_edges,
+              b.per_worker[w].fuzzer_stats.bitmap_edges);
+    EXPECT_EQ(a.per_worker[w].watchdog_restarts,
+              b.per_worker[w].watchdog_restarts);
     ASSERT_EQ(a.per_worker[w].findings.size(),
               b.per_worker[w].findings.size());
   }

@@ -1,12 +1,12 @@
-// Tests for the campaign wire format (src/core/wire.h): encode/decode
-// identity for ShardDelta, all five observer event records, the three
-// process-sharding records (FeedbackRecord, ShardResultRecord,
-// ShardChildConfigRecord), and the three durable-state records
-// (CampaignManifestRecord, EpochCommitRecord, CrashArtifactRecord —
-// doubly load-bearing, since they are also CampaignJournal's on-disk
-// format); strict rejection of truncated and corrupt buffers; stream
-// framing (FrameSize); and a deterministic fuzz pass over random buffers
-// and random single-byte corruptions.
+// Tests for the campaign wire format (src/core/wire.h).
+//
+// One typed suite runs every generic check on every record in
+// wire::Records: round trip with ==, exact sizing, every truncation, a
+// trailing byte, wrong type / version / length, random buffers, a flip of
+// every byte, and decoding into a reused out-param. A table pins the
+// record-specific rejections, golden hashes pin the v6 byte layout, and
+// the rest covers the zero-copy overload, stream framing and random
+// well-formed records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,75 +29,551 @@ AnomalyReport MakeReport(const std::string& id) {
   return {AnomalyKind::kKasan, id, "KASAN: slab-out-of-bounds in " + id};
 }
 
-ShardDelta MakeDelta() {
-  ShardDelta delta;
-  delta.worker = 2;
-  delta.epoch = 7;
-  delta.iterations = 125;
-  delta.imported = 3;
-  delta.virgin.Append(0, 0x01);
-  delta.virgin.Append(513, 0x83);
-  delta.virgin.Append(65535, 0xFF);
-  delta.covered_points = {1, 94, 117};
-  delta.queue_entries = {MakeInput(0x00), MakeInput(0x42)};
-  delta.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
-  delta.crash_ids = {"kvm-a", "kvm-b"};
-  delta.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
-  return delta;
+// --- One populated sample per record ---------------------------------------
+//
+// Every field holds a non-default value, so a field the codec drops or
+// swaps fails a round trip, and the golden hashes cover every section of
+// every layout.
+
+template <class Record>
+Record Sample();
+
+template <>
+ShardDelta Sample<ShardDelta>() {
+  ShardDelta r;
+  r.worker = 2;
+  r.epoch = 7;
+  r.iterations = 125;
+  r.imported = 3;
+  r.virgin.Append(0, 0x01);
+  r.virgin.Append(513, 0x83);
+  r.virgin.Append(65535, 0xFF);
+  r.covered_points = {1, 94, 117};
+  r.queue_entries = {MakeInput(0x00), MakeInput(0x42)};
+  r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
+  r.crash_ids = {"kvm-a", "kvm-b"};
+  r.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
+  return r;
 }
 
-void ExpectEq(const ShardDelta& a, const ShardDelta& b) {
-  EXPECT_EQ(a.worker, b.worker);
-  EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.imported, b.imported);
-  EXPECT_EQ(a.virgin.cells, b.virgin.cells);
-  EXPECT_EQ(a.virgin.bits, b.virgin.bits);
-  EXPECT_EQ(a.covered_points, b.covered_points);
-  EXPECT_EQ(a.queue_entries, b.queue_entries);
-  ASSERT_EQ(a.findings.size(), b.findings.size());
-  for (size_t i = 0; i < a.findings.size(); ++i) {
-    EXPECT_EQ(a.findings[i].kind, b.findings[i].kind);
-    EXPECT_EQ(a.findings[i].bug_id, b.findings[i].bug_id);
-    EXPECT_EQ(a.findings[i].message, b.findings[i].message);
+template <>
+SampleEvent Sample<SampleEvent>() {
+  return {4, 12000, 79.66101694915254, 94};
+}
+
+template <>
+FindingEvent Sample<FindingEvent>() {
+  return {3, 1, MakeReport("xen-vmx-shadow")};
+}
+
+template <>
+CorpusSyncEvent Sample<CorpusSyncEvent>() {
+  return {9, 2, 23, 58};
+}
+
+template <>
+ShardDoneEvent Sample<ShardDoneEvent>() {
+  return {3, 5000, 81.25, 96, 83, 4, 59, 2};
+}
+
+template <>
+FinishEvent Sample<FinishEvent>() {
+  return {4, 24, 20000, 80.5, 95, 118, 6, 166};
+}
+
+template <>
+FeedbackRecord Sample<FeedbackRecord>() {
+  FeedbackRecord r;
+  r.epoch = 11;
+  r.worker = 3;
+  r.pool_entries = {MakeInput(0x10), MakeInput(0x20), MakeInput(0x30)};
+  r.virgin.Append(12, 0x01);
+  r.virgin.Append(40000, 0xC0);
+  return r;
+}
+
+template <>
+ShardResultRecord Sample<ShardResultRecord>() {
+  ShardResultRecord r;
+  r.worker = 1;
+  r.final_percent = 80.50847457627118;
+  r.covered_points = 95;
+  r.total_points = 118;
+  r.covered_set = {0, 3, 94, 117};
+  r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
+  r.iterations = 5000;
+  r.queue_size = 83;
+  r.unique_anomalies = 2;
+  r.bitmap_edges = 451;
+  r.watchdog_restarts = 1;
+  r.imports = 59;
+  r.snapshot_hits = 4800;
+  r.snapshot_misses = 200;
+  r.config_memo_hits = 4810;
+  r.restore_ns = 123456789;
+  r.crash_ids = {"kvm-a", "kvm-b"};
+  r.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
+  return r;
+}
+
+template <>
+ShardChildConfigRecord Sample<ShardChildConfigRecord>() {
+  ShardChildConfigRecord r;
+  r.target = "kvm";
+  r.worker = 2;
+  r.workers = 4;
+  r.epochs = 24;
+  r.arch = 1;
+  r.iterations = 20000;
+  r.samples = 24;
+  r.seed = 7;
+  r.syncing = 1;
+  r.coverage_guidance = 1;
+  r.havoc_stack = 24;
+  r.splice_percent = 30;
+  r.use_harness = 0;
+  r.use_validator = 0;
+  r.use_configurator = 0;
+  r.oracle_interval = 96;
+  r.snapshot_cache_size = 32;
+  r.crash_dir = "state/crashes";
+  r.start_epoch = 10;
+  r.snapshot_every = 5;
+  return r;
+}
+
+template <>
+ShardHelloRecord Sample<ShardHelloRecord>() {
+  ShardHelloRecord r;
+  r.worker = 5;
+  return r;
+}
+
+template <>
+CampaignManifestRecord Sample<CampaignManifestRecord>() {
+  CampaignManifestRecord r;
+  r.committed_epochs = 5;
+  r.snapshot_epochs = 4;
+  r.crash_artifacts = 2;
+  r.epochs = 24;
+  r.workers = 4;
+  r.samples = 24;
+  r.arch = 1;
+  r.iterations = 20000;
+  r.seed = 7;
+  r.corpus_sync = 1;
+  r.coverage_guidance = 1;
+  r.havoc_stack = 24;
+  r.splice_percent = 30;
+  r.use_harness = 0;
+  r.use_validator = 0;
+  r.use_configurator = 0;
+  r.oracle_interval = 96;
+  r.target = "kvm";
+  return r;
+}
+
+template <>
+EpochCommitRecord Sample<EpochCommitRecord>() {
+  EpochCommitRecord r;
+  r.epoch = 5;
+  r.workers = 4;
+  r.checksum = 0xDEADBEEFCAFEF00DULL;
+  r.iterations = 5000;
+  r.covered_points = 95;
+  r.pool_end = 83;
+  r.findings = 2;
+  r.crash_artifacts = 3;
+  r.percent = 80.50847457627118;
+  return r;
+}
+
+template <>
+CrashArtifactRecord Sample<CrashArtifactRecord>() {
+  CrashArtifactRecord r;
+  r.seq = 3;
+  r.report = MakeReport("kvm-nsvm-dummy-root");
+  r.hypervisor = "kvm";
+  r.arch = "amd";
+  r.iteration = 412;
+  r.input = MakeInput(0x5C);
+  return r;
+}
+
+template <>
+WorkerStateRecord Sample<WorkerStateRecord>() {
+  WorkerStateRecord r;
+  r.worker = 2;
+  r.epochs_covered = 10;
+  r.mutator_rng.s[0] = 0x1111111111111111ULL;
+  r.mutator_rng.s[1] = 0x2222222222222222ULL;
+  r.mutator_rng.s[2] = 0x3333333333333333ULL;
+  r.mutator_rng.s[3] = 0x4444444444444444ULL;
+  r.corpus_rng.s[0] = 0x5555555555555555ULL;
+  r.corpus_rng.s[1] = 0x6666666666666666ULL;
+  r.corpus_rng.s[2] = 0x7777777777777777ULL;
+  r.corpus_rng.s[3] = 0x8888888888888888ULL;
+  r.iterations = 4200;
+  QueueEntry entry;
+  entry.input = MakeInput(0x11);
+  entry.discovered_at_iter = 97;
+  entry.times_fuzzed = 12;
+  entry.new_edges = 5;
+  entry.favored = true;
+  r.corpus.push_back(entry);
+  entry.input = MakeInput(0x22);
+  entry.discovered_at_iter = 1033;
+  entry.times_fuzzed = 4;
+  entry.new_edges = 2;
+  entry.favored = false;
+  r.corpus.push_back(entry);
+  r.virgin.Append(3, 0x01);
+  r.virgin.Append(700, 0x80);
+  r.crash_ids = {"kvm-a", "kvm-b"};
+  r.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
+  r.executions = 4217;
+  r.watchdog_restarts = 1;
+  r.snapshot_hits = 4000;
+  r.snapshot_misses = 217;
+  r.config_memo_hits = 4100;
+  r.restore_ns = 987654321;
+  r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
+  r.vmx_suppressed_checks = {0, 1};
+  r.vmx_learned_fixups = {0};
+  r.svm_suppressed_checks = {1};
+  r.host_crashed = 1;
+  r.host_restarts = 3;
+  r.covered = {0, 7, 94, 117};
+  r.hit_events = 5123;
+  r.imports = 42;
+  return r;
+}
+
+template <>
+SnapshotMergedStateRecord Sample<SnapshotMergedStateRecord>() {
+  SnapshotMergedStateRecord r;
+  r.epochs_covered = 10;
+  r.virgin.Append(1, 0x01);
+  r.virgin.Append(40000, 0xC0);
+  r.covered = {0, 3, 94, 117};
+  r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
+  r.prior_pool_end = 2;
+  r.pool_end = 5;
+  r.pool_origins = {0, 2, 1};
+  r.pool_inputs = {MakeInput(0x31), MakeInput(0x32), MakeInput(0x33)};
+  r.series_iterations = {500, 1000, 1500};
+  r.series_percents = {10.5, 40.25, 79.66101694915254};
+  r.total_iterations = 1500;
+  r.feedback_virgin.Append(12, 0x01);
+  return r;
+}
+
+template <>
+CampaignSnapshotRecord Sample<CampaignSnapshotRecord>() {
+  CampaignSnapshotRecord r;
+  r.epochs_covered = 10;
+  r.workers = 4;
+  r.checksum = 0xDEADBEEFCAFEF00DULL;
+  return r;
+}
+
+// --- Golden frames -----------------------------------------------------------
+
+// FNV-1a 64 over a frame, written out here so the pins do not move if the
+// library's own checksum code ever does.
+uint64_t Fnv1a64(const wire::Buffer& bytes) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (uint8_t byte : bytes) {
+    hash = (hash ^ byte) * 0x100000001B3ULL;
   }
-  EXPECT_EQ(a.crash_ids, b.crash_ids);
-  EXPECT_EQ(a.crash_inputs, b.crash_inputs);
+  return hash;
 }
 
-TEST(WireTest, ShardDeltaRoundTripIsIdentity) {
-  const ShardDelta delta = MakeDelta();
-  const wire::Buffer buffer = wire::Encode(delta);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kShardDelta);
-
-  ShardDelta decoded;
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  ExpectEq(delta, decoded);
+template <class Record>
+uint64_t FrameHash() {
+  return Fnv1a64(wire::Encode(Sample<Record>()));
 }
 
-TEST(WireTest, EncodeIsExactlySized) {
-  // The two-pass encoder sizes each frame before writing it, so the
-  // buffer must carry zero slack — what a transport writes is exactly
-  // what was allocated. Checked across record shapes (empty and full).
-  for (const wire::Buffer& buffer :
-       {wire::Encode(MakeDelta()), wire::Encode(ShardDelta{}),
-        wire::Encode(SampleEvent{4, 12000, 79.6, 94}),
-        wire::Encode(ShardChildConfigRecord{})}) {
-    EXPECT_EQ(buffer.capacity(), buffer.size());
-    EXPECT_GE(buffer.size(), wire::kFrameHeaderSize);
+TEST(WireGoldenTest, FramesKeepTheVersion6Layout) {
+  // Pipes and state dirs written by any v6 build must keep decoding, so
+  // these hashes of the sample frames are the byte layout itself: a
+  // change here is a format change, which needs a kVersion bump.
+  EXPECT_EQ(wire::kVersion, 6);
+  EXPECT_EQ(FrameHash<ShardDelta>(), 0x34625AB858C82456ULL);
+  EXPECT_EQ(FrameHash<SampleEvent>(), 0xEA7FCE34E617A590ULL);
+  EXPECT_EQ(FrameHash<FindingEvent>(), 0x01588B062011A056ULL);
+  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0x34B964EBF8F1E3C5ULL);
+  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0x201E4C138187F0DEULL);
+  EXPECT_EQ(FrameHash<FinishEvent>(), 0xF2EF47E6433C48DEULL);
+  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0x1AFF029E7B50CE7FULL);
+  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0xD80631AB2A8EF8A8ULL);
+  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0x2ACB88AF172B1DEEULL);
+  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x16DD26D36F8BC35BULL);
+  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x61ED4DA392888B1FULL);
+  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0x42BDA7F9D2CB6835ULL);
+  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0xC2A1A5AA99BD82B1ULL);
+  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0xF218F625BB783561ULL);
+  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xC36742BBC742119AULL);
+  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x91E0D617BB4BCCC2ULL);
+
+  // The zero-copy overload (queue entries read through corpus pointers,
+  // record.queue_entries ignored) writes the same ShardDelta frame.
+  ShardDelta referencing = Sample<ShardDelta>();
+  const std::vector<FuzzInput> corpus = std::move(referencing.queue_entries);
+  referencing.queue_entries = {MakeInput(0xEE)};
+  std::vector<const FuzzInput*> entries;
+  for (const FuzzInput& input : corpus) {
+    entries.push_back(&input);
+  }
+  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x34625AB858C82456ULL);
+}
+
+// --- Generic checks, run on every record in wire::Records --------------------
+
+template <class List>
+struct AsGtestTypes;
+template <class... Records>
+struct AsGtestTypes<wire::TypeList<Records...>> {
+  using type = ::testing::Types<Records...>;
+};
+
+template <class Record>
+class WireRecordTest : public ::testing::Test {};
+TYPED_TEST_SUITE(WireRecordTest, AsGtestTypes<wire::Records>::type);
+
+// Rewrites the header's payload length, so a cut or padded payload gets
+// past the header check and reaches the field list.
+void SetPayloadLength(wire::Buffer& frame, size_t length) {
+  for (size_t i = 0; i < 4; ++i) {
+    frame[2 + i] = static_cast<uint8_t>(length >> (8 * i));
   }
 }
+
+// The decoder's contract on arbitrary bytes: reject them, or accept them
+// as a record whose re-encoding decodes and re-encodes to itself.
+template <class Record>
+::testing::AssertionResult RejectedOrStable(const wire::Buffer& frame) {
+  Record decoded;
+  if (!wire::Decode(frame, &decoded)) {
+    return ::testing::AssertionSuccess();
+  }
+  const wire::Buffer canonical = wire::Encode(decoded);
+  if (canonical == frame) {
+    return ::testing::AssertionSuccess();
+  }
+  Record again;
+  if (wire::Decode(canonical, &again) && wire::Encode(again) == canonical) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "accepted, but its re-encoding does not round-trip";
+}
+
+TYPED_TEST(WireRecordTest, RoundTripIsIdentity) {
+  for (const TypeParam& record : {Sample<TypeParam>(), TypeParam{}}) {
+    const wire::Buffer frame = wire::Encode(record);
+    // One exact allocation: what a transport writes is what was allocated.
+    EXPECT_EQ(frame.capacity(), frame.size());
+    size_t frame_size = 0;
+    ASSERT_TRUE(wire::FrameSize(frame.data(), frame.size(), &frame_size));
+    EXPECT_EQ(frame_size, frame.size());
+    TypeParam decoded;
+    ASSERT_TRUE(wire::Decode(frame, &decoded));
+    EXPECT_EQ(decoded, record);
+  }
+}
+
+TYPED_TEST(WireRecordTest, DecodeReplacesAReusedOutParam) {
+  // Transports decode into long-lived records: no field, element or vector
+  // tail of the previous contents may survive.
+  TypeParam decoded = Sample<TypeParam>();
+  ASSERT_TRUE(wire::Decode(wire::Encode(TypeParam{}), &decoded));
+  EXPECT_EQ(decoded, TypeParam{});
+}
+
+TYPED_TEST(WireRecordTest, EveryTruncationIsRejected) {
+  // A torn pipe frame or a torn state file.
+  const wire::Buffer frame = wire::Encode(Sample<TypeParam>());
+  TypeParam out;
+  for (size_t size = 0; size < frame.size(); ++size) {
+    EXPECT_FALSE(wire::Decode(frame.data(), size, &out)) << "size " << size;
+    // Again with a header that agrees, so the field list must notice.
+    if (size >= wire::kFrameHeaderSize) {
+      wire::Buffer cut(frame.begin(), frame.begin() + size);
+      SetPayloadLength(cut, size - wire::kFrameHeaderSize);
+      EXPECT_FALSE(wire::Decode(cut, &out)) << "payload cut at " << size;
+    }
+  }
+}
+
+TYPED_TEST(WireRecordTest, TrailingByteIsRejected) {
+  wire::Buffer frame = wire::Encode(Sample<TypeParam>());
+  frame.push_back(0);
+  TypeParam out;
+  EXPECT_FALSE(wire::Decode(frame, &out));  // Header length disagrees.
+  SetPayloadLength(frame, frame.size() - wire::kFrameHeaderSize);
+  EXPECT_FALSE(wire::Decode(frame, &out));  // Payload not consumed.
+}
+
+TYPED_TEST(WireRecordTest, WrongTypeVersionOrLengthIsRejected) {
+  const wire::Buffer frame = wire::Encode(Sample<TypeParam>());
+  TypeParam out;
+  for (int type = 0; type < 256; ++type) {
+    wire::Buffer retyped = frame;
+    retyped[0] = static_cast<uint8_t>(type);
+    EXPECT_EQ(wire::Decode(retyped, &out), type == frame[0]) << type;
+    // PeekType accepts exactly the listed record types.
+    wire::RecordType peeked;
+    EXPECT_EQ(wire::PeekType(retyped.data(), retyped.size(), &peeked),
+              type >= 1 && type <= static_cast<int>(wire::Records::kSize))
+        << type;
+  }
+  for (int version : {0, wire::kVersion - 1, wire::kVersion + 1, 0xFF}) {
+    wire::Buffer versioned = frame;
+    versioned[1] = static_cast<uint8_t>(version);
+    EXPECT_FALSE(wire::Decode(versioned, &out)) << "version " << version;
+  }
+  const size_t payload = frame.size() - wire::kFrameHeaderSize;
+  for (size_t length : {payload - 1, payload + 1, size_t{0xFFFFFFFF}}) {
+    wire::Buffer relengthed = frame;
+    SetPayloadLength(relengthed, length);
+    EXPECT_FALSE(wire::Decode(relengthed, &out)) << "length " << length;
+  }
+}
+
+TYPED_TEST(WireRecordTest, RandomBuffersAreRejectedOrStable) {
+  // Garbage mostly dies at the header; behind a valid header it reaches
+  // the field list, whose count guards must hold without overreading.
+  const wire::Buffer header = wire::Encode(TypeParam{});
+  Rng rng(0x57495245);  // "WIRE"
+  for (int i = 0; i < 1000; ++i) {
+    wire::Buffer garbage(rng.Below(160));
+    for (uint8_t& byte : garbage) {
+      byte = static_cast<uint8_t>(rng.Below(256));
+    }
+    EXPECT_TRUE(RejectedOrStable<TypeParam>(garbage));
+    wire::Buffer framed(header.begin(),
+                        header.begin() + wire::kFrameHeaderSize);
+    SetPayloadLength(framed, garbage.size());
+    framed.insert(framed.end(), garbage.begin(), garbage.end());
+    EXPECT_TRUE(RejectedOrStable<TypeParam>(framed));
+  }
+}
+
+TYPED_TEST(WireRecordTest, EveryByteFlipIsRejectedOrStable) {
+  // A corrupting peer or a bad sector, at every position of the frame.
+  wire::Buffer frame = wire::Encode(Sample<TypeParam>());
+  for (size_t pos = 0; pos < frame.size(); ++pos) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      frame[pos] ^= mask;
+      EXPECT_TRUE(RejectedOrStable<TypeParam>(frame))
+          << "byte " << pos << " ^ " << static_cast<int>(mask);
+      frame[pos] ^= mask;
+    }
+  }
+}
+
+// --- Record-specific rejections ----------------------------------------------
+//
+// Each entry is a sample frame with one record invariant broken (an
+// io.Check in the record's field list, or a count field the payload
+// cannot hold); every one must be rejected.
+
+struct InvalidFrame {
+  std::string name;
+  wire::Buffer frame;
+  bool (*decodes)(const wire::Buffer&);
+};
+
+template <class Record>
+bool Decodes(const wire::Buffer& frame) {
+  Record out;
+  return wire::Decode(frame, &out);
+}
+
+template <class Record, class Mutation>
+InvalidFrame Broken(std::string name, Mutation mutate) {
+  Record record = Sample<Record>();
+  mutate(record);
+  return {std::move(name), wire::Encode(record), &Decodes<Record>};
+}
+
+// The u32 count at byte `offset` of the frame, set to 4 billion: the
+// remaining-bytes guard must refuse it before any allocation.
+template <class Record>
+InvalidFrame HugeCount(std::string name, size_t offset) {
+  wire::Buffer frame = wire::Encode(Sample<Record>());
+  for (size_t i = 0; i < 4; ++i) {
+    frame[offset + i] = 0xFF;
+  }
+  return {std::move(name), std::move(frame), &Decodes<Record>};
+}
+
+TEST(WireInvalidTest, RecordInvariantViolationsAreRejected) {
+  const InvalidFrame table[] = {
+      Broken<ShardDelta>("delta crash arrays disagree",
+                         [](auto& r) { r.crash_ids.pop_back(); }),
+      Broken<ShardResultRecord>("result crash arrays disagree",
+                                [](auto& r) { r.crash_inputs.pop_back(); }),
+      Broken<WorkerStateRecord>("worker crash arrays disagree",
+                                [](auto& r) { r.crash_inputs.pop_back(); }),
+      Broken<ShardHelloRecord>("hello magic",
+                               [](auto& r) { r.magic = 0xDEADBEEF; }),
+      Broken<CampaignManifestRecord>("manifest magic",
+                                     [](auto& r) { r.magic = 0xDEADBEEF; }),
+      Broken<CampaignSnapshotRecord>("snapshot trailer magic",
+                                     [](auto& r) { r.magic = 0xDEADBEEF; }),
+      Broken<ShardDelta>("finding kind past kLogWarning",
+                         [](auto& r) {
+                           r.findings.back().kind =
+                               static_cast<AnomalyKind>(0xEE);
+                         }),
+      Broken<WorkerStateRecord>(
+          "vmx check past CheckId::kCount",
+          [](auto& r) { r.vmx_suppressed_checks.push_back(0xFFFF); }),
+      Broken<WorkerStateRecord>(
+          "vmx fixup past VmxFixupId::kCount",
+          [](auto& r) { r.vmx_learned_fixups.push_back(0xFF); }),
+      Broken<WorkerStateRecord>(
+          "svm check past CheckId::kCount",
+          [](auto& r) { r.svm_suppressed_checks.push_back(0xFFFF); }),
+      Broken<SnapshotMergedStateRecord>(
+          "pool bounds inverted",
+          [](auto& r) { r.prior_pool_end = r.pool_end + 1; }),
+      Broken<SnapshotMergedStateRecord>("pool slice shorter than its bounds",
+                                        [](auto& r) {
+                                          r.pool_origins.pop_back();
+                                          r.pool_inputs.pop_back();
+                                        }),
+      Broken<CampaignManifestRecord>("manifest arch 9",
+                                     [](auto& r) { r.arch = 9; }),
+      Broken<ShardChildConfigRecord>("child config arch 2",
+                                     [](auto& r) { r.arch = 2; }),
+      Broken<ShardChildConfigRecord>(
+          "child config start_epoch > epochs",
+          [](auto& r) { r.start_epoch = r.epochs + 1; }),
+      Broken<CampaignManifestRecord>(
+          "manifest snapshot_epochs > committed_epochs",
+          [](auto& r) { r.snapshot_epochs = r.committed_epochs + 1; }),
+      // Header, then worker i32 and three u64s.
+      HugeCount<ShardDelta>("delta virgin count", 6 + 4 + 8 + 8 + 8),
+      // Header, epoch u64, worker i32.
+      HugeCount<FeedbackRecord>("feedback pool count", 6 + 8 + 4),
+  };
+  for (const InvalidFrame& invalid : table) {
+    EXPECT_FALSE(invalid.decodes(invalid.frame)) << invalid.name;
+  }
+}
+
+// --- Beyond one record -------------------------------------------------------
 
 TEST(WireTest, ReferencingEncodeMatchesOwningEncode) {
   // The zero-copy overload serializes queue entries through pointers into
   // the fuzzer's corpus; its frame must be byte-identical to encoding a
-  // record that owns the same entries.
-  const ShardDelta owning = MakeDelta();
+  // record that owns the same entries, and exactly sized the same way.
+  const ShardDelta owning = Sample<ShardDelta>();
   ShardDelta referencing = owning;
-  referencing.queue_entries.clear();  // Ignored by the overload anyway.
+  referencing.queue_entries.clear();
   std::vector<const FuzzInput*> refs;
   for (const FuzzInput& input : owning.queue_entries) {
     refs.push_back(&input);
@@ -105,714 +581,13 @@ TEST(WireTest, ReferencingEncodeMatchesOwningEncode) {
   const wire::Buffer from_refs = wire::Encode(referencing, refs);
   EXPECT_EQ(from_refs, wire::Encode(owning));
   EXPECT_EQ(from_refs.capacity(), from_refs.size());
-
-  ShardDelta decoded;
-  ASSERT_TRUE(wire::Decode(from_refs, &decoded));
-  ExpectEq(owning, decoded);
-
-  // An owning record with entries present alongside refs: the refs win.
-  const wire::Buffer refs_win = wire::Encode(owning, refs);
-  EXPECT_EQ(refs_win, wire::Encode(owning));
-}
-
-TEST(WireTest, EmptyShardDeltaRoundTrips) {
-  // The empty delta is the common case for trailing epochs past a
-  // shard's schedule; it must survive the wire unchanged too.
-  const ShardDelta empty;
-  ShardDelta decoded = MakeDelta();  // Pre-dirtied: Decode must clear it.
-  ASSERT_TRUE(wire::Decode(wire::Encode(empty), &decoded));
-  ExpectEq(empty, decoded);
-}
-
-TEST(WireTest, SampleEventRoundTripIsIdentity) {
-  const SampleEvent event{4, 12000, 79.66101694915254, 94};
-  SampleEvent decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(event), &decoded));
-  EXPECT_EQ(decoded.epoch, event.epoch);
-  EXPECT_EQ(decoded.iteration, event.iteration);
-  EXPECT_EQ(decoded.percent, event.percent);  // Bit-exact via the u64 image.
-  EXPECT_EQ(decoded.covered_points, event.covered_points);
-}
-
-TEST(WireTest, FindingEventRoundTripIsIdentity) {
-  const FindingEvent event{3, 1, MakeReport("xen-vmx-shadow")};
-  FindingEvent decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(event), &decoded));
-  EXPECT_EQ(decoded.epoch, event.epoch);
-  EXPECT_EQ(decoded.worker, event.worker);
-  EXPECT_EQ(decoded.report.kind, event.report.kind);
-  EXPECT_EQ(decoded.report.bug_id, event.report.bug_id);
-  EXPECT_EQ(decoded.report.message, event.report.message);
-}
-
-TEST(WireTest, CorpusSyncEventRoundTripIsIdentity) {
-  const CorpusSyncEvent event{9, 2, 23, 58};
-  CorpusSyncEvent decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(event), &decoded));
-  EXPECT_EQ(decoded.epoch, event.epoch);
-  EXPECT_EQ(decoded.worker, event.worker);
-  EXPECT_EQ(decoded.published, event.published);
-  EXPECT_EQ(decoded.imported, event.imported);
-}
-
-TEST(WireTest, ShardDoneEventRoundTripIsIdentity) {
-  const ShardDoneEvent event{3, 5000, 81.25, 96, 83, 4, 59, 2};
-  ShardDoneEvent decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(event), &decoded));
-  EXPECT_EQ(decoded.worker, event.worker);
-  EXPECT_EQ(decoded.iterations, event.iterations);
-  EXPECT_EQ(decoded.final_percent, event.final_percent);
-  EXPECT_EQ(decoded.covered_points, event.covered_points);
-  EXPECT_EQ(decoded.queue_size, event.queue_size);
-  EXPECT_EQ(decoded.findings, event.findings);
-  EXPECT_EQ(decoded.corpus_imports, event.corpus_imports);
-  EXPECT_EQ(decoded.watchdog_restarts, event.watchdog_restarts);
-}
-
-TEST(WireTest, FinishEventRoundTripIsIdentity) {
-  const FinishEvent event{4, 24, 20000, 80.5, 95, 118, 6, 166};
-  FinishEvent decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(event), &decoded));
-  EXPECT_EQ(decoded.workers, event.workers);
-  EXPECT_EQ(decoded.epochs, event.epochs);
-  EXPECT_EQ(decoded.iterations, event.iterations);
-  EXPECT_EQ(decoded.final_percent, event.final_percent);
-  EXPECT_EQ(decoded.covered_points, event.covered_points);
-  EXPECT_EQ(decoded.total_points, event.total_points);
-  EXPECT_EQ(decoded.findings, event.findings);
-  EXPECT_EQ(decoded.corpus_imports, event.corpus_imports);
-}
-
-FeedbackRecord MakeFeedback() {
-  FeedbackRecord record;
-  record.epoch = 11;
-  record.worker = 3;
-  record.pool_entries = {MakeInput(0x10), MakeInput(0x20), MakeInput(0x30)};
-  record.virgin.Append(12, 0x01);
-  record.virgin.Append(40000, 0xC0);
-  return record;
-}
-
-ShardResultRecord MakeResult() {
-  ShardResultRecord record;
-  record.worker = 1;
-  record.final_percent = 80.50847457627118;
-  record.covered_points = 95;
-  record.total_points = 118;
-  record.covered_set = {0, 3, 94, 117};
-  record.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
-  record.iterations = 5000;
-  record.queue_size = 83;
-  record.unique_anomalies = 2;
-  record.bitmap_edges = 451;
-  record.watchdog_restarts = 1;
-  record.imports = 59;
-  record.snapshot_hits = 4800;
-  record.snapshot_misses = 200;
-  record.config_memo_hits = 4810;
-  record.restore_ns = 123456789;
-  record.crash_ids = {"kvm-a", "kvm-b"};
-  record.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
-  return record;
-}
-
-ShardChildConfigRecord MakeConfig() {
-  ShardChildConfigRecord record;
-  record.target = "kvm";
-  record.worker = 2;
-  record.workers = 4;
-  record.epochs = 24;
-  record.arch = 1;
-  record.iterations = 20000;
-  record.samples = 24;
-  record.seed = 7;
-  record.syncing = 1;
-  record.coverage_guidance = 1;
-  record.havoc_stack = 16;
-  record.splice_percent = 15;
-  record.use_harness = 1;
-  record.use_validator = 0;
-  record.use_configurator = 1;
-  record.oracle_interval = 64;
-  record.snapshot_cache_size = 32;
-  record.crash_dir = "/tmp/crashes";
-  return record;
-}
-
-TEST(WireTest, FeedbackRecordRoundTripIsIdentity) {
-  const FeedbackRecord record = MakeFeedback();
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kFeedback);
-
-  FeedbackRecord decoded;
-  decoded.pool_entries = {MakeInput(0xFF)};  // Pre-dirtied: must be cleared.
-  decoded.virgin.Append(1, 0x01);
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.epoch, record.epoch);
-  EXPECT_EQ(decoded.worker, record.worker);
-  EXPECT_EQ(decoded.pool_entries, record.pool_entries);
-  EXPECT_EQ(decoded.virgin.cells, record.virgin.cells);
-  EXPECT_EQ(decoded.virgin.bits, record.virgin.bits);
-
-  // The empty feedback (no pool growth, no new novelty) round-trips too.
-  const FeedbackRecord empty;
-  ASSERT_TRUE(wire::Decode(wire::Encode(empty), &decoded));
-  EXPECT_TRUE(decoded.pool_entries.empty());
-  EXPECT_TRUE(decoded.virgin.empty());
-}
-
-TEST(WireTest, ShardResultRecordRoundTripIsIdentity) {
-  const ShardResultRecord record = MakeResult();
-  ShardResultRecord decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(record), &decoded));
-  EXPECT_EQ(decoded.worker, record.worker);
-  EXPECT_EQ(decoded.final_percent, record.final_percent);  // Bit-exact f64.
-  EXPECT_EQ(decoded.covered_points, record.covered_points);
-  EXPECT_EQ(decoded.total_points, record.total_points);
-  EXPECT_EQ(decoded.covered_set, record.covered_set);
-  ASSERT_EQ(decoded.findings.size(), record.findings.size());
-  for (size_t i = 0; i < record.findings.size(); ++i) {
-    EXPECT_EQ(decoded.findings[i].kind, record.findings[i].kind);
-    EXPECT_EQ(decoded.findings[i].bug_id, record.findings[i].bug_id);
-    EXPECT_EQ(decoded.findings[i].message, record.findings[i].message);
-  }
-  EXPECT_EQ(decoded.iterations, record.iterations);
-  EXPECT_EQ(decoded.queue_size, record.queue_size);
-  EXPECT_EQ(decoded.unique_anomalies, record.unique_anomalies);
-  EXPECT_EQ(decoded.bitmap_edges, record.bitmap_edges);
-  EXPECT_EQ(decoded.watchdog_restarts, record.watchdog_restarts);
-  EXPECT_EQ(decoded.imports, record.imports);
-  EXPECT_EQ(decoded.snapshot_hits, record.snapshot_hits);
-  EXPECT_EQ(decoded.snapshot_misses, record.snapshot_misses);
-  EXPECT_EQ(decoded.config_memo_hits, record.config_memo_hits);
-  EXPECT_EQ(decoded.restore_ns, record.restore_ns);
-  EXPECT_EQ(decoded.crash_ids, record.crash_ids);
-  EXPECT_EQ(decoded.crash_inputs, record.crash_inputs);
-}
-
-TEST(WireTest, ShardDeltaCrashArraysMustAgree) {
-  // Same parallel-array contract as ShardResultRecord: a delta whose
-  // crash arrays disagree in length is corrupt, not misaligned.
-  ShardDelta lopsided = MakeDelta();
-  lopsided.crash_ids.pop_back();
-  ShardDelta decoded;
-  EXPECT_FALSE(wire::Decode(wire::Encode(lopsided), &decoded));
-}
-
-TEST(WireTest, ShardResultCrashArraysMustAgree) {
-  // crash_ids and crash_inputs are parallel by contract; a record that
-  // disagrees with itself (an input without its id, or vice versa) is
-  // corrupt and must be rejected, not silently misaligned.
-  ShardResultRecord lopsided = MakeResult();
-  lopsided.crash_inputs.pop_back();
-  ShardResultRecord decoded;
-  EXPECT_FALSE(wire::Decode(wire::Encode(lopsided), &decoded));
-}
-
-TEST(WireTest, ShardHelloRoundTripAndMagicRejection) {
-  ShardHelloRecord hello;
-  hello.worker = 5;
-  const wire::Buffer buffer = wire::Encode(hello);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kShardHello);
-
-  ShardHelloRecord decoded;
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.worker, 5);
-  EXPECT_EQ(decoded.magic, ShardHelloRecord::kMagic);
-
-  // A stray peer whose bytes parse as a frame still fails the handshake:
-  // the magic is part of the contract.
-  ShardHelloRecord impostor;
-  impostor.magic = 0xDEADBEEF;
-  impostor.worker = 0;
-  EXPECT_FALSE(wire::Decode(wire::Encode(impostor), &decoded));
-
-  // Every truncation is rejected, like every other record.
-  for (size_t len = 0; len < buffer.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(buffer.data(), len, &decoded))
-        << "length " << len;
-  }
-}
-
-TEST(WireTest, ShardChildConfigRecordRoundTripIsIdentity) {
-  const ShardChildConfigRecord record = MakeConfig();
-  ShardChildConfigRecord decoded;
-  ASSERT_TRUE(wire::Decode(wire::Encode(record), &decoded));
-  EXPECT_EQ(decoded.target, record.target);
-  EXPECT_EQ(decoded.worker, record.worker);
-  EXPECT_EQ(decoded.workers, record.workers);
-  EXPECT_EQ(decoded.epochs, record.epochs);
-  EXPECT_EQ(decoded.arch, record.arch);
-  EXPECT_EQ(decoded.iterations, record.iterations);
-  EXPECT_EQ(decoded.samples, record.samples);
-  EXPECT_EQ(decoded.seed, record.seed);
-  EXPECT_EQ(decoded.syncing, record.syncing);
-  EXPECT_EQ(decoded.coverage_guidance, record.coverage_guidance);
-  EXPECT_EQ(decoded.havoc_stack, record.havoc_stack);
-  EXPECT_EQ(decoded.splice_percent, record.splice_percent);
-  EXPECT_EQ(decoded.use_harness, record.use_harness);
-  EXPECT_EQ(decoded.use_validator, record.use_validator);
-  EXPECT_EQ(decoded.use_configurator, record.use_configurator);
-  EXPECT_EQ(decoded.oracle_interval, record.oracle_interval);
-  EXPECT_EQ(decoded.snapshot_cache_size, record.snapshot_cache_size);
-  EXPECT_EQ(decoded.crash_dir, record.crash_dir);
-
-  // An out-of-range Arch byte is rejected, not cast blindly.
-  wire::Buffer bad_arch = wire::Encode(record);
-  // Payload layout: target str (4 + 3), worker i32, workers i32, epochs
-  // u64, then the arch byte.
-  const size_t arch_offset = 6 + (4 + 3) + 4 + 4 + 8;
-  bad_arch[arch_offset] = 9;
-  EXPECT_FALSE(wire::Decode(bad_arch, &decoded));
-}
-
-// --- Durable-state records (CampaignJournal's on-disk format) ------------
-
-CampaignManifestRecord MakeManifest() {
-  CampaignManifestRecord record;
-  record.committed_epochs = 5;
-  record.epochs = 24;
-  record.workers = 4;
-  record.samples = 24;
-  record.arch = 1;
-  record.iterations = 20000;
-  record.seed = 7;
-  record.corpus_sync = 1;
-  record.coverage_guidance = 1;
-  record.havoc_stack = 16;
-  record.splice_percent = 15;
-  record.use_harness = 1;
-  record.use_validator = 0;
-  record.use_configurator = 1;
-  record.oracle_interval = 64;
-  record.target = "kvm";
-  return record;
-}
-
-EpochCommitRecord MakeEpochCommit() {
-  EpochCommitRecord record;
-  record.epoch = 5;
-  record.workers = 4;
-  record.checksum = 0xDEADBEEFCAFEF00DULL;
-  record.iterations = 5000;
-  record.covered_points = 95;
-  record.pool_end = 83;
-  record.findings = 2;
-  record.crash_artifacts = 2;
-  record.percent = 80.50847457627118;
-  return record;
-}
-
-CrashArtifactRecord MakeCrashArtifact() {
-  CrashArtifactRecord record;
-  record.seq = 3;
-  record.report = MakeReport("kvm-nsvm-dummy-root");
-  record.hypervisor = "kvm";
-  record.arch = "amd";
-  record.iteration = 412;
-  record.input = MakeInput(0x5C);
-  return record;
-}
-
-TEST(WireTest, CampaignManifestRoundTripAndMagicRejection) {
-  const CampaignManifestRecord record = MakeManifest();
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kManifest);
-
-  CampaignManifestRecord decoded;
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.magic, CampaignManifestRecord::kMagic);
-  EXPECT_EQ(decoded.committed_epochs, record.committed_epochs);
-  EXPECT_EQ(decoded.epochs, record.epochs);
-  EXPECT_EQ(decoded.workers, record.workers);
-  EXPECT_EQ(decoded.samples, record.samples);
-  EXPECT_EQ(decoded.arch, record.arch);
-  EXPECT_EQ(decoded.iterations, record.iterations);
-  EXPECT_EQ(decoded.seed, record.seed);
-  EXPECT_EQ(decoded.corpus_sync, record.corpus_sync);
-  EXPECT_EQ(decoded.coverage_guidance, record.coverage_guidance);
-  EXPECT_EQ(decoded.havoc_stack, record.havoc_stack);
-  EXPECT_EQ(decoded.splice_percent, record.splice_percent);
-  EXPECT_EQ(decoded.use_harness, record.use_harness);
-  EXPECT_EQ(decoded.use_validator, record.use_validator);
-  EXPECT_EQ(decoded.use_configurator, record.use_configurator);
-  EXPECT_EQ(decoded.oracle_interval, record.oracle_interval);
-  EXPECT_EQ(decoded.target, record.target);
-
-  // A file that parses as a frame but is not a manifest (wrong magic, or
-  // a nonsense arch byte) is rejected, not trusted as a commit point.
-  CampaignManifestRecord impostor = record;
-  impostor.magic = 0xDEADBEEF;
-  EXPECT_FALSE(wire::Decode(wire::Encode(impostor), &decoded));
-  CampaignManifestRecord bad_arch = record;
-  bad_arch.arch = 9;
-  EXPECT_FALSE(wire::Decode(wire::Encode(bad_arch), &decoded));
-}
-
-TEST(WireTest, EpochCommitRecordRoundTripIsIdentity) {
-  const EpochCommitRecord record = MakeEpochCommit();
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kEpochCommit);
-
-  EpochCommitRecord decoded;
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.epoch, record.epoch);
-  EXPECT_EQ(decoded.workers, record.workers);
-  EXPECT_EQ(decoded.checksum, record.checksum);
-  EXPECT_EQ(decoded.iterations, record.iterations);
-  EXPECT_EQ(decoded.covered_points, record.covered_points);
-  EXPECT_EQ(decoded.pool_end, record.pool_end);
-  EXPECT_EQ(decoded.findings, record.findings);
-  EXPECT_EQ(decoded.crash_artifacts, record.crash_artifacts);
-  EXPECT_EQ(decoded.percent, record.percent);  // Bit-exact f64.
-}
-
-TEST(WireTest, CrashArtifactRecordRoundTripIsIdentity) {
-  const CrashArtifactRecord record = MakeCrashArtifact();
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kCrashArtifact);
-
-  CrashArtifactRecord decoded;
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.seq, record.seq);
-  EXPECT_EQ(decoded.report.kind, record.report.kind);
-  EXPECT_EQ(decoded.report.bug_id, record.report.bug_id);
-  EXPECT_EQ(decoded.report.message, record.report.message);
-  EXPECT_EQ(decoded.hypervisor, record.hypervisor);
-  EXPECT_EQ(decoded.arch, record.arch);
-  EXPECT_EQ(decoded.iteration, record.iteration);
-  EXPECT_EQ(decoded.input, record.input);
-}
-
-TEST(WireTest, EveryTruncationIsRejected) {
-  const wire::Buffer full = wire::Encode(MakeDelta());
-  ShardDelta out;
-  for (size_t len = 0; len < full.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(full.data(), len, &out)) << "length " << len;
-  }
-  ASSERT_TRUE(wire::Decode(full, &out));
-
-  const wire::Buffer event = wire::Encode(SampleEvent{1, 2, 3.0, 4});
-  SampleEvent sample;
-  for (size_t len = 0; len < event.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(event.data(), len, &sample)) << "length " << len;
-  }
-
-  const wire::Buffer finding_event =
-      wire::Encode(FindingEvent{7, 3, MakeReport("truncate-me")});
-  FindingEvent finding_out;
-  for (size_t len = 0; len < finding_event.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(finding_event.data(), len, &finding_out))
-        << "length " << len;
-  }
-
-  const wire::Buffer sync = wire::Encode(CorpusSyncEvent{1, 0, 2, 3});
-  CorpusSyncEvent sync_out;
-  for (size_t len = 0; len < sync.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(sync.data(), len, &sync_out))
-        << "length " << len;
-  }
-
-  const wire::Buffer done =
-      wire::Encode(ShardDoneEvent{3, 5000, 81.25, 96, 83, 4, 59, 2});
-  ShardDoneEvent done_out;
-  for (size_t len = 0; len < done.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(done.data(), len, &done_out))
-        << "length " << len;
-  }
-
-  const wire::Buffer finish =
-      wire::Encode(FinishEvent{4, 24, 20000, 80.5, 95, 118, 6, 166});
-  FinishEvent finish_out;
-  for (size_t len = 0; len < finish.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(finish.data(), len, &finish_out))
-        << "length " << len;
-  }
-
-  // The process-sharding records reject every truncation too.
-  const wire::Buffer feedback = wire::Encode(MakeFeedback());
-  FeedbackRecord feedback_out;
-  for (size_t len = 0; len < feedback.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(feedback.data(), len, &feedback_out))
-        << "length " << len;
-  }
-  ASSERT_TRUE(wire::Decode(feedback, &feedback_out));
-
-  const wire::Buffer result = wire::Encode(MakeResult());
-  ShardResultRecord result_out;
-  for (size_t len = 0; len < result.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(result.data(), len, &result_out))
-        << "length " << len;
-  }
-
-  const wire::Buffer config = wire::Encode(MakeConfig());
-  ShardChildConfigRecord config_out;
-  for (size_t len = 0; len < config.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(config.data(), len, &config_out))
-        << "length " << len;
-  }
-
-  // A truncated durable-state record is a torn state file; it must be
-  // rejected on reopen like a torn pipe frame.
-  const wire::Buffer manifest = wire::Encode(MakeManifest());
-  CampaignManifestRecord manifest_out;
-  for (size_t len = 0; len < manifest.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(manifest.data(), len, &manifest_out))
-        << "length " << len;
-  }
-
-  const wire::Buffer commit = wire::Encode(MakeEpochCommit());
-  EpochCommitRecord commit_out;
-  for (size_t len = 0; len < commit.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(commit.data(), len, &commit_out))
-        << "length " << len;
-  }
-
-  const wire::Buffer artifact = wire::Encode(MakeCrashArtifact());
-  CrashArtifactRecord artifact_out;
-  for (size_t len = 0; len < artifact.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(artifact.data(), len, &artifact_out))
-        << "length " << len;
-  }
-}
-
-TEST(WireTest, TrailingBytesAreRejected) {
-  wire::Buffer buffer = wire::Encode(CorpusSyncEvent{1, 0, 2, 3});
-  buffer.push_back(0);  // Length field no longer matches the frame.
-  CorpusSyncEvent out;
-  EXPECT_FALSE(wire::Decode(buffer, &out));
-}
-
-TEST(WireTest, WrongTypeVersionAndLengthAreRejected) {
-  wire::Buffer buffer = wire::Encode(MakeDelta());
-  ShardDelta out;
-
-  // Decoding as a different record type.
-  SampleEvent sample;
-  EXPECT_FALSE(wire::Decode(buffer, &sample));
-
-  // Unknown future version.
-  wire::Buffer bad_version = buffer;
-  bad_version[1] = wire::kVersion + 1;
-  EXPECT_FALSE(wire::Decode(bad_version, &out));
-
-  // Length field shorter / longer than the payload.
-  wire::Buffer bad_length = buffer;
-  bad_length[2] ^= 0x01;
-  EXPECT_FALSE(wire::Decode(bad_length, &out));
-
-  // Unknown record type is also unpeekable.
-  wire::Buffer bad_type = buffer;
-  bad_type[0] = 0x7F;
-  wire::RecordType type;
-  EXPECT_FALSE(wire::PeekType(bad_type.data(), bad_type.size(), &type));
-  EXPECT_FALSE(wire::Decode(bad_type, &out));
-}
-
-TEST(WireTest, FeedbackRecordCorruptHeadersAreRejected) {
-  const wire::Buffer buffer = wire::Encode(MakeFeedback());
-  FeedbackRecord out;
-
-  // Decoding as a different record type (and vice versa).
-  ShardDelta delta;
-  EXPECT_FALSE(wire::Decode(buffer, &delta));
-  EXPECT_FALSE(wire::Decode(wire::Encode(MakeDelta()), &out));
-
-  wire::Buffer bad_version = buffer;
-  bad_version[1] = wire::kVersion + 1;
-  EXPECT_FALSE(wire::Decode(bad_version, &out));
-
-  wire::Buffer bad_length = buffer;
-  bad_length[2] ^= 0x01;
-  EXPECT_FALSE(wire::Decode(bad_length, &out));
-
-  wire::Buffer trailing = buffer;
-  trailing.push_back(0);
-  EXPECT_FALSE(wire::Decode(trailing, &out));
-
-  // A pool-entry count the payload cannot possibly hold is rejected by
-  // the remaining-bytes guard, never attempted as an allocation.
-  wire::Buffer huge_count = buffer;
-  const size_t pool_count_offset = 6 + 8 + 4;  // Header, epoch, worker.
-  for (size_t i = 0; i < 4; ++i) {
-    huge_count[pool_count_offset + i] = 0xFF;
-  }
-  EXPECT_FALSE(wire::Decode(huge_count, &out));
-}
-
-TEST(WireTest, HugeCountFieldsAreRejectedWithoutAllocating) {
-  // The first count in a ShardDelta payload sits right after the three
-  // u64s and the worker id. Blowing it up to 4 billion must be rejected
-  // by the remaining-bytes guard, not attempted.
-  wire::Buffer buffer = wire::Encode(MakeDelta());
-  const size_t virgin_count_offset = 6 + 4 + 8 + 8 + 8;
-  for (size_t i = 0; i < 4; ++i) {
-    buffer[virgin_count_offset + i] = 0xFF;
-  }
-  ShardDelta out;
-  EXPECT_FALSE(wire::Decode(buffer, &out));
-
-  // An out-of-range enum value inside a finding is rejected too.
-  const ShardDelta delta = MakeDelta();
-  wire::Buffer encoded = wire::Encode(delta);
-  // The last finding's kind byte: walk back from the end over the crash
-  // arrays (count + entries each), then the finding's message (4 + len),
-  // bug_id (4 + len), kind (1).
-  size_t crash_tail = 4 + 4;
-  for (const std::string& id : delta.crash_ids) {
-    crash_tail += 4 + id.size();
-  }
-  for (const FuzzInput& input : delta.crash_inputs) {
-    crash_tail += 4 + input.size();
-  }
-  const AnomalyReport& last = delta.findings.back();
-  const size_t kind_offset = encoded.size() - crash_tail -
-                             (4 + last.message.size()) -
-                             (4 + last.bug_id.size()) - 1;
-  encoded[kind_offset] = 0xEE;
-  EXPECT_FALSE(wire::Decode(encoded, &out));
-}
-
-TEST(WireTest, RandomBuffersNeverCrashTheDecoder) {
-  // Deterministic decoder fuzzing: random garbage must be rejected (or,
-  // vanishingly unlikely, accepted) without crashing or overreading.
-  Rng rng(0x57495245);  // "WIRE"
-  ShardDelta delta;
-  SampleEvent sample;
-  FindingEvent finding;
-  CorpusSyncEvent sync;
-  ShardDoneEvent done;
-  FinishEvent finish;
-  FeedbackRecord feedback;
-  ShardResultRecord result;
-  ShardChildConfigRecord config;
-  ShardHelloRecord hello;
-  CampaignManifestRecord manifest;
-  EpochCommitRecord commit;
-  CrashArtifactRecord artifact;
-  for (int i = 0; i < 2000; ++i) {
-    wire::Buffer buffer(rng.Below(160));
-    for (auto& byte : buffer) {
-      byte = static_cast<uint8_t>(rng.Below(256));
-    }
-    wire::Decode(buffer, &delta);
-    wire::Decode(buffer, &sample);
-    wire::Decode(buffer, &finding);
-    wire::Decode(buffer, &sync);
-    wire::Decode(buffer, &done);
-    wire::Decode(buffer, &finish);
-    wire::Decode(buffer, &feedback);
-    wire::Decode(buffer, &result);
-    wire::Decode(buffer, &config);
-    wire::Decode(buffer, &hello);
-    wire::Decode(buffer, &manifest);
-    wire::Decode(buffer, &commit);
-    wire::Decode(buffer, &artifact);
-  }
-}
-
-TEST(WireTest, CorruptedValidBuffersNeverCrashTheDecoder) {
-  // Single-byte corruptions of a valid record: many decode fine (payload
-  // bytes), the rest must be rejected cleanly — never a crash.
-  const wire::Buffer clean = wire::Encode(MakeDelta());
-  Rng rng(0xC0DEC);
-  ShardDelta out;
-  for (int i = 0; i < 2000; ++i) {
-    wire::Buffer corrupt = clean;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &out);
-  }
-
-  // Same pass over the process-sharding records that travel real pipes.
-  const wire::Buffer clean_feedback = wire::Encode(MakeFeedback());
-  FeedbackRecord feedback;
-  const wire::Buffer clean_result = wire::Encode(MakeResult());
-  ShardResultRecord result;
-  const wire::Buffer clean_config = wire::Encode(MakeConfig());
-  ShardChildConfigRecord config;
-  for (int i = 0; i < 2000; ++i) {
-    wire::Buffer corrupt = clean_feedback;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &feedback);
-
-    corrupt = clean_result;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &result);
-
-    corrupt = clean_config;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &config);
-  }
-
-  // And over the durable-state records that live on disk, where a bad
-  // sector plays the role of the corrupting peer.
-  const wire::Buffer clean_manifest = wire::Encode(MakeManifest());
-  CampaignManifestRecord manifest;
-  const wire::Buffer clean_artifact = wire::Encode(MakeCrashArtifact());
-  CrashArtifactRecord artifact;
-  for (int i = 0; i < 2000; ++i) {
-    wire::Buffer corrupt = clean_manifest;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &manifest);
-
-    corrupt = clean_artifact;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &artifact);
-  }
-}
-
-TEST(WireTest, RandomFeedbackRecordsRoundTripExactly) {
-  // Property fuzz: arbitrary well-formed feedback survives the wire.
-  Rng rng(0xF33DBACC);
-  for (int round = 0; round < 50; ++round) {
-    FeedbackRecord record;
-    record.epoch = rng.Below(1 << 20);
-    record.worker = static_cast<int>(rng.Below(64));
-    for (size_t i = rng.Below(4); i > 0; --i) {
-      FuzzInput input(rng.Below(kFuzzInputSize + 1));
-      for (auto& byte : input) {
-        byte = static_cast<uint8_t>(rng.Below(256));
-      }
-      record.pool_entries.push_back(std::move(input));
-    }
-    for (size_t i = rng.Below(40); i > 0; --i) {
-      record.virgin.Append(static_cast<uint32_t>(rng.Below(1 << 16)),
-                           static_cast<uint8_t>(1 + rng.Below(255)));
-    }
-    FeedbackRecord decoded;
-    ASSERT_TRUE(wire::Decode(wire::Encode(record), &decoded));
-    EXPECT_EQ(decoded.epoch, record.epoch);
-    EXPECT_EQ(decoded.worker, record.worker);
-    EXPECT_EQ(decoded.pool_entries, record.pool_entries);
-    EXPECT_EQ(decoded.virgin.cells, record.virgin.cells);
-    EXPECT_EQ(decoded.virgin.bits, record.virgin.bits);
-  }
+  // With entries present alongside refs, the refs win.
+  EXPECT_EQ(wire::Encode(owning, refs), from_refs);
 }
 
 TEST(WireTest, FrameSizeCutsStreamsCorrectly) {
-  const wire::Buffer a = wire::Encode(MakeDelta());
-  const wire::Buffer b = wire::Encode(MakeFeedback());
+  const wire::Buffer a = wire::Encode(Sample<ShardDelta>());
+  const wire::Buffer b = wire::Encode(Sample<FeedbackRecord>());
   wire::Buffer stream = a;
   stream.insert(stream.end(), b.begin(), b.end());
 
@@ -835,291 +610,42 @@ TEST(WireTest, FrameSizeCutsStreamsCorrectly) {
   EXPECT_FALSE(wire::FrameSize(bad.data(), bad.size(), &size));
 }
 
-// --- Materialized snapshot records (wire v6) -----------------------------
-
-WorkerStateRecord MakeWorkerState() {
-  WorkerStateRecord record;
-  record.worker = 2;
-  record.epochs_covered = 10;
-  record.mutator_rng.s[0] = 0x1111111111111111ULL;
-  record.mutator_rng.s[3] = 0x4444444444444444ULL;
-  record.corpus_rng.s[1] = 0x2222222222222222ULL;
-  record.iterations = 4200;
-  QueueEntry entry;
-  entry.input = MakeInput(0x11);
-  entry.discovered_at_iter = 97;
-  entry.times_fuzzed = 12;
-  entry.new_edges = 5;
-  entry.favored = true;
-  record.corpus.push_back(entry);
-  entry.input = MakeInput(0x22);
-  entry.favored = false;
-  record.corpus.push_back(entry);
-  record.virgin.Append(3, 0x01);
-  record.virgin.Append(700, 0x80);
-  record.crash_ids = {"kvm-a", "kvm-b"};
-  record.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
-  record.executions = 4217;
-  record.watchdog_restarts = 1;
-  record.snapshot_hits = 4000;
-  record.snapshot_misses = 217;
-  record.config_memo_hits = 4100;
-  record.restore_ns = 987654321;
-  record.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
-  record.vmx_suppressed_checks = {0, 1};
-  record.vmx_learned_fixups = {0};
-  record.svm_suppressed_checks = {1};
-  record.host_crashed = 1;
-  record.host_restarts = 3;
-  record.covered = {0, 7, 94, 117};
-  record.hit_events = 5123;
-  record.imports = 42;
-  return record;
+FuzzInput RandomInput(Rng& rng) {
+  FuzzInput input(rng.Below(kFuzzInputSize + 1));
+  for (uint8_t& byte : input) {
+    byte = static_cast<uint8_t>(rng.Below(256));
+  }
+  return input;
 }
 
-SnapshotMergedStateRecord MakeMergedState() {
-  SnapshotMergedStateRecord record;
-  record.epochs_covered = 10;
-  record.virgin.Append(1, 0x01);
-  record.virgin.Append(40000, 0xC0);
-  record.covered = {0, 3, 94, 117};
-  record.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
-  record.prior_pool_end = 2;
-  record.pool_end = 5;
-  record.pool_origins = {0, 2, 1};
-  record.pool_inputs = {MakeInput(0x31), MakeInput(0x32), MakeInput(0x33)};
-  record.series_iterations = {500, 1000, 1500};
-  record.series_percents = {10.5, 40.25, 79.66101694915254};
-  record.total_iterations = 1500;
-  record.feedback_virgin.Append(12, 0x01);
-  return record;
-}
-
-TEST(WireTest, WorkerStateRecordRoundTripIsIdentity) {
-  const WorkerStateRecord record = MakeWorkerState();
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kWorkerState);
-
-  WorkerStateRecord decoded;
-  decoded.corpus.push_back(QueueEntry{});  // Pre-dirtied: must be cleared.
-  decoded.covered = {9999};
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.worker, record.worker);
-  EXPECT_EQ(decoded.epochs_covered, record.epochs_covered);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(decoded.mutator_rng.s[i], record.mutator_rng.s[i]);
-    EXPECT_EQ(decoded.corpus_rng.s[i], record.corpus_rng.s[i]);
-  }
-  EXPECT_EQ(decoded.iterations, record.iterations);
-  ASSERT_EQ(decoded.corpus.size(), record.corpus.size());
-  for (size_t i = 0; i < record.corpus.size(); ++i) {
-    EXPECT_EQ(decoded.corpus[i].input, record.corpus[i].input);
-    EXPECT_EQ(decoded.corpus[i].discovered_at_iter,
-              record.corpus[i].discovered_at_iter);
-    EXPECT_EQ(decoded.corpus[i].times_fuzzed, record.corpus[i].times_fuzzed);
-    EXPECT_EQ(decoded.corpus[i].new_edges, record.corpus[i].new_edges);
-    EXPECT_EQ(decoded.corpus[i].favored, record.corpus[i].favored);
-  }
-  EXPECT_EQ(decoded.virgin.cells, record.virgin.cells);
-  EXPECT_EQ(decoded.virgin.bits, record.virgin.bits);
-  EXPECT_EQ(decoded.crash_ids, record.crash_ids);
-  EXPECT_EQ(decoded.crash_inputs, record.crash_inputs);
-  EXPECT_EQ(decoded.executions, record.executions);
-  EXPECT_EQ(decoded.watchdog_restarts, record.watchdog_restarts);
-  EXPECT_EQ(decoded.snapshot_hits, record.snapshot_hits);
-  EXPECT_EQ(decoded.snapshot_misses, record.snapshot_misses);
-  EXPECT_EQ(decoded.config_memo_hits, record.config_memo_hits);
-  EXPECT_EQ(decoded.restore_ns, record.restore_ns);
-  ASSERT_EQ(decoded.findings.size(), record.findings.size());
-  for (size_t i = 0; i < record.findings.size(); ++i) {
-    EXPECT_EQ(decoded.findings[i].bug_id, record.findings[i].bug_id);
-  }
-  EXPECT_EQ(decoded.vmx_suppressed_checks, record.vmx_suppressed_checks);
-  EXPECT_EQ(decoded.vmx_learned_fixups, record.vmx_learned_fixups);
-  EXPECT_EQ(decoded.svm_suppressed_checks, record.svm_suppressed_checks);
-  EXPECT_EQ(decoded.host_crashed, record.host_crashed);
-  EXPECT_EQ(decoded.host_restarts, record.host_restarts);
-  EXPECT_EQ(decoded.covered, record.covered);
-  EXPECT_EQ(decoded.hit_events, record.hit_events);
-  EXPECT_EQ(decoded.imports, record.imports);
-
-  // The empty record (fresh shard, nothing learned) round-trips too.
-  WorkerStateRecord empty;
-  ASSERT_TRUE(wire::Decode(wire::Encode(empty), &decoded));
-  EXPECT_TRUE(decoded.corpus.empty());
-  EXPECT_TRUE(decoded.covered.empty());
-}
-
-TEST(WireTest, SnapshotMergedStateRecordRoundTripIsIdentity) {
-  const SnapshotMergedStateRecord record = MakeMergedState();
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kSnapshotMerged);
-
-  SnapshotMergedStateRecord decoded;
-  decoded.pool_inputs = {MakeInput(0xFF)};  // Pre-dirtied: must be cleared.
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.epochs_covered, record.epochs_covered);
-  EXPECT_EQ(decoded.virgin.cells, record.virgin.cells);
-  EXPECT_EQ(decoded.virgin.bits, record.virgin.bits);
-  EXPECT_EQ(decoded.covered, record.covered);
-  ASSERT_EQ(decoded.findings.size(), record.findings.size());
-  for (size_t i = 0; i < record.findings.size(); ++i) {
-    EXPECT_EQ(decoded.findings[i].bug_id, record.findings[i].bug_id);
-  }
-  EXPECT_EQ(decoded.prior_pool_end, record.prior_pool_end);
-  EXPECT_EQ(decoded.pool_end, record.pool_end);
-  EXPECT_EQ(decoded.pool_origins, record.pool_origins);
-  EXPECT_EQ(decoded.pool_inputs, record.pool_inputs);
-  EXPECT_EQ(decoded.series_iterations, record.series_iterations);
-  EXPECT_EQ(decoded.series_percents, record.series_percents);  // Bit-exact.
-  EXPECT_EQ(decoded.total_iterations, record.total_iterations);
-  EXPECT_EQ(decoded.feedback_virgin.cells, record.feedback_virgin.cells);
-  EXPECT_EQ(decoded.feedback_virgin.bits, record.feedback_virgin.bits);
-}
-
-TEST(WireTest, CampaignSnapshotRecordRoundTripAndMagicRejection) {
-  CampaignSnapshotRecord record;
-  record.epochs_covered = 10;
-  record.workers = 4;
-  record.checksum = 0xDEADBEEFCAFEF00DULL;
-  const wire::Buffer buffer = wire::Encode(record);
-
-  wire::RecordType type;
-  ASSERT_TRUE(wire::PeekType(buffer.data(), buffer.size(), &type));
-  EXPECT_EQ(type, wire::RecordType::kCampaignSnapshot);
-
-  CampaignSnapshotRecord decoded;
-  ASSERT_TRUE(wire::Decode(buffer, &decoded));
-  EXPECT_EQ(decoded.magic, CampaignSnapshotRecord::kMagic);
-  EXPECT_EQ(decoded.epochs_covered, record.epochs_covered);
-  EXPECT_EQ(decoded.workers, record.workers);
-  EXPECT_EQ(decoded.checksum, record.checksum);
-
-  // A trailer with the wrong magic is some other file, not a snapshot.
-  CampaignSnapshotRecord impostor = record;
-  impostor.magic = 0xDEADBEEF;
-  EXPECT_FALSE(wire::Decode(wire::Encode(impostor), &decoded));
-
-  // Every truncation is rejected: a torn trailer means a torn snapshot.
-  for (size_t len = 0; len < buffer.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(buffer.data(), len, &decoded))
-        << "length " << len;
+void AppendRandomVirgin(Rng& rng, BitmapDelta* virgin) {
+  for (size_t i = rng.Below(40); i > 0; --i) {
+    virgin->Append(static_cast<uint32_t>(rng.Below(1 << 16)),
+                   static_cast<uint8_t>(1 + rng.Below(255)));
   }
 }
 
-TEST(WireTest, SnapshotRecordTruncationsAreRejected) {
-  // A truncated snapshot frame is a torn snapshot file: every prefix must
-  // be rejected so resume falls back to the previous generation.
-  const wire::Buffer state = wire::Encode(MakeWorkerState());
-  WorkerStateRecord state_out;
-  for (size_t len = 0; len < state.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(state.data(), len, &state_out))
-        << "length " << len;
-  }
-  ASSERT_TRUE(wire::Decode(state, &state_out));
-
-  const wire::Buffer merged = wire::Encode(MakeMergedState());
-  SnapshotMergedStateRecord merged_out;
-  for (size_t len = 0; len < merged.size(); ++len) {
-    EXPECT_FALSE(wire::Decode(merged.data(), len, &merged_out))
-        << "length " << len;
-  }
-  ASSERT_TRUE(wire::Decode(merged, &merged_out));
-
-  // Trailing bytes violate the exact-length contract for both.
-  wire::Buffer trailing = state;
-  trailing.push_back(0);
-  EXPECT_FALSE(wire::Decode(trailing, &state_out));
-  trailing = merged;
-  trailing.push_back(0);
-  EXPECT_FALSE(wire::Decode(trailing, &merged_out));
-}
-
-TEST(WireTest, WorkerStateCrashArraysAndQuirksMustAgree) {
-  // Parallel crash arrays, like ShardDelta and ShardResultRecord.
-  WorkerStateRecord lopsided = MakeWorkerState();
-  lopsided.crash_inputs.pop_back();
-  WorkerStateRecord decoded;
-  EXPECT_FALSE(wire::Decode(wire::Encode(lopsided), &decoded));
-
-  // Learned quirk values index validator enums; out-of-range values
-  // cannot round-trip through the quirk tables and are rejected.
-  WorkerStateRecord bad_check = MakeWorkerState();
-  bad_check.vmx_suppressed_checks.push_back(0xFFFF);
-  EXPECT_FALSE(wire::Decode(wire::Encode(bad_check), &decoded));
-  WorkerStateRecord bad_fixup = MakeWorkerState();
-  bad_fixup.vmx_learned_fixups.push_back(0xFF);
-  EXPECT_FALSE(wire::Decode(wire::Encode(bad_fixup), &decoded));
-  WorkerStateRecord bad_svm = MakeWorkerState();
-  bad_svm.svm_suppressed_checks.push_back(0xFFFF);
-  EXPECT_FALSE(wire::Decode(wire::Encode(bad_svm), &decoded));
-}
-
-TEST(WireTest, SnapshotMergedPoolBoundsMustAgree) {
-  // The shipped pool slice is exactly [prior_pool_end, pool_end); a
-  // record whose bounds and slice disagree is corrupt, not resizable.
-  SnapshotMergedStateRecord inverted = MakeMergedState();
-  inverted.prior_pool_end = inverted.pool_end + 1;
-  SnapshotMergedStateRecord decoded;
-  EXPECT_FALSE(wire::Decode(wire::Encode(inverted), &decoded));
-
-  SnapshotMergedStateRecord short_slice = MakeMergedState();
-  short_slice.pool_origins.pop_back();
-  short_slice.pool_inputs.pop_back();  // Bounds still promise 3 entries.
-  EXPECT_FALSE(wire::Decode(wire::Encode(short_slice), &decoded));
-}
-
-TEST(WireTest, SnapshotRecordCorruptionsNeverCrashTheDecoder) {
-  // The deterministic fuzz passes from the other records, extended to the
-  // snapshot trio: random garbage and single-byte corruptions must be
-  // rejected (or accepted) without crashing or overreading.
-  Rng rng(0x534E4150);  // "SNAP"
-  WorkerStateRecord state;
-  SnapshotMergedStateRecord merged;
-  CampaignSnapshotRecord trailer;
-  for (int i = 0; i < 2000; ++i) {
-    wire::Buffer buffer(rng.Below(160));
-    for (auto& byte : buffer) {
-      byte = static_cast<uint8_t>(rng.Below(256));
+TEST(WireTest, RandomFeedbackRecordsRoundTripExactly) {
+  // Property fuzz: arbitrary well-formed feedback survives the wire,
+  // including empty pool inputs.
+  Rng rng(0xF33DBACC);
+  for (int round = 0; round < 50; ++round) {
+    FeedbackRecord record;
+    record.epoch = rng.Below(1 << 20);
+    record.worker = static_cast<int>(rng.Below(64));
+    for (size_t i = rng.Below(4); i > 0; --i) {
+      record.pool_entries.push_back(RandomInput(rng));
     }
-    wire::Decode(buffer, &state);
-    wire::Decode(buffer, &merged);
-    wire::Decode(buffer, &trailer);
-  }
-
-  const wire::Buffer clean_state = wire::Encode(MakeWorkerState());
-  const wire::Buffer clean_merged = wire::Encode(MakeMergedState());
-  CampaignSnapshotRecord valid_trailer;
-  valid_trailer.epochs_covered = 10;
-  valid_trailer.workers = 4;
-  valid_trailer.checksum = 0x1234;
-  const wire::Buffer clean_trailer = wire::Encode(valid_trailer);
-  for (int i = 0; i < 2000; ++i) {
-    wire::Buffer corrupt = clean_state;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &state);
-
-    corrupt = clean_merged;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &merged);
-
-    corrupt = clean_trailer;
-    corrupt[rng.Below(corrupt.size())] ^=
-        static_cast<uint8_t>(1 + rng.Below(255));
-    wire::Decode(corrupt, &trailer);
+    AppendRandomVirgin(rng, &record.virgin);
+    FeedbackRecord decoded;
+    ASSERT_TRUE(wire::Decode(wire::Encode(record), &decoded));
+    EXPECT_EQ(decoded, record);
   }
 }
 
 TEST(WireTest, RandomDeltasRoundTripExactly) {
-  // Property fuzz: arbitrary well-formed deltas survive the wire.
+  // Property fuzz: arbitrary well-formed deltas survive the wire, with
+  // every anomaly kind and empty inputs and messages.
   Rng rng(0xD317A);
   for (int round = 0; round < 50; ++round) {
     ShardDelta delta;
@@ -1127,19 +653,12 @@ TEST(WireTest, RandomDeltasRoundTripExactly) {
     delta.epoch = rng.Below(1 << 20);
     delta.iterations = rng.Below(1 << 20);
     delta.imported = rng.Below(1 << 10);
-    for (size_t i = rng.Below(40); i > 0; --i) {
-      delta.virgin.Append(static_cast<uint32_t>(rng.Below(1 << 16)),
-                          static_cast<uint8_t>(1 + rng.Below(255)));
-    }
+    AppendRandomVirgin(rng, &delta.virgin);
     for (size_t i = rng.Below(20); i > 0; --i) {
       delta.covered_points.push_back(static_cast<uint32_t>(rng.Below(4096)));
     }
     for (size_t i = rng.Below(4); i > 0; --i) {
-      FuzzInput input(rng.Below(kFuzzInputSize + 1));
-      for (auto& byte : input) {
-        byte = static_cast<uint8_t>(rng.Below(256));
-      }
-      delta.queue_entries.push_back(std::move(input));
+      delta.queue_entries.push_back(RandomInput(rng));
     }
     for (size_t i = rng.Below(4); i > 0; --i) {
       delta.findings.push_back(
@@ -1149,15 +668,11 @@ TEST(WireTest, RandomDeltasRoundTripExactly) {
     }
     for (size_t i = rng.Below(3); i > 0; --i) {
       delta.crash_ids.push_back("crash-" + std::to_string(rng.Below(1000)));
-      FuzzInput input(rng.Below(kFuzzInputSize + 1));
-      for (auto& byte : input) {
-        byte = static_cast<uint8_t>(rng.Below(256));
-      }
-      delta.crash_inputs.push_back(std::move(input));
+      delta.crash_inputs.push_back(RandomInput(rng));
     }
     ShardDelta decoded;
     ASSERT_TRUE(wire::Decode(wire::Encode(delta), &decoded));
-    ExpectEq(delta, decoded);
+    EXPECT_EQ(decoded, delta);
   }
 }
 

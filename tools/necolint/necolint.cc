@@ -9,13 +9,6 @@
 // Rules (each has a seeded-violation fixture in tools/necolint/testdata
 // proving it fires — see tests/lint_test.cc):
 //
-//   wire-negative-test   Every record type with a Decode() codec in
-//                        src/core/wire.h must appear in a wire_test.cc
-//                        TEST whose name marks it as a rejection test
-//                        (Truncat/Corrupt/Reject/NeverCrash/Invalid).
-//                        A codec whose only tests are round-trips will
-//                        happily accept torn pipe frames and bad disk
-//                        sectors.
 //   raw-strerror         std::strerror writes a static buffer; two
 //                        worker threads formatting errors concurrently
 //                        race. Use neco::SafeStrerror
@@ -224,145 +217,6 @@ std::vector<SourceFile> LoadSources(const fs::path& root) {
               return a.rel_path < b.rel_path;
             });
   return files;
-}
-
-const SourceFile* FindFile(const std::vector<SourceFile>& files,
-                           const std::string& rel_path) {
-  for (const SourceFile& file : files) {
-    if (file.rel_path == rel_path) {
-      return &file;
-    }
-  }
-  return nullptr;
-}
-
-// --- Rule: wire-negative-test -------------------------------------------
-
-bool NameMarksRejectionTest(const std::string& test_name) {
-  for (const char* marker : {"Truncat", "Corrupt", "Reject", "NeverCrash",
-                             "Invalid", "MustAgree"}) {
-    if (test_name.find(marker) != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void CheckWireNegativeTests(const fs::path& root,
-                            const std::vector<SourceFile>& files,
-                            std::vector<Violation>* out) {
-  const SourceFile* wire = FindFile(files, "src/core/wire.h");
-  if (wire == nullptr) {
-    return;  // Fixture roots without a wire layer skip the rule.
-  }
-
-  // Collect the record names: `bool Decode(const uint8_t* ..., Name* out)`.
-  struct RecordDecl {
-    std::string name;
-    size_t line;
-  };
-  std::vector<RecordDecl> records;
-  size_t pos = 0;
-  while ((pos = FindWordStart(wire->code, "Decode", pos)) !=
-         std::string::npos) {
-    const size_t open = wire->code.find('(', pos);
-    if (open == std::string::npos) {
-      break;
-    }
-    const size_t close = wire->code.find(')', open);
-    if (close == std::string::npos) {
-      break;
-    }
-    const std::string params = wire->code.substr(open + 1, close - open - 1);
-    // Only the raw-byte overloads define a codec; the Buffer convenience
-    // overload and the templated helper reuse them.
-    if (params.find("uint8_t") != std::string::npos) {
-      const size_t star = params.rfind('*');
-      if (star != std::string::npos && star > 0) {
-        size_t end = star;
-        while (end > 0 && std::isspace(static_cast<unsigned char>(
-                              params[end - 1]))) {
-          --end;
-        }
-        size_t begin = end;
-        while (begin > 0 && IsIdentChar(params[begin - 1])) {
-          --begin;
-        }
-        const std::string name = params.substr(begin, end - begin);
-        if (!name.empty() && name != "uint8_t" &&
-            std::isupper(static_cast<unsigned char>(name[0]))) {
-          bool seen = false;
-          for (const RecordDecl& record : records) {
-            seen = seen || record.name == name;
-          }
-          if (!seen) {
-            records.push_back({name, LineOf(*wire, pos)});
-          }
-        }
-      }
-    }
-    pos = close;
-  }
-
-  // Split tests/wire_test.cc into TEST blocks.
-  const fs::path test_path = root / "tests" / "wire_test.cc";
-  std::ifstream in(test_path, std::ios::binary);
-  if (!in) {
-    for (const RecordDecl& record : records) {
-      out->push_back({"src/core/wire.h", record.line, "wire-negative-test",
-                      record.name +
-                          ": tests/wire_test.cc is missing, so no codec "
-                          "has rejection coverage"});
-    }
-    return;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string tests = StripCommentsAndStrings(text.str());
-
-  struct TestBlock {
-    std::string name;
-    std::string body;
-  };
-  std::vector<TestBlock> blocks;
-  size_t t = 0;
-  while ((t = FindWordStart(tests, "TEST", t)) != std::string::npos) {
-    const size_t open = tests.find('(', t);
-    const size_t comma = tests.find(',', open);
-    const size_t close = tests.find(')', comma);
-    if (open == std::string::npos || comma == std::string::npos ||
-        close == std::string::npos) {
-      break;
-    }
-    std::string name = tests.substr(comma + 1, close - comma - 1);
-    name.erase(0, name.find_first_not_of(" \t\n"));
-    name.erase(name.find_last_not_of(" \t\n") + 1);
-    const size_t next = FindWordStart(tests, "TEST", close);
-    blocks.push_back({name, tests.substr(close, (next == std::string::npos
-                                                     ? tests.size()
-                                                     : next) -
-                                                    close)});
-    t = close;
-  }
-
-  for (const RecordDecl& record : records) {
-    bool covered = false;
-    for (const TestBlock& block : blocks) {
-      if (NameMarksRejectionTest(block.name) &&
-          FindWordStart(block.body, record.name, 0) != std::string::npos) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      out->push_back(
-          {"src/core/wire.h", record.line, "wire-negative-test",
-           record.name +
-               " has a Decode codec but no truncation/corruption "
-               "rejection test in tests/wire_test.cc (add it to a TEST "
-               "whose name says Truncat/Corrupt/Reject/NeverCrash)"});
-    }
-  }
 }
 
 // --- Rule: raw-strerror --------------------------------------------------
@@ -732,7 +586,6 @@ int main(int argc, char** argv) {
 
   const std::vector<SourceFile> files = LoadSources(root);
   std::vector<Violation> violations;
-  CheckWireNegativeTests(root, files, &violations);
   CheckRawStrerror(files, &violations);
   CheckCloexec(files, &violations);
   CheckFsync(files, &violations);
