@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "src/arch/field_image.h"
 #include "src/arch/vmx_bits.h"
 
 namespace neco {
@@ -115,17 +116,14 @@ constexpr std::array<VmcbFieldInfo, kNumVmcbFields> BuildTable() {
 
 constexpr std::array<VmcbFieldInfo, kNumVmcbFields> kTable = BuildTable();
 
+static_assert(WidthsAreWholeBytes(kTable),
+              "VMCB field widths must be whole bytes for the image codec");
+static_assert(ImageBits(kTable) == VmcbTotalBits(),
+              "VmcbTotalBits() disagrees with the field table");
+
 }  // namespace
 
 std::span<const VmcbFieldInfo> VmcbFieldTable() { return kTable; }
-
-size_t VmcbTotalBits() {
-  size_t total = 0;
-  for (const auto& info : kTable) {
-    total += info.bits;
-  }
-  return total;
-}
 
 const VmcbFieldInfo* FindVmcbField(VmcbField field) {
   if (static_cast<size_t>(field) >= kNumVmcbFields) {
@@ -138,8 +136,6 @@ std::string_view VmcbFieldName(VmcbField field) {
   const VmcbFieldInfo* info = FindVmcbField(field);
   return info != nullptr ? info->name : std::string_view("<unknown>");
 }
-
-Vmcb::Vmcb() : values_(kNumVmcbFields, 0) {}
 
 uint64_t Vmcb::Read(VmcbField field) const {
   if (static_cast<size_t>(field) >= kNumVmcbFields) {
@@ -158,32 +154,13 @@ bool Vmcb::Write(VmcbField field, uint64_t value) {
 }
 
 std::vector<uint8_t> Vmcb::ToBitImage() const {
-  std::vector<uint8_t> image(BitImageSize(), 0);
-  size_t bitpos = 0;
-  for (size_t i = 0; i < kNumVmcbFields; ++i) {
-    const uint64_t v = values_[i];
-    for (unsigned b = 0; b < kTable[i].bits; ++b, ++bitpos) {
-      if (TestBit(v, b)) {
-        image[bitpos / 8] |= static_cast<uint8_t>(1u << (bitpos % 8));
-      }
-    }
-  }
+  std::vector<uint8_t> image(BitImageSize());
+  PackFieldImage(kTable, values_, image);
   return image;
 }
 
 void Vmcb::FromBitImage(std::span<const uint8_t> image) {
-  size_t bitpos = 0;
-  const size_t total_bits = image.size() * 8;
-  for (size_t i = 0; i < kNumVmcbFields; ++i) {
-    uint64_t v = 0;
-    for (unsigned b = 0; b < kTable[i].bits; ++b, ++bitpos) {
-      if (bitpos < total_bits &&
-          (image[bitpos / 8] & (1u << (bitpos % 8))) != 0) {
-        v = SetBit(v, b);
-      }
-    }
-    values_[i] = v;
-  }
+  UnpackFieldImage(kTable, image, values_);
 }
 
 Vmcb MakeDefaultVmcb() {

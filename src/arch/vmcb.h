@@ -7,6 +7,7 @@
 #ifndef SRC_ARCH_VMCB_H_
 #define SRC_ARCH_VMCB_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -101,7 +102,9 @@ struct VmcbFieldInfo {
 };
 
 std::span<const VmcbFieldInfo> VmcbFieldTable();
-size_t VmcbTotalBits();
+// Sum of the field widths; a compile-time constant that vmcb.cc checks
+// against the table.
+constexpr size_t VmcbTotalBits() { return 4304; }
 const VmcbFieldInfo* FindVmcbField(VmcbField field);
 std::string_view VmcbFieldName(VmcbField field);
 
@@ -201,19 +204,18 @@ enum class SvmExitCode : uint64_t {
 
 class Vmcb {
  public:
-  Vmcb();
-
   uint64_t Read(VmcbField field) const;
   bool Write(VmcbField field, uint64_t value);
 
+  // Same image layout as Vmcs (src/arch/field_image.h), in VmcbField order.
   std::vector<uint8_t> ToBitImage() const;
   void FromBitImage(std::span<const uint8_t> image);
-  static size_t BitImageSize() { return (VmcbTotalBits() + 7) / 8; }
+  static constexpr size_t BitImageSize() { return (VmcbTotalBits() + 7) / 8; }
 
   bool operator==(const Vmcb& other) const { return values_ == other.values_; }
 
  private:
-  std::vector<uint64_t> values_;
+  std::array<uint64_t, kNumVmcbFields> values_{};  // Inline: no allocation.
 };
 
 // A minimally valid VMCB for a 64-bit L2 guest (golden configuration).

@@ -1,11 +1,10 @@
 #include "src/arch/vmcs.h"
 
+#include "src/arch/field_image.h"
 #include "src/arch/vmx_bits.h"
 #include "src/support/bits.h"
 
 namespace neco {
-
-Vmcs::Vmcs() : values_(VmcsFieldCount(), 0) {}
 
 uint64_t Vmcs::Read(VmcsField field) const {
   const int idx = VmcsFieldIndex(field);
@@ -26,34 +25,13 @@ bool Vmcs::Write(VmcsField field, uint64_t value) {
 }
 
 std::vector<uint8_t> Vmcs::ToBitImage() const {
-  std::vector<uint8_t> image(BitImageSize(), 0);
-  size_t bitpos = 0;
-  const auto table = VmcsFieldTable();
-  for (size_t i = 0; i < table.size(); ++i) {
-    const uint64_t v = values_[i];
-    for (unsigned b = 0; b < table[i].bits; ++b, ++bitpos) {
-      if (TestBit(v, b)) {
-        image[bitpos / 8] |= static_cast<uint8_t>(1u << (bitpos % 8));
-      }
-    }
-  }
+  std::vector<uint8_t> image(BitImageSize());
+  PackFieldImage(VmcsFieldTable(), values_, image);
   return image;
 }
 
 void Vmcs::FromBitImage(std::span<const uint8_t> image) {
-  size_t bitpos = 0;
-  const auto table = VmcsFieldTable();
-  const size_t total_bits = image.size() * 8;
-  for (size_t i = 0; i < table.size(); ++i) {
-    uint64_t v = 0;
-    for (unsigned b = 0; b < table[i].bits; ++b, ++bitpos) {
-      if (bitpos < total_bits &&
-          (image[bitpos / 8] & (1u << (bitpos % 8))) != 0) {
-        v = SetBit(v, b);
-      }
-    }
-    values_[i] = v;
-  }
+  UnpackFieldImage(VmcsFieldTable(), image, values_);
 }
 
 Vmcs MakeDefaultVmcs() {

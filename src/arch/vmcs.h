@@ -22,7 +22,7 @@ class Vmcs {
   // VMCS region in guest memory; checked by vmptrld/vmclear emulation).
   static constexpr uint32_t kRevisionId = 0x4e65636f;  // 'Neco'
 
-  Vmcs();
+  Vmcs() = default;
 
   // Field accessors; out-of-table fields read as 0 / ignore writes and
   // return false.
@@ -37,19 +37,20 @@ class Vmcs {
 
   // Flatten all fields into a packed little-endian bit image of
   // VmcsTotalBits() bits (VmcsTotalBits()/8 bytes). Field order follows the
-  // field table.
+  // field table (layout: src/arch/field_image.h).
   std::vector<uint8_t> ToBitImage() const;
 
   // Populate fields from a packed bit image; missing tail bits read as 0.
   void FromBitImage(std::span<const uint8_t> image);
 
   // Byte size of the full bit image.
-  static size_t BitImageSize() { return (VmcsTotalBits() + 7) / 8; }
+  static constexpr size_t BitImageSize() { return (VmcsTotalBits() + 7) / 8; }
 
   bool operator==(const Vmcs& other) const { return values_ == other.values_; }
 
  private:
-  std::vector<uint64_t> values_;  // Indexed by VmcsFieldIndex.
+  // Indexed by VmcsFieldIndex. Inline, so building a Vmcs never allocates.
+  std::array<uint64_t, VmcsFieldCount()> values_{};
   LaunchState launch_state_ = LaunchState::kClear;
 };
 

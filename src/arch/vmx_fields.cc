@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "src/arch/field_image.h"
+
 namespace neco {
 namespace {
 
@@ -24,7 +26,7 @@ constexpr auto wNat = VmcsFieldWidth::kNatural;
 // The full VMCS layout: 165 fields spanning 8,000 bits, matching the state
 // geometry the paper reports for its Hamming-distance analysis (Section
 // 5.3.2). Natural-width fields are 64 bits on x86-64.
-constexpr std::array<VmcsFieldInfo, 165> kTable = {{
+constexpr std::array<VmcsFieldInfo, VmcsFieldCount()> kTable = {{
     // --- 16-bit control fields ---
     MakeInfo(VmcsField::kVirtualProcessorId, "virtual_processor_id", kControl, w16, 16),
     MakeInfo(VmcsField::kPostedIntrNotificationVector, "posted_intr_nv", kControl, w16, 16),
@@ -207,27 +209,53 @@ constexpr std::array<VmcsFieldInfo, 165> kTable = {{
     MakeInfo(VmcsField::kHostRip, "host_rip", kHost, wNat, 64),
 }};
 
+static_assert(WidthsAreWholeBytes(kTable),
+              "VMCS field widths must be whole bytes for the image codec");
+static_assert(ImageBits(kTable) == VmcsTotalBits(),
+              "VmcsTotalBits() disagrees with the field table");
+
+// Encoding -> table index in O(1). The slot key is encoding bits 14:10
+// (width class, reserved bit 12, type) over bits 6:1 (the low index bits):
+// 32 x 64 slots, each a table index or -1. A lookup then compares the full
+// encoding, so a value that aliases an occupied slot still misses.
+constexpr size_t kIndexSlots = 2048;
+
+constexpr size_t SlotOf(uint32_t encoding) {
+  return ((encoding >> 10) & 0x1f) << 6 | ((encoding >> 1) & 0x3f);
+}
+
+constexpr std::array<int16_t, kIndexSlots> BuildIndex() {
+  std::array<int16_t, kIndexSlots> slots{};
+  slots.fill(-1);
+  for (size_t i = 0; i < kTable.size(); ++i) {
+    slots[SlotOf(static_cast<uint32_t>(kTable[i].field))] =
+        static_cast<int16_t>(i);
+  }
+  return slots;
+}
+
+constexpr std::array<int16_t, kIndexSlots> kIndex = BuildIndex();
+
+// Two encodings sharing a slot would leave the earlier one unreachable.
+constexpr bool EveryFieldOwnsItsSlot() {
+  for (size_t i = 0; i < kTable.size(); ++i) {
+    if (kIndex[SlotOf(static_cast<uint32_t>(kTable[i].field))] !=
+        static_cast<int16_t>(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(EveryFieldOwnsItsSlot(),
+              "two VMCS encodings share an index slot");
+
 }  // namespace
 
 std::span<const VmcsFieldInfo> VmcsFieldTable() { return kTable; }
 
-size_t VmcsFieldCount() { return kTable.size(); }
-
-size_t VmcsTotalBits() {
-  size_t total = 0;
-  for (const auto& info : kTable) {
-    total += info.bits;
-  }
-  return total;
-}
-
 const VmcsFieldInfo* FindVmcsField(VmcsField field) {
-  for (const auto& info : kTable) {
-    if (info.field == field) {
-      return &info;
-    }
-  }
-  return nullptr;
+  const int idx = VmcsFieldIndex(field);
+  return idx >= 0 ? &kTable[static_cast<size_t>(idx)] : nullptr;
 }
 
 const VmcsFieldInfo* FindVmcsField(uint32_t encoding) {
@@ -235,12 +263,9 @@ const VmcsFieldInfo* FindVmcsField(uint32_t encoding) {
 }
 
 int VmcsFieldIndex(VmcsField field) {
-  for (size_t i = 0; i < kTable.size(); ++i) {
-    if (kTable[i].field == field) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  const int idx = kIndex[SlotOf(static_cast<uint32_t>(field))];
+  return idx >= 0 && kTable[static_cast<size_t>(idx)].field == field ? idx
+                                                                     : -1;
 }
 
 VmcsFieldWidth WidthClassOfEncoding(uint32_t encoding) {

@@ -232,17 +232,20 @@ struct VmcsFieldInfo {
 // are exposed so the Figure 5 bench can report the state-space geometry.
 std::span<const VmcsFieldInfo> VmcsFieldTable();
 
-// Number of fields in the table (the paper's layout has 165).
-size_t VmcsFieldCount();
+// Number of fields in the table (the paper's layout has 165). Compile-time
+// constants so a Vmcs can store its values inline; vmx_fields.cc checks
+// both against the table.
+constexpr size_t VmcsFieldCount() { return 165; }
 
 // Sum of semantic widths in bits (the paper's layout spans 8,000 bits).
-size_t VmcsTotalBits();
+constexpr size_t VmcsTotalBits() { return 8000; }
 
 // Lookup; returns nullptr for an encoding outside the table.
 const VmcsFieldInfo* FindVmcsField(VmcsField field);
 const VmcsFieldInfo* FindVmcsField(uint32_t encoding);
 
-// Dense index of a field within the table, or -1.
+// Dense index of a field within the table, or -1. O(1): one slot-table
+// load and a compare of the full encoding.
 int VmcsFieldIndex(VmcsField field);
 
 // Derive the width class from the raw encoding (SDM bits 14:13).

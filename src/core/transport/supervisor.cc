@@ -6,7 +6,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
 
 namespace neco {
 
@@ -63,9 +65,54 @@ pid_t ShardSupervisor::SpawnFork(int worker,
   return pid;
 }
 
+namespace {
+
+// Closes every descriptor above stderr except the sorted `keep` list, with
+// one close_range per gap and no allocation, since it runs in a forked
+// child. close_range also reaches descriptors at or above the soft
+// RLIMIT_NOFILE, which the per-descriptor loop (kept only for kernels
+// without close_range, before 5.9) never does.
+void CloseAllExcept(std::span<const int> keep) {
+  int next = 3;
+  bool swept = true;
+  for (const int k : keep) {
+    if (k < next) {
+      continue;  // Stdio or a duplicate.
+    }
+    if (k > next && ::close_range(static_cast<unsigned>(next),
+                                  static_cast<unsigned>(k - 1), 0) != 0) {
+      swept = false;
+      break;
+    }
+    next = k + 1;
+  }
+  if (swept && ::close_range(static_cast<unsigned>(next), ~0U, 0) == 0) {
+    return;
+  }
+  const long max_fd = ::sysconf(_SC_OPEN_MAX);
+  for (int fd = 3; fd < (max_fd > 0 ? max_fd : 1024); ++fd) {
+    if (!std::binary_search(keep.begin(), keep.end(), fd)) {
+      ::close(fd);
+    }
+  }
+}
+
+}  // namespace
+
 pid_t ShardSupervisor::SpawnExec(int worker, const std::string& exec_path,
                                  const std::vector<std::string>& argv,
                                  const std::vector<int>& keep_fds) {
+  // Everything the child needs is built here, before fork: allocating in
+  // the child of a multithreaded parent can deadlock on a malloc lock.
+  std::vector<int> keep(keep_fds);
+  std::sort(keep.begin(), keep.end());
+  std::vector<char*> args;
+  args.push_back(const_cast<char*>(exec_path.c_str()));
+  for (const std::string& arg : argv) {
+    args.push_back(const_cast<char*>(arg.c_str()));
+  }
+  args.push_back(nullptr);
+
   const pid_t pid = ::fork();
   if (pid < 0) {
     return -1;
@@ -78,25 +125,10 @@ pid_t ShardSupervisor::SpawnExec(int worker, const std::string& exec_path,
     // the embedding process cannot reach the child either — between the
     // two, an exec'd shard starts with stdio plus exactly its keep_fds
     // (asserted via /proc/self/fd in tests/transport_test.cc).
-    for (int k : keep_fds) {
+    for (const int k : keep) {
       ::fcntl(k, F_SETFD, 0);
     }
-    const long max_fd = ::sysconf(_SC_OPEN_MAX);
-    for (int fd = 3; fd < (max_fd > 0 ? max_fd : 1024); ++fd) {
-      bool keep = false;
-      for (int k : keep_fds) {
-        keep = keep || k == fd;
-      }
-      if (!keep) {
-        ::close(fd);
-      }
-    }
-    std::vector<char*> args;
-    args.push_back(const_cast<char*>(exec_path.c_str()));
-    for (const std::string& arg : argv) {
-      args.push_back(const_cast<char*>(arg.c_str()));
-    }
-    args.push_back(nullptr);
+    CloseAllExcept(keep);
     ::execv(exec_path.c_str(), args.data());
     ::_exit(127);  // Exec failed; surfaces at WaitAll().
   }

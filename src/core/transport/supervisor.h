@@ -69,8 +69,9 @@ class ShardSupervisor {
   // supervisor). `keep_fds` are inherited descriptors the child must keep
   // (its pipe ends) — they get FD_CLOEXEC cleared, since the engine now
   // creates every campaign descriptor close-on-exec; every other
-  // descriptor above stderr is closed before exec as a second line of
-  // defense against non-CLOEXEC descriptors the embedding process holds.
+  // descriptor above stderr is closed before exec (close_range over the
+  // gaps between keep_fds) as a second line of defense against
+  // non-CLOEXEC descriptors the embedding process holds.
   // Returns the child pid, or -1 when fork failed; exec failure surfaces
   // as exit code 127 at WaitAll().
   pid_t SpawnExec(int worker, const std::string& exec_path,

@@ -1,6 +1,7 @@
 #include "src/core/validator/vmcb_validator.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/arch/vmx_bits.h"
 #include "src/support/bits.h"
@@ -141,10 +142,8 @@ void VmcbValidator::BoundaryMutate(Vmcb& vmcb, ByteReader& directives) const {
 
 Vmcb VmcbValidator::GenerateBoundaryState(ByteReader& image,
                                           ByteReader& directives) const {
-  std::vector<uint8_t> bits(Vmcb::BitImageSize());
-  for (auto& b : bits) {
-    b = image.U8();
-  }
+  std::array<uint8_t, Vmcb::BitImageSize()> bits{};
+  image.Fill(bits);
   Vmcb raw;
   raw.FromBitImage(bits);
   Vmcb rounded = RoundToValid(raw);

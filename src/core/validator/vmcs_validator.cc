@@ -1,6 +1,7 @@
 #include "src/core/validator/vmcs_validator.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/arch/vmx_bits.h"
 #include "src/support/bits.h"
@@ -701,10 +702,8 @@ void VmcsValidator::BoundaryMutate(Vmcs& vmcs, ByteReader& directives) const {
 Vmcs VmcsValidator::GenerateBoundaryState(ByteReader& image,
                                           ByteReader& directives) const {
   // Raw VMCS content straight from fuzzing-input bytes.
-  std::vector<uint8_t> bits(Vmcs::BitImageSize());
-  for (auto& b : bits) {
-    b = image.U8();
-  }
+  std::array<uint8_t, Vmcs::BitImageSize()> bits{};
+  image.Fill(bits);
   Vmcs raw;
   raw.FromBitImage(bits);
   // Round to the valid region, then step back across the boundary.

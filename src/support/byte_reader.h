@@ -9,8 +9,9 @@
 #ifndef SRC_SUPPORT_BYTE_READER_H_
 #define SRC_SUPPORT_BYTE_READER_H_
 
-#include <cstdint>
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace neco {
@@ -32,6 +33,23 @@ class ByteReader {
     pos_ = (pos_ + 1) % data_.size();
     ++consumed_;
     return b;
+  }
+
+  // Same result as out.size() calls to U8(): the same bytes and wrap, and
+  // the same cursor and consumed() afterwards, copied a run at a time.
+  void Fill(std::span<uint8_t> out) {
+    if (data_.empty()) {
+      std::fill(out.begin(), out.end(), uint8_t{0});
+      return;
+    }
+    for (size_t done = 0; done < out.size();) {
+      const size_t run = std::min(out.size() - done, data_.size() - pos_);
+      std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), run,
+                  out.begin() + static_cast<std::ptrdiff_t>(done));
+      done += run;
+      pos_ = (pos_ + run) % data_.size();
+    }
+    consumed_ += out.size();
   }
 
   uint16_t U16() {

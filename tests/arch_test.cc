@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/arch/cpu_features.h"
 #include "src/arch/vmcb.h"
@@ -46,6 +48,44 @@ TEST(VmcsFieldsTest, LookupAndIndex) {
   EXPECT_EQ(FindVmcsField(0xdead0u), nullptr);
   EXPECT_EQ(VmcsFieldIndex(VmcsField::kVirtualProcessorId), 0);
   EXPECT_EQ(VmcsFieldIndex(static_cast<VmcsField>(0x9999)), -1);
+}
+
+TEST(VmcsFieldsTest, LookupsMatchALinearScanForEveryEncoding) {
+  // The slot index against the table itself, for every 16-bit encoding
+  // plus values above 0xffff that alias a real field's slot.
+  const auto table = VmcsFieldTable();
+  const auto scan = [&table](uint32_t encoding) {
+    for (size_t i = 0; i < table.size(); ++i) {
+      if (static_cast<uint32_t>(table[i].field) == encoding) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+  std::vector<uint32_t> encodings;
+  for (uint32_t encoding = 0; encoding <= 0xffff; ++encoding) {
+    encodings.push_back(encoding);
+  }
+  for (uint32_t high : {0x10000u, 0x80000000u, 0xffff0000u}) {
+    encodings.push_back(high | static_cast<uint32_t>(VmcsField::kGuestCr0));
+    encodings.push_back(high | static_cast<uint32_t>(VmcsField::kHostRip));
+  }
+  encodings.push_back(0xffffffffu);
+  for (const uint32_t encoding : encodings) {
+    const auto field = static_cast<VmcsField>(encoding);
+    const int idx = scan(encoding);
+    const VmcsFieldInfo* info =
+        idx < 0 ? nullptr : &table[static_cast<size_t>(idx)];
+    ASSERT_EQ(VmcsFieldIndex(field), idx) << std::hex << encoding;
+    ASSERT_EQ(FindVmcsField(field), info) << std::hex << encoding;
+    ASSERT_EQ(FindVmcsField(encoding), info) << std::hex << encoding;
+    ASSERT_EQ(IsReadOnlyField(field),
+              info != nullptr && info->group == VmcsFieldGroup::kReadOnlyData)
+        << std::hex << encoding;
+    ASSERT_EQ(VmcsFieldName(field),
+              info != nullptr ? info->name : std::string_view("<unknown>"))
+        << std::hex << encoding;
+  }
 }
 
 TEST(VmcsFieldsTest, ReadOnlyClassification) {
@@ -148,6 +188,65 @@ TEST(VmcbTest, BitImageRoundTrip) {
     back.FromBitImage(v.ToBitImage());
     EXPECT_TRUE(v == back);
   }
+}
+
+// --- Golden image pins ---------------------------------------------------------
+
+// FNV-1a 64, written out here so the pins do not move if library code does.
+struct Fnv1a64 {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  void Bytes(std::span<const uint8_t> bytes) {
+    for (uint8_t byte : bytes) {
+      hash = (hash ^ byte) * 0x100000001B3ULL;
+    }
+  }
+  void U64(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ static_cast<uint8_t>(value >> (8 * i))) * 0x100000001B3ULL;
+    }
+  }
+};
+
+// Decodes 64 seeded images (one empty, the rest alternately full-length
+// and short), then hashes each state's re-encoded image and every field
+// read back through Read().
+template <class State, class Table>
+uint64_t DecodeSweepHash(Table table, uint64_t seed) {
+  Rng rng(seed);
+  Fnv1a64 h;
+  const size_t full = State::BitImageSize();
+  for (int i = 0; i < 64; ++i) {
+    const size_t len = i == 0 ? 0 : i % 2 == 1 ? full : rng.Below(full);
+    std::vector<uint8_t> image(len);
+    for (uint8_t& byte : image) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    State state;
+    state.FromBitImage(image);
+    h.Bytes(state.ToBitImage());
+    for (const auto& info : table) {
+      h.U64(state.Read(info.field));
+    }
+  }
+  return h.hash;
+}
+
+// A raw fuzz input means its bit image, so every recorded campaign, golden
+// event log and resume pin rests on this layout. A round trip cannot see a
+// layout change made symmetrically in ToBitImage and FromBitImage; these
+// hashes, captured from the bit-at-a-time codec, can.
+TEST(BitImageGoldenTest, DefaultStateImages) {
+  Fnv1a64 vmcs;
+  vmcs.Bytes(MakeDefaultVmcs().ToBitImage());
+  EXPECT_EQ(vmcs.hash, 0x33D1B5943154EF2FULL);
+  Fnv1a64 vmcb;
+  vmcb.Bytes(MakeDefaultVmcb().ToBitImage());
+  EXPECT_EQ(vmcb.hash, 0x324F410D1F8B4745ULL);
+}
+
+TEST(BitImageGoldenTest, DecodeSweeps) {
+  EXPECT_EQ(DecodeSweepHash<Vmcs>(VmcsFieldTable(), 17), 0x48904675AB135F25ULL);
+  EXPECT_EQ(DecodeSweepHash<Vmcb>(VmcbFieldTable(), 17), 0x479DEC5A78E78563ULL);
 }
 
 TEST(CpuFeaturesTest, VendorRestriction) {

@@ -1,11 +1,17 @@
 // Integration tests for the simulated KVM: nested VMX/SVM instruction
 // emulation, exit-reason dispatch between L0 and L1, nested state sync,
 // the MSR-load validation KVM performs (contrast VirtualBox), and the two
-// re-seeded vulnerabilities with both trigger and non-trigger conditions.
+// re-seeded vulnerabilities with both trigger and non-trigger conditions;
+// plus the guest-memory model against the std::map it replaced.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
 #include "src/arch/vmx_bits.h"
+#include "src/hv/guest_memory.h"
 #include "src/hv/sim_kvm/kvm.h"
+#include "src/support/rng.h"
 
 namespace neco {
 namespace {
@@ -454,6 +460,115 @@ TEST_F(SimKvmSvmTest, KvmSanitizesVIntrAvicBit) {
   vmcb12.Write(VmcbField::kVIntr, SvmVintr::kAvicEnable | SvmVintr::kVIrq);
   ASSERT_TRUE(RunWith(vmcb12));
   EXPECT_TRUE(kvm_.sanitizers().empty());
+}
+
+// --- Guest memory ---------------------------------------------------------------
+
+// The std::map model GuestMemory replaced: one node per touched word, and
+// every writer (SetBit clearing a bit included) touches its word.
+class MapGuestMemory {
+ public:
+  uint64_t Read64(uint64_t addr) const {
+    auto it = words_.find(addr & ~7ULL);
+    return it != words_.end() ? it->second : 0;
+  }
+  void Write64(uint64_t addr, uint64_t value) { words_[addr & ~7ULL] = value; }
+  uint32_t Read32(uint64_t addr) const {
+    const uint64_t w = Read64(addr);
+    return (addr & 4) != 0 ? static_cast<uint32_t>(w >> 32)
+                           : static_cast<uint32_t>(w);
+  }
+  void Write32(uint64_t addr, uint32_t value) {
+    uint64_t w = Read64(addr);
+    if ((addr & 4) != 0) {
+      w = (w & 0x00000000ffffffffULL) | (static_cast<uint64_t>(value) << 32);
+    } else {
+      w = (w & 0xffffffff00000000ULL) | value;
+    }
+    Write64(addr, w);
+  }
+  bool TestBit(uint64_t base, uint64_t bit) const {
+    return (Read64(base + (bit / 64) * 8) >> (bit % 64)) & 1;
+  }
+  void SetBit(uint64_t base, uint64_t bit, bool on) {
+    const uint64_t addr = base + (bit / 64) * 8;
+    const uint64_t mask = 1ULL << (bit % 64);
+    const uint64_t w = Read64(addr);
+    Write64(addr, on ? (w | mask) : (w & ~mask));
+  }
+  void Clear() { words_.clear(); }
+  size_t touched_words() const { return words_.size(); }
+
+ private:
+  std::map<uint64_t, uint64_t> words_;
+};
+
+TEST(GuestMemoryTest, MatchesTheMapModelOverRandomOperations) {
+  // Bases near zero, in the middle and at the top of the address space
+  // (where addr + offset wraps); offsets are unaligned on purpose.
+  const uint64_t bases[] = {0, 0x1000, 0x6000, 0x7ffffffffff8ULL,
+                            ~0ULL - 0x3f};
+  Rng rng(2024);
+  GuestMemory mem;
+  MapGuestMemory ref;
+  const auto addr = [&] {
+    return bases[rng.Below(std::size(bases))] + rng.Below(0x100);
+  };
+  for (int op = 0; op < 10000; ++op) {
+    switch (rng.Below(8)) {
+      case 0: {
+        const uint64_t a = addr();
+        ASSERT_EQ(mem.Read64(a), ref.Read64(a)) << "op " << op;
+        break;
+      }
+      case 1: {
+        const uint64_t a = addr();
+        const uint64_t v = rng.Chance(1, 4) ? 0 : rng.Next();
+        mem.Write64(a, v);
+        ref.Write64(a, v);
+        break;
+      }
+      case 2: {
+        const uint64_t a = addr();
+        ASSERT_EQ(mem.Read32(a), ref.Read32(a)) << "op " << op;
+        break;
+      }
+      case 3: {
+        const uint64_t a = addr();
+        const auto v = static_cast<uint32_t>(rng.Next());
+        mem.Write32(a, v);
+        ref.Write32(a, v);
+        break;
+      }
+      case 4: {
+        const uint64_t a = addr();
+        const uint64_t bit = rng.Below(0x800);
+        ASSERT_EQ(mem.TestBit(a, bit), ref.TestBit(a, bit)) << "op " << op;
+        break;
+      }
+      case 5:
+      case 6: {
+        const uint64_t a = addr();
+        const uint64_t bit = rng.Below(0x800);
+        const bool on = rng.Chance(2, 3);
+        mem.SetBit(a, bit, on);
+        ref.SetBit(a, bit, on);
+        break;
+      }
+      case 7:
+        if (rng.Chance(1, 50)) {
+          mem.Clear();
+          ref.Clear();
+        }
+        break;
+    }
+    ASSERT_EQ(mem.touched_words(), ref.touched_words()) << "op " << op;
+  }
+  for (const uint64_t base : bases) {
+    for (uint64_t off = 0; off < 0x100; off += 4) {
+      ASSERT_EQ(mem.Read32(base + off), ref.Read32(base + off));
+    }
+  }
 }
 
 }  // namespace

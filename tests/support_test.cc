@@ -1,8 +1,11 @@
-// Unit tests for the support library: RNG, bit utilities, byte reader,
-// and the statistics helpers used by the benches.
+// Unit tests for the support library: RNG, bit utilities, byte reader
+// (including Fill against a U8() loop), and the statistics helpers used by
+// the benches.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/support/bits.h"
 #include "src/support/byte_reader.h"
@@ -131,6 +134,36 @@ TEST(ByteReaderTest, WrapsAround) {
   EXPECT_EQ(reader.U8(), 0xbb);
   EXPECT_EQ(reader.U8(), 0xaa);  // Wrapped.
   EXPECT_EQ(reader.consumed(), 3u);
+}
+
+TEST(ByteReaderTest, FillMatchesAU8Loop) {
+  const std::vector<uint8_t> bytes = {0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76};
+  for (size_t size : {size_t{0}, size_t{1}, bytes.size()}) {
+    const std::span<const uint8_t> data(bytes.data(), size);
+    const size_t lengths[] = {0, size > 0 ? size - 1 : 0, size, 3 * size + 1};
+    // Start offsets before, at and past the end of the data, so runs wrap.
+    for (size_t start = 0; start <= 2 * size + 1; ++start) {
+      for (const size_t length : lengths) {
+        ByteReader filled(data);
+        ByteReader looped(data);
+        for (size_t i = 0; i < start; ++i) {
+          filled.U8();
+          looped.U8();
+        }
+        std::vector<uint8_t> out(length, 0xee);
+        filled.Fill(out);
+        std::vector<uint8_t> expected(length);
+        for (uint8_t& byte : expected) {
+          byte = looped.U8();
+        }
+        EXPECT_EQ(out, expected) << size << "/" << start << "/" << length;
+        EXPECT_EQ(filled.consumed(), looped.consumed())
+            << size << "/" << start << "/" << length;
+        EXPECT_EQ(filled.U8(), looped.U8())
+            << size << "/" << start << "/" << length;
+      }
+    }
+  }
 }
 
 TEST(ByteReaderTest, BelowBounded) {

@@ -6,15 +6,16 @@
 // EOF, kill -9) failing the drain loop fast instead of hanging it, and
 // ShardSupervisor spawn/reap/kill semantics including the CLOEXEC
 // descriptor discipline (an exec'd child inherits stdio plus exactly its
-// own channel fds, asserted via /proc/self/fd — this suite has its own
-// main() so the re-exec'd binary can run the audit probe before gtest
-// starts). (InProcTransport's queue semantics live in
-// merge_pipeline_test.cc, next to the drain loop they serve; the socket
-// backend's tests live in socket_transport_test.cc.)
+// own channel fds, even past the soft fd limit, asserted via
+// /proc/self/fd — this suite has its own main() so the re-exec'd binary
+// can run the audit probe before gtest starts). (InProcTransport's queue
+// semantics live in merge_pipeline_test.cc, next to the drain loop they
+// serve; the socket backend's tests live in socket_transport_test.cc.)
 #include <dirent.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -369,53 +370,98 @@ TEST(ShardSupervisorTest, ExecFailureSurfacesAsExitCode127) {
   EXPECT_EQ(exits[0].Describe(), "exited with status 127");
 }
 
-TEST(ShardSupervisorTest, ExecChildInheritsOnlyItsOwnChannelFds) {
-  // The engine creates every campaign descriptor O_CLOEXEC and SpawnExec
-  // clears the flag only on the child's own keep_fds — so an exec'd shard
-  // must start with stdio plus exactly its two channel descriptors, even
-  // while the parent is holding other shards' channels. The child is this
-  // binary re-exec'd in fd-audit mode (see main() below): it lists
-  // /proc/self/fd and ships the listing back over its audit channel.
-  int sibling[2];  // A sibling channel that must NOT leak into the child.
-  ASSERT_EQ(::pipe2(sibling, O_CLOEXEC), 0);
-  int audit[2];  // The child's "delta" end: carries the fd listing back.
-  ASSERT_EQ(::pipe2(audit, O_CLOEXEC), 0);
-  int keep[2];  // The child's "feedback" end: kept but unused.
-  ASSERT_EQ(::pipe2(keep, O_CLOEXEC), 0);
+// What an exec'd fd-audit child reported: its open descriptors, against
+// the stdio-plus-keep_fds set it should have inherited.
+struct FdAudit {
+  std::set<int> child_fds;
+  std::set<int> expected;
+  std::string listing;
+  ShardExit exit;
+};
 
+// Spawns this binary re-exec'd in fd-audit mode (see main() below) with
+// two channel descriptors as its keep_fds: it lists /proc/self/fd and
+// ships the listing back over its audit channel.
+FdAudit RunFdAuditChild() {
+  FdAudit result;
+  int audit[2];  // The child's "delta" end: carries the fd listing back.
+  int keep[2];   // The child's "feedback" end: kept but unused.
+  if (::pipe2(audit, O_CLOEXEC) != 0 || ::pipe2(keep, O_CLOEXEC) != 0) {
+    ADD_FAILURE() << "pipe2 failed";
+    return result;
+  }
   ShardSupervisor supervisor;
   const pid_t pid = supervisor.SpawnExec(
       0, "/proc/self/exe",
       {"--necofuzz-fd-audit", "--necofuzz-audit-out=" + std::to_string(audit[1]),
        "--necofuzz-audit-keep=" + std::to_string(keep[0])},
       {audit[1], keep[0]});
-  ASSERT_GT(pid, 0);
+  EXPECT_GT(pid, 0);
   ::close(audit[1]);
   ::close(keep[0]);
 
-  std::string listing;
   char buffer[256];
   ssize_t n;
   while ((n = ::read(audit[0], buffer, sizeof(buffer))) > 0) {
-    listing.append(buffer, static_cast<size_t>(n));
+    result.listing.append(buffer, static_cast<size_t>(n));
   }
   ::close(audit[0]);
   ::close(keep[1]);
+
+  std::istringstream stream(result.listing);
+  int fd;
+  while (stream >> fd) {
+    result.child_fds.insert(fd);
+  }
+  result.expected = {0, 1, 2, audit[1], keep[0]};
+  const std::vector<ShardExit> exits = supervisor.WaitAll();
+  EXPECT_EQ(exits.size(), 1u);
+  if (!exits.empty()) {
+    result.exit = exits[0];
+  }
+  return result;
+}
+
+TEST(ShardSupervisorTest, ExecChildInheritsOnlyItsOwnChannelFds) {
+  // The engine creates every campaign descriptor O_CLOEXEC and SpawnExec
+  // clears the flag only on the child's own keep_fds — so an exec'd shard
+  // must start with stdio plus exactly its two channel descriptors, even
+  // while the parent is holding other shards' channels.
+  int sibling[2];  // A sibling channel that must NOT leak into the child.
+  ASSERT_EQ(::pipe2(sibling, O_CLOEXEC), 0);
+  const FdAudit audit = RunFdAuditChild();
   ::close(sibling[0]);
   ::close(sibling[1]);
 
-  std::set<int> child_fds;
-  std::istringstream stream(listing);
-  int fd;
-  while (stream >> fd) {
-    child_fds.insert(fd);
-  }
-  const std::set<int> expected = {0, 1, 2, audit[1], keep[0]};
-  EXPECT_EQ(child_fds, expected) << "child fd listing: " << listing;
+  EXPECT_EQ(audit.child_fds, audit.expected)
+      << "child fd listing: " << audit.listing;
+  EXPECT_TRUE(audit.exit.clean()) << audit.exit.Describe();
+}
 
-  const std::vector<ShardExit> exits = supervisor.WaitAll();
-  ASSERT_EQ(exits.size(), 1u);
-  EXPECT_TRUE(exits[0].clean()) << exits[0].Describe();
+TEST(ShardSupervisorTest, ExecChildShedsFdsAboveTheSoftLimit) {
+  // A descriptor leaked without FD_CLOEXEC and numbered above the soft
+  // RLIMIT_NOFILE: a close loop bounded by sysconf(_SC_OPEN_MAX) never
+  // reaches it, so only a close_range sweep keeps it out of the child.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  if (saved.rlim_cur <= 900) {
+    GTEST_SKIP() << "needs a soft RLIMIT_NOFILE above 900";
+  }
+  int leak[2];
+  ASSERT_EQ(::pipe2(leak, O_CLOEXEC), 0);
+  ASSERT_EQ(::dup2(leak[0], 900), 900);  // dup2 leaves FD_CLOEXEC clear.
+  rlimit lowered = saved;
+  lowered.rlim_cur = 512;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  const FdAudit audit = RunFdAuditChild();
+  EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ::close(900);
+  ::close(leak[0]);
+  ::close(leak[1]);
+
+  EXPECT_EQ(audit.child_fds, audit.expected)
+      << "child fd listing: " << audit.listing;
+  EXPECT_TRUE(audit.exit.clean()) << audit.exit.Describe();
 }
 
 }  // namespace

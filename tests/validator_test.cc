@@ -11,6 +11,8 @@
 //                     field.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/arch/vmx_bits.h"
 #include "src/core/validator/vmcb_validator.h"
 #include "src/core/validator/vmcs_validator.h"
@@ -36,6 +38,66 @@ Vmcb RandomVmcb(Rng& rng) {
     v.Write(info.field, rng.Next());
   }
   return v;
+}
+
+// FNV-1a 64, written out here so the pins do not move if library code does.
+struct Fnv1a64 {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  void Bytes(std::span<const uint8_t> bytes) {
+    for (uint8_t byte : bytes) {
+      hash = (hash ^ byte) * 0x100000001B3ULL;
+    }
+  }
+  void U64(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ static_cast<uint8_t>(value >> (8 * i))) * 0x100000001B3ULL;
+    }
+  }
+};
+
+// Runs GenerateBoundaryState over 256 seeded inputs and hashes each state's
+// bit image plus where both readers stopped. Image slices vary in length
+// (empty, shorter than the bit image, exactly it, a full input) and start
+// at a seeded offset, so the image read wraps at every kind of boundary.
+template <class Validator>
+uint64_t GenerateSweepHash(const Validator& validator, size_t image_bytes,
+                           uint64_t seed) {
+  Rng rng(seed);
+  Fnv1a64 h;
+  for (int i = 0; i < 256; ++i) {
+    FuzzInput image = MakeRandomInput(rng);
+    const FuzzInput directive = MakeRandomInput(rng);
+    const size_t lengths[] = {kFuzzInputSize, rng.Below(image_bytes),
+                              image_bytes, rng.Between(1, kFuzzInputSize)};
+    image.resize(lengths[i % 4]);
+    ByteReader ir(image);
+    ByteReader dr(directive);
+    for (uint64_t skip = rng.Below(image.size() + 1); skip > 0; --skip) {
+      ir.U8();
+    }
+    const auto state = validator.GenerateBoundaryState(ir, dr);
+    h.Bytes(state.ToBitImage());
+    h.U64(ir.consumed());
+    h.U64(dr.consumed());
+    h.U64(ir.U8());
+    h.U64(dr.U8());
+  }
+  return h.hash;
+}
+
+// Generated states are what every campaign executes, so the golden event
+// logs and resume pins rest on them. These hashes were captured from the
+// byte-at-a-time reader and bit-at-a-time image codec.
+TEST(BoundaryStateGoldenTest, IntelSweep) {
+  const VmcsValidator validator(HostVmxCapabilities());
+  EXPECT_EQ(GenerateSweepHash(validator, Vmcs::BitImageSize(), 29),
+            0x90C0F5CB3ECAD7D2ULL);
+}
+
+TEST(BoundaryStateGoldenTest, AmdSweep) {
+  const VmcbValidator validator;
+  EXPECT_EQ(GenerateSweepHash(validator, Vmcb::BitImageSize(), 29),
+            0xBB211731D991E814ULL);
 }
 
 class VmcsRoundingProperty : public ::testing::TestWithParam<uint64_t> {};
