@@ -14,11 +14,6 @@
 //  * ShardDelta encode/decode MB/s — the exact-size two-pass encoder and
 //    the strict decoder, on a representative epoch record; the zero-copy
 //    (corpus-referencing) Encode overload is measured separately.
-//  * exec_core execs/sec — the VM-lifecycle setup path per execution:
-//    configurator Generate + cold StartVm against a configurator-memo
-//    probe + snapshot RestoreVm, per sim target (Intel configs), plus the
-//    cached-path rate at several config-diversity levels through a
-//    capacity-16 LRU (d=64 deliberately thrashes it).
 //
 // `--smoke` shrinks budgets for CI; `--json=PATH` writes the
 // schema_version-1 result file tools/check_bench_json.py diffs against
@@ -31,12 +26,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/config/configurator.h"
-#include "src/core/snapshot_cache.h"
 #include "src/core/wire.h"
 #include "src/fuzz/bitmap.h"
 #include "src/hv/coverage.h"
-#include "src/hv/factory.h"
 #include "src/support/rng.h"
 
 namespace neco {
@@ -286,167 +278,6 @@ void BenchWireCodec(BenchJson& json, bool smoke) {
   json.Metric("shard_delta_decode_mb_s", "MB/s", decode_mbs);
 }
 
-// --- exec_core: Generate+StartVm vs memo+RestoreVm ------------------------
-
-// Distinct 128-byte config slices (as minimal FuzzInputs the memo can key)
-// and the VcpuConfigs they generate.
-struct ConfigPool {
-  std::vector<FuzzInput> slices;
-  std::vector<VcpuConfig> configs;
-};
-
-ConfigPool MakeConfigPool(size_t count, uint64_t seed) {
-  Rng rng(seed);
-  ConfigPool pool;
-  for (size_t i = 0; i < count; ++i) {
-    FuzzInput slice(InputPartition::kConfigSize);
-    for (auto& b : slice) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
-    ByteReader reader(slice);
-    pool.configs.push_back(
-        VcpuConfigurator().Generate(reader, Arch::kIntel));
-    pool.slices.push_back(std::move(slice));
-  }
-  return pool;
-}
-
-// The miss path the Agent pays per execution before this PR: derive the
-// config from input bytes, then module reload + VM boot.
-double ColdExecsPerSec(Hypervisor& hv, const ConfigPool& pool,
-                       uint64_t execs) {
-  uint64_t sink = 0;
-  const double secs = TimeSeconds([&] {
-    for (uint64_t i = 0; i < execs; ++i) {
-      ByteReader reader(pool.slices[i % pool.slices.size()]);
-      const VcpuConfig config =
-          VcpuConfigurator().Generate(reader, Arch::kIntel);
-      hv.StartVm(config);
-      sink += config.memory_mb;
-    }
-  });
-  g_sink = g_sink + sink;
-  return static_cast<double>(execs) / secs;
-}
-
-// The hit path: memo probe for the config, snapshot-cache probe for the
-// boot, RestoreVm — through the real cache structures the Agent uses.
-double HitExecsPerSec(Hypervisor& hv, const ConfigPool& pool,
-                      uint64_t execs) {
-  ConfiguratorMemo memo;
-  SnapshotCache cache(pool.configs.size());
-  for (size_t i = 0; i < pool.configs.size(); ++i) {
-    ConfiguratorMemo::Key key;
-    if (ConfiguratorMemo::MakeKey(pool.slices[i], &key)) {
-      memo.Insert(key, pool.configs[i]);
-    }
-    hv.StartVm(pool.configs[i]);
-    VmSnapshot snap = hv.SnapshotVm();
-    if (snap.data == nullptr) {
-      snap.config = pool.configs[i];
-    }
-    cache.Put(FingerprintConfig(pool.configs[i]), std::move(snap));
-  }
-  uint64_t sink = 0;
-  const double secs = TimeSeconds([&] {
-    for (uint64_t i = 0; i < execs; ++i) {
-      const size_t idx = i % pool.slices.size();
-      ConfiguratorMemo::Key key;
-      (void)ConfiguratorMemo::MakeKey(pool.slices[idx], &key);
-      const VcpuConfig* memoized = memo.Lookup(key);
-      VcpuConfig config;
-      if (memoized != nullptr) {
-        config = *memoized;
-      } else {
-        // Direct-mapped memo slot collision: regenerate, as the Agent does.
-        ByteReader reader(pool.slices[idx]);
-        config = VcpuConfigurator().Generate(reader, Arch::kIntel);
-      }
-      const VmSnapshot* snap = cache.Get(FingerprintConfig(config));
-      hv.RestoreVm(*snap);
-      sink += config.memory_mb;
-    }
-  });
-  g_sink = g_sink + sink;
-  return static_cast<double>(execs) / secs;
-}
-
-// The cached path end to end (hits and misses both) when the input stream
-// cycles through `diversity` distinct configs and the LRU holds 16:
-// d <= 16 converges to all-hits, d = 64 thrashes back to all-misses.
-double CachedExecsPerSec(Hypervisor& hv, const ConfigPool& pool,
-                         size_t diversity, uint64_t execs) {
-  ConfiguratorMemo memo;
-  SnapshotCache cache(16);
-  uint64_t sink = 0;
-  const double secs = TimeSeconds([&] {
-    for (uint64_t i = 0; i < execs; ++i) {
-      const size_t idx = i % diversity;
-      ConfiguratorMemo::Key key;
-      (void)ConfiguratorMemo::MakeKey(pool.slices[idx], &key);
-      const VcpuConfig* memoized = memo.Lookup(key);
-      VcpuConfig config;
-      if (memoized != nullptr) {
-        config = *memoized;
-      } else {
-        ByteReader reader(pool.slices[idx]);
-        config = VcpuConfigurator().Generate(reader, Arch::kIntel);
-        memo.Insert(key, config);
-      }
-      const uint64_t fingerprint = FingerprintConfig(config);
-      const VmSnapshot* snap = cache.Get(fingerprint);
-      if (snap != nullptr) {
-        hv.RestoreVm(*snap);
-      } else {
-        hv.StartVm(config);
-        VmSnapshot captured = hv.SnapshotVm();
-        if (captured.data == nullptr) {
-          captured.config = config;
-        }
-        cache.Put(fingerprint, std::move(captured));
-      }
-      sink += config.memory_mb;
-    }
-  });
-  g_sink = g_sink + sink;
-  return static_cast<double>(execs) / secs;
-}
-
-void BenchExecCore(BenchJson& json, bool smoke) {
-  struct Target {
-    const char* name;  // Registry name.
-    const char* tag;   // Metric-name suffix.
-  };
-  const Target kTargets[] = {
-      {"kvm", "kvm"}, {"xen", "xen"}, {"virtualbox", "vbox"}};
-  const uint64_t cold_execs = smoke ? 500 : 50000;
-  const uint64_t hit_execs = smoke ? 2000 : 500000;
-  const uint64_t cached_execs = smoke ? 1000 : 100000;
-  const ConfigPool pool = MakeConfigPool(64, 0x4000);
-
-  std::printf("\n[exec_core VM-lifecycle setup, execs/sec, Intel configs]\n");
-  std::printf("  %12s %12s %12s %9s\n", "target", "cold", "snapshot_hit",
-              "speedup");
-  for (const Target& t : kTargets) {
-    auto hv = FindHypervisorFactory(t.name)();
-    const double cold = ColdExecsPerSec(*hv, pool, cold_execs);
-    const double hit = HitExecsPerSec(*hv, pool, hit_execs);
-    const double speedup = cold > 0 ? hit / cold : 0.0;
-    std::printf("  %12s %12.0f %12.0f %8.1fx\n", t.name, cold, hit, speedup);
-    const std::string tag = t.tag;
-    json.Metric("exec_core_cold_execs_s_" + tag, "execs/s", cold);
-    json.Metric("exec_core_hit_execs_s_" + tag, "execs/s", hit);
-    json.Metric("exec_core_speedup_" + tag, "x", speedup);
-    for (const size_t d : {1, 4, 16, 64}) {
-      const double cached = CachedExecsPerSec(*hv, pool, d, cached_execs);
-      std::printf("  %12s   cached d=%-3zu %12.0f\n", t.name, d, cached);
-      json.Metric("exec_core_cached_execs_s_" + tag + "_d" +
-                      std::to_string(d),
-                  "execs/s", cached);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace neco
 
@@ -468,7 +299,6 @@ int main(int argc, char** argv) {
   neco::BenchClassifyMerge(json, smoke);
   neco::BenchDeltaExtract(json, smoke);
   neco::BenchWireCodec(json, smoke);
-  neco::BenchExecCore(json, smoke);
 
   if (!json_path.empty()) {
     if (!json.WriteTo(json_path)) {

@@ -127,31 +127,8 @@ uint64_t DirectoryBytes(const fs::path& dir) {
 // the resumed campaign landed on the golden run's merged state bit for
 // bit (run-local journal/pipeline counters excluded by design).
 bool SameResult(const EngineResult& a, const EngineResult& b) {
-  if (a.merged.covered_set != b.merged.covered_set ||
-      a.merged.covered_points != b.merged.covered_points ||
-      a.merged.final_percent != b.merged.final_percent ||
-      a.merged.fuzzer_stats.iterations != b.merged.fuzzer_stats.iterations ||
-      a.merged.fuzzer_stats.queue_size != b.merged.fuzzer_stats.queue_size ||
-      a.merged.fuzzer_stats.unique_anomalies !=
-          b.merged.fuzzer_stats.unique_anomalies ||
-      a.corpus_imports != b.corpus_imports ||
-      a.merged.series.size() != b.merged.series.size() ||
-      a.merged.findings.size() != b.merged.findings.size() ||
-      a.crashes != b.crashes) {
-    return false;
-  }
-  for (size_t i = 0; i < a.merged.series.size(); ++i) {
-    if (a.merged.series[i].iteration != b.merged.series[i].iteration ||
-        a.merged.series[i].percent != b.merged.series[i].percent) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.merged.findings.size(); ++i) {
-    if (a.merged.findings[i].bug_id != b.merged.findings[i].bug_id) {
-      return false;
-    }
-  }
-  return true;
+  return a.merged == b.merged && a.per_worker == b.per_worker &&
+         a.corpus_imports == b.corpus_imports && a.crashes == b.crashes;
 }
 
 int RunBench(bool smoke, const std::string& json_path) {

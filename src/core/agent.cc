@@ -1,19 +1,10 @@
 #include "src/core/agent.h"
 
-#include <chrono>
-
 #include "src/core/partition.h"
 #include "src/core/wire.h"
 
 namespace neco {
 namespace {
-
-// Guards the snapshot cache against 64-bit fingerprint collisions: a hit
-// is only taken when the cached snapshot's config matches field for field.
-bool SameConfig(const VcpuConfig& a, const VcpuConfig& b) {
-  return a.arch == b.arch && a.features.raw() == b.features.raw() &&
-         a.vcpus == b.vcpus && a.memory_mb == b.memory_mb;
-}
 
 // MSR indices the agent plants in VM-entry MSR-load areas, weighted toward
 // the address-typed MSRs whose canonicality handling differs across
@@ -37,7 +28,6 @@ constexpr uint64_t kAreaValuePool[] = {
 Agent::Agent(Hypervisor& target, AgentOptions options)
     : target_(target),
       options_(options),
-      adapter_(MakeAdapterFor(target.name())),
       harness_(HarnessOptions{.enabled = true}),
       fixed_harness_(HarnessOptions{.enabled = false}),
       vmx_validator_(MakeVmxCapabilities(
@@ -45,8 +35,7 @@ Agent::Agent(Hypervisor& target, AgentOptions options)
       svm_validator_(SvmCaps{}),
       vmx_oracle_(oracle_vmx_cpu_, vmx_validator_),
       svm_oracle_(oracle_svm_cpu_, svm_validator_),
-      crash_store_(options.crash_dir),
-      snapshot_cache_(options.snapshot_cache_size) {}
+      crash_store_(options.crash_dir) {}
 
 void Agent::PlantGuestMemory(const HarnessProgram& prog, const Vmcs* vmcs12,
                              ByteReader& msr_bytes) {
@@ -90,7 +79,7 @@ void Agent::RunIntel(const FuzzInput& input, const VcpuConfig& config,
     vmcs12 = vmx_validator_.GenerateBoundaryState(parts.vmcs_image,
                                                   parts.mutation);
     if (options_.oracle_interval != 0 &&
-        stats_.executions % options_.oracle_interval == 0) {
+        executions_ % options_.oracle_interval == 0) {
       vmx_oracle_.VerifyOnce(vmcs12);
     }
   } else {
@@ -163,7 +152,7 @@ void Agent::RunAmd(const FuzzInput& input, const VcpuConfig& config,
     vmcb12 = svm_validator_.GenerateBoundaryState(parts.vmcs_image,
                                                   parts.mutation);
     if (options_.oracle_interval != 0 &&
-        stats_.executions % options_.oracle_interval == 0) {
+        executions_ % options_.oracle_interval == 0) {
       svm_oracle_.VerifyOnce(vmcb12);
     }
   } else {
@@ -230,64 +219,21 @@ void Agent::RunAmd(const FuzzInput& input, const VcpuConfig& config,
 }
 
 ExecFeedback Agent::ExecuteOne(const FuzzInput& input) {
-  ++stats_.executions;
+  ++executions_;
   // Watchdog: if the previous test case took the host down, restart it
   // before this one (paper Section 3.2).
   if (target_.host_crashed()) {
     target_.RestartHost();
-    ++stats_.watchdog_restarts;
+    ++watchdog_restarts_;
   }
 
   InputPartition parts(input);
   VcpuConfig config = VcpuConfig::Default(options_.arch);
   if (options_.use_configurator) {
-    // Identical config bytes generate identical configs; the memo skips
-    // Generate entirely for repeats. Nothing downstream reads the config
-    // slice after Generate, so leaving parts.config unconsumed on a memo
-    // hit is invisible.
-    ConfiguratorMemo::Key key;
-    const bool keyed = ConfiguratorMemo::MakeKey(input, &key);
-    const VcpuConfig* memo = keyed ? config_memo_.Lookup(key) : nullptr;
-    if (memo != nullptr) {
-      config = *memo;
-      ++stats_.config_memo_hits;
-    } else {
-      config = configurator_.Generate(parts.config, options_.arch);
-      if (keyed) {
-        config_memo_.Insert(key, config);
-      }
-    }
+    config = configurator_.Generate(parts.config, options_.arch);
   }
-
-  // Snapshot cache: a hit replaces module reload + VM boot with a restore
-  // that is bit-equivalent to the boot (the snapshot tests pin this); a
-  // miss boots through the adapter as before and captures a snapshot.
-  const uint64_t fingerprint = FingerprintConfig(config);
-  const VmSnapshot* snap = snapshot_cache_.Get(fingerprint);
-  if (snap != nullptr && SameConfig(snap->config, config)) {
-    const auto start = std::chrono::steady_clock::now();
-    target_.RestoreVm(*snap);
-    stats_.restore_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    ++stats_.snapshot_hits;
-  } else {
-    if (adapter_ != nullptr) {
-      adapter_->Apply(target_, config);
-    } else {
-      target_.StartVm(config);
-    }
-    ++stats_.snapshot_misses;
-    if (snapshot_cache_.capacity() > 0) {
-      VmSnapshot captured = target_.SnapshotVm();
-      if (captured.data == nullptr) {
-        // Base-class fallback snapshot: fix up the config it cannot know.
-        captured.config = config;
-      }
-      snapshot_cache_.Put(fingerprint, std::move(captured));
-    }
-  }
+  // Module reload + VM boot, on every test case (paper Section 4.5).
+  target_.StartVm(config);
 
   if (options_.arch == Arch::kIntel) {
     RunIntel(input, config, parts);
@@ -309,7 +255,7 @@ ExecFeedback Agent::ExecuteOne(const FuzzInput& input) {
       record.input = input;
       record.hypervisor = std::string(target_.name());
       record.arch = std::string(ArchName(options_.arch));
-      record.iteration = stats_.executions;
+      record.iteration = executions_;
       // Save() throws when persisting fails (ENOSPC, EACCES, ...); the
       // exception propagates through the executor to the engine, which
       // fails the campaign — a crash artifact that cannot be made durable
@@ -322,12 +268,8 @@ ExecFeedback Agent::ExecuteOne(const FuzzInput& input) {
 }
 
 void Agent::ExportState(WorkerStateRecord* out) const {
-  out->executions = stats_.executions;
-  out->watchdog_restarts = stats_.watchdog_restarts;
-  out->snapshot_hits = stats_.snapshot_hits;
-  out->snapshot_misses = stats_.snapshot_misses;
-  out->config_memo_hits = stats_.config_memo_hits;
-  out->restore_ns = stats_.restore_ns;
+  out->executions = executions_;
+  out->watchdog_restarts = watchdog_restarts_;
   out->findings.clear();
   out->findings.reserve(findings_.size());
   for (const auto& [id, report] : findings_) {
@@ -350,12 +292,8 @@ void Agent::ExportState(WorkerStateRecord* out) const {
 }
 
 void Agent::ImportState(const WorkerStateRecord& record) {
-  stats_.executions = record.executions;
-  stats_.watchdog_restarts = record.watchdog_restarts;
-  stats_.snapshot_hits = record.snapshot_hits;
-  stats_.snapshot_misses = record.snapshot_misses;
-  stats_.config_memo_hits = record.config_memo_hits;
-  stats_.restore_ns = record.restore_ns;
+  executions_ = record.executions;
+  watchdog_restarts_ = record.watchdog_restarts;
   findings_.clear();
   for (const AnomalyReport& report : record.findings) {
     findings_.emplace(report.bug_id, report);

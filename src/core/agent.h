@@ -5,8 +5,8 @@
 // Per test case the agent:
 //  1. partitions the 2 KiB fuzzing input among the VM-generator
 //     components,
-//  2. applies the vCPU configuration through the hypervisor's adapter
-//     (module reload + VM boot),
+//  2. boots the fuzz-harness VM with the generated vCPU configuration
+//     (StartVm: module reload + VM boot),
 //  3. embeds the generated VM state and harness program into the
 //     fuzz-harness VM (revision word, MSR-load area and bitmap content in
 //     guest memory; VMCS12/VMCB12 via emulated vmwrite),
@@ -19,15 +19,14 @@
 #ifndef SRC_CORE_AGENT_H_
 #define SRC_CORE_AGENT_H_
 
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/core/config/configurator.h"
 #include "src/core/harness/harness.h"
 #include "src/core/partition.h"
 #include "src/core/repro/crash_store.h"
-#include "src/core/snapshot_cache.h"
 #include "src/core/validator/oracle.h"
 #include "src/core/validator/vmcb_validator.h"
 #include "src/core/validator/vmcs_validator.h"
@@ -48,23 +47,6 @@ struct AgentOptions {
   // Directory for persisted crash reports and inputs (Section 4.5's
   // "designated directory"); empty keeps findings in memory only.
   std::string crash_dir;
-  // Capacity of the post-boot snapshot cache (distinct vCPU configs kept
-  // resident). 0 disables snapshot/restore: every execution cold-boots.
-  // Results are invariant to this knob; only throughput changes.
-  size_t snapshot_cache_size = 64;
-};
-
-// Execution-core throughput counters, surfaced through EngineResult. All
-// fields except restore_ns are deterministic for a fixed input sequence
-// and cache size; restore_ns is wall-clock and advisory only (excluded
-// from determinism comparisons, like the pipeline/journal timings).
-struct AgentStats {
-  uint64_t executions = 0;
-  uint64_t watchdog_restarts = 0;
-  uint64_t snapshot_hits = 0;     // Boots replaced by RestoreVm.
-  uint64_t snapshot_misses = 0;   // Cold boots (each captures a snapshot).
-  uint64_t config_memo_hits = 0;  // Generate calls skipped by the memo.
-  uint64_t restore_ns = 0;        // Wall-clock nanoseconds inside RestoreVm.
 };
 
 class Agent {
@@ -91,9 +73,8 @@ class Agent {
   // Persisted crash records (inputs + metadata) for reproduction.
   const CrashStore& crash_store() const { return crash_store_; }
 
-  uint64_t executions() const { return stats_.executions; }
-  uint64_t watchdog_restarts() const { return stats_.watchdog_restarts; }
-  const AgentStats& stats() const { return stats_; }
+  uint64_t executions() const { return executions_; }
+  uint64_t watchdog_restarts() const { return watchdog_restarts_; }
   const OracleStats& vmx_oracle_stats() const { return vmx_oracle_.stats(); }
 
   // --- Materialized snapshots (src/core/state/snapshot.h) ---
@@ -101,8 +82,7 @@ class Agent {
   // Fills / restores the agent section of a WorkerStateRecord: the
   // execution counters (executions preserves the oracle-interval phase
   // exactly), the deduplicated findings map, and the oracle-learned quirk
-  // tables that shape every subsequent GenerateBoundaryState. Advisory
-  // caches — snapshot cache contents, configurator memo, oracle stats —
+  // tables that shape every subsequent GenerateBoundaryState. Oracle stats
   // are deliberately not state: results are invariant to them, exactly
   // as they are across a replay resume.
   void ExportState(WorkerStateRecord* out) const;
@@ -118,7 +98,6 @@ class Agent {
 
   Hypervisor& target_;
   AgentOptions options_;
-  std::unique_ptr<HypervisorAdapter> adapter_;
   VcpuConfigurator configurator_;
   ExecutionHarness harness_;
   ExecutionHarness fixed_harness_;  // For the w/o-harness ablation.
@@ -132,9 +111,8 @@ class Agent {
 
   std::map<std::string, AnomalyReport> findings_;
   CrashStore crash_store_;
-  SnapshotCache snapshot_cache_;
-  ConfiguratorMemo config_memo_;
-  AgentStats stats_;
+  uint64_t executions_ = 0;
+  uint64_t watchdog_restarts_ = 0;
 };
 
 }  // namespace neco

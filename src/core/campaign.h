@@ -155,6 +155,8 @@ struct CampaignOptions {
 struct CoverageSample {
   uint64_t iteration;
   double percent;
+
+  bool operator==(const CoverageSample&) const = default;
 };
 
 struct CampaignResult {
@@ -166,11 +168,10 @@ struct CampaignResult {
   std::vector<AnomalyReport> findings;
   FuzzerStats fuzzer_stats;
   uint64_t watchdog_restarts = 0;
-  // Execution-core throughput counters (snapshot cache, configurator
-  // memo, restore time). agent_stats.watchdog_restarts mirrors the
-  // top-level field; restore_ns is wall-clock and excluded from
-  // determinism comparisons.
-  AgentStats agent_stats;
+
+  // Every field is deterministic for a fixed campaign, so results compare
+  // whole, across shard modes and across a resume alike.
+  bool operator==(const CampaignResult&) const = default;
 };
 
 // The campaign's sampling cadence: `budget` iterations split into

@@ -255,7 +255,6 @@ ShardOutcome CollectOutcome(ShardContext& state,
   }
   wr.fuzzer_stats = state.fuzzer->stats();
   wr.watchdog_restarts = state.agent->watchdog_restarts();
-  wr.agent_stats = state.agent->stats();
   out.imports = state.imports;
   for (const auto& [id, input] : state.fuzzer->crashes()) {
     out.crash_ids.push_back(id);
@@ -279,12 +278,6 @@ ShardOutcome OutcomeFromRecord(const ShardResultRecord& record) {
   wr.fuzzer_stats.unique_anomalies = record.unique_anomalies;
   wr.fuzzer_stats.bitmap_edges = record.bitmap_edges;
   wr.watchdog_restarts = record.watchdog_restarts;
-  wr.agent_stats.executions = record.iterations;
-  wr.agent_stats.watchdog_restarts = record.watchdog_restarts;
-  wr.agent_stats.snapshot_hits = record.snapshot_hits;
-  wr.agent_stats.snapshot_misses = record.snapshot_misses;
-  wr.agent_stats.config_memo_hits = record.config_memo_hits;
-  wr.agent_stats.restore_ns = record.restore_ns;
   out.imports = record.imports;
   out.crash_ids = record.crash_ids;
   out.crash_inputs = record.crash_inputs;
@@ -309,10 +302,6 @@ ShardResultRecord RecordFromContext(ShardContext& state,
   record.unique_anomalies = wr.fuzzer_stats.unique_anomalies;
   record.bitmap_edges = wr.fuzzer_stats.bitmap_edges;
   record.watchdog_restarts = wr.watchdog_restarts;
-  record.snapshot_hits = wr.agent_stats.snapshot_hits;
-  record.snapshot_misses = wr.agent_stats.snapshot_misses;
-  record.config_memo_hits = wr.agent_stats.config_memo_hits;
-  record.restore_ns = wr.agent_stats.restore_ns;
   record.imports = outcome.imports;
   record.crash_ids = std::move(outcome.crash_ids);
   record.crash_inputs = std::move(outcome.crash_inputs);
@@ -472,14 +461,6 @@ EngineResult AssembleResult(MergePipeline& pipeline,
     }
     out.crashes.push_back(std::move(shard_crashes));
     out.merged.watchdog_restarts += wr.watchdog_restarts;
-    out.merged.agent_stats.executions += wr.agent_stats.executions;
-    out.merged.agent_stats.watchdog_restarts +=
-        wr.agent_stats.watchdog_restarts;
-    out.merged.agent_stats.snapshot_hits += wr.agent_stats.snapshot_hits;
-    out.merged.agent_stats.snapshot_misses += wr.agent_stats.snapshot_misses;
-    out.merged.agent_stats.config_memo_hits +=
-        wr.agent_stats.config_memo_hits;
-    out.merged.agent_stats.restore_ns += wr.agent_stats.restore_ns;
     out.corpus_imports += outcome.imports;
 
     const ShardDoneEvent event{w,
@@ -740,7 +721,6 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     config.use_validator = options.agent.use_validator ? 1 : 0;
     config.use_configurator = options.agent.use_configurator ? 1 : 0;
     config.oracle_interval = options.agent.oracle_interval;
-    config.snapshot_cache_size = options.agent.snapshot_cache_size;
     config.crash_dir = options.agent.crash_dir;
     config.start_epoch = start_epoch;
     config.snapshot_every = snapshot_every;
@@ -1122,8 +1102,6 @@ int MaybeRunShardChild(int argc, char** argv) {
     options.agent.use_validator = config.use_validator != 0;
     options.agent.use_configurator = config.use_configurator != 0;
     options.agent.oracle_interval = config.oracle_interval;
-    options.agent.snapshot_cache_size =
-        static_cast<size_t>(config.snapshot_cache_size);
     options.agent.crash_dir = config.crash_dir;
     return RunShardChildLoop(
         factory, options, config.workers, config.worker, config.samples,

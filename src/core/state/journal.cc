@@ -109,8 +109,21 @@ std::optional<CampaignManifestRecord> CampaignJournal::ReadManifestFile(
   }
   std::vector<uint8_t> bytes;
   CampaignManifestRecord disk;
-  if (!ReadFileBytes(path, &bytes) ||
-      !wire::Decode(bytes.data(), bytes.size(), &disk)) {
+  const bool read = ReadFileBytes(path, &bytes);
+  // A manifest frame ([u8 type][u8 version]...) from another format
+  // version is not damage: name the version, so the operator knows the
+  // state dir needs the build that wrote it.
+  wire::RecordType type;
+  if (read && wire::PeekType(bytes.data(), bytes.size(), &type) &&
+      type == wire::RecordType::kManifest && bytes[1] != wire::kVersion) {
+    throw std::runtime_error(
+        "CampaignJournal: " + path.string() + " was written in wire format v" +
+        std::to_string(bytes[1]) + ", but this build reads v" +
+        std::to_string(wire::kVersion) +
+        "; resume it with a build of that version, or use a fresh "
+        "state_dir");
+  }
+  if (!read || !wire::Decode(bytes.data(), bytes.size(), &disk)) {
     throw std::runtime_error("CampaignJournal: corrupt manifest at " +
                              path.string());
   }

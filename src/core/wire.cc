@@ -354,8 +354,7 @@ template <class Io>
 void Fields(Io& io, ShardResultRecord& r) {
   io(r.worker, r.final_percent, r.covered_points, r.total_points,
      r.covered_set, r.findings, r.iterations, r.queue_size,
-     r.unique_anomalies, r.bitmap_edges, r.watchdog_restarts, r.imports,
-     r.snapshot_hits, r.snapshot_misses, r.config_memo_hits, r.restore_ns);
+     r.unique_anomalies, r.bitmap_edges, r.watchdog_restarts, r.imports);
   CrashPairs(io, r);
 }
 
@@ -364,8 +363,7 @@ void Fields(Io& io, ShardChildConfigRecord& r) {
   io(r.target, r.worker, r.workers, r.epochs, r.arch, r.iterations,
      r.samples, r.seed, r.syncing, r.coverage_guidance, r.havoc_stack,
      r.splice_percent, r.use_harness, r.use_validator, r.use_configurator,
-     r.oracle_interval, r.snapshot_cache_size, r.crash_dir, r.start_epoch,
-     r.snapshot_every);
+     r.oracle_interval, r.crash_dir, r.start_epoch, r.snapshot_every);
   io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
   // A tail that ends before it begins: nothing legitimate encodes that.
   io.Check(r.start_epoch <= r.epochs);
@@ -415,8 +413,7 @@ void Fields(Io& io, WorkerStateRecord& r) {
   io(r.worker, r.epochs_covered, r.mutator_rng, r.corpus_rng, r.iterations,
      r.corpus, r.virgin);
   CrashPairs(io, r);
-  io(r.executions, r.watchdog_restarts, r.snapshot_hits, r.snapshot_misses,
-     r.config_memo_hits, r.restore_ns, r.findings, r.vmx_suppressed_checks,
+  io(r.executions, r.watchdog_restarts, r.findings, r.vmx_suppressed_checks,
      r.vmx_learned_fixups, r.svm_suppressed_checks, r.host_crashed,
      r.host_restarts, r.covered, r.hit_events, r.imports);
   io.Check(AllBelow(r.vmx_suppressed_checks, CheckId::kCount) &&

@@ -183,13 +183,6 @@ struct ShardResultRecord {
   uint64_t bitmap_edges = 0;
   uint64_t watchdog_restarts = 0;
   uint64_t imports = 0;                   // Pool entries adopted (post-dedup).
-  // Execution-core throughput counters (AgentStats). The first three are
-  // deterministic for a fixed input sequence and cache size; restore_ns
-  // is wall-clock and excluded from determinism comparisons.
-  uint64_t snapshot_hits = 0;
-  uint64_t snapshot_misses = 0;
-  uint64_t config_memo_hits = 0;
-  uint64_t restore_ns = 0;
   std::vector<std::string> crash_ids;     // Fuzzer crash bug ids, in
                                           // discovery order.
   // Parallel to crash_ids: the input that reproduces each crash. Shipping
@@ -241,11 +234,6 @@ struct ShardChildConfigRecord {
   uint8_t use_validator = 1;
   uint8_t use_configurator = 1;
   uint32_t oracle_interval = 64;
-  // Snapshot-cache capacity, so exec'd children run the same execution
-  // core as the parent. Not part of the campaign fingerprint: results are
-  // invariant to it (like merge_batch/shard_mode), only throughput and
-  // the advisory hit/miss counters change.
-  uint64_t snapshot_cache_size = 64;
   std::string crash_dir;
   // Snapshot resume: the shard starts at this epoch instead of 0. When
   // non-zero, a WorkerStateRecord frame follows this config frame on the
@@ -355,8 +343,7 @@ struct CrashArtifactRecord {
 // Everything one shard needs to continue exactly where the snapshot epoch
 // ended: the fuzzer's full state (the full-state sibling of ShardDelta),
 // the agent's history-dependent state, and the shard-level coverage and
-// watchdog bookkeeping. Advisory caches (snapshot cache contents,
-// configurator memo, oracle counters) are deliberately absent — results
+// watchdog bookkeeping. Oracle counters are deliberately absent — results
 // are invariant to them, exactly as they are across a replay resume.
 struct WorkerStateRecord {
   int worker = 0;
@@ -378,10 +365,6 @@ struct WorkerStateRecord {
   // --- Agent ---
   uint64_t executions = 0;  // Preserves the oracle-interval phase.
   uint64_t watchdog_restarts = 0;
-  uint64_t snapshot_hits = 0;
-  uint64_t snapshot_misses = 0;
-  uint64_t config_memo_hits = 0;
-  uint64_t restore_ns = 0;
   std::vector<AnomalyReport> findings;  // Bug-id order (agent map order).
   // Learned quirk tables, in sorted order (std::set iteration). Values
   // are CheckId / VmxFixupId; Decode() bounds them by the enums' kCount.
@@ -444,7 +427,7 @@ struct CampaignSnapshotRecord {
 
 namespace wire {
 
-inline constexpr uint8_t kVersion = 6;  // v2 added the process-sharding
+inline constexpr uint8_t kVersion = 7;  // v2 added the process-sharding
                                         // records (kFeedback..kChildConfig);
                                         // v3 the socket handshake
                                         // (kShardHello) and crash-input
@@ -462,7 +445,10 @@ inline constexpr uint8_t kVersion = 6;  // v2 added the process-sharding
                                         // the snapshot horizon + crash
                                         // count in the manifest, and the
                                         // resume fields in
-                                        // ShardChildConfigRecord.
+                                        // ShardChildConfigRecord; v7
+                                        // removed the v5 additions and
+                                        // the cache counters in
+                                        // WorkerStateRecord.
 
 enum class RecordType : uint8_t {
   kShardDelta = 1,

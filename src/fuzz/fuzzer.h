@@ -49,6 +49,8 @@ struct FuzzerStats {
   uint64_t queue_size = 0;
   uint64_t unique_anomalies = 0;
   uint64_t bitmap_edges = 0;
+
+  bool operator==(const FuzzerStats&) const = default;
 };
 
 // One shard's per-epoch progress as a self-contained record (everything

@@ -13,6 +13,7 @@
 #ifndef SRC_HV_HYPERVISOR_H_
 #define SRC_HV_HYPERVISOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 
@@ -20,7 +21,6 @@
 #include "src/hv/guest_insn.h"
 #include "src/hv/guest_memory.h"
 #include "src/hv/sanitizer.h"
-#include "src/hv/snapshot.h"
 #include "src/hv/vcpu_config.h"
 
 namespace neco {
@@ -46,31 +46,10 @@ class Hypervisor {
 
   // (Re)start the guest VM with the given vCPU configuration. Models a
   // module reload plus VM boot; clears per-VM nested state but preserves
-  // accumulated coverage.
+  // accumulated coverage. The agent boots every test case this way on a
+  // VM the previous one dirtied, so the boot must leave nothing of the
+  // VM's history behind: what follows depends on `config` alone.
   virtual void StartVm(const VcpuConfig& config) = 0;
-
-  // Capture the guest VM's post-boot state (call right after StartVm,
-  // before any guest activity). Backends override this to attach a cooked
-  // image that makes RestoreVm a few copy-assignments; the base default
-  // returns a config-only snapshot whose config the caller should fix up
-  // to the configuration it actually booted (the Agent does) since the
-  // base class does not track it.
-  virtual VmSnapshot SnapshotVm() {
-    VmSnapshot snap;
-    snap.hypervisor = std::string(name());
-    snap.config = VcpuConfig::Default(arch());
-    return snap;
-  }
-
-  // Return the guest VM to the snapshot's post-boot state, bit-equivalent
-  // to StartVm(snapshot.config): identical subsequent emulation, coverage
-  // trace, and sanitizer behaviour. Accumulated coverage, pending
-  // sanitizer reports, and the host-crash flag/counters are preserved
-  // exactly as a cold boot preserves them. The default (and any backend
-  // handed a foreign or config-only snapshot) degrades to StartVm.
-  virtual void RestoreVm(const VmSnapshot& snapshot) {
-    StartVm(snapshot.config);
-  }
 
   // L1 hypervisor instruction emulation.
   virtual VmxEmuResult HandleVmxInstruction(const VmxInsn& insn) = 0;

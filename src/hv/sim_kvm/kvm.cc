@@ -1,17 +1,6 @@
 #include "src/hv/sim_kvm/kvm.h"
 
 namespace neco {
-namespace {
-
-// Cooked post-boot image for SimKvm. Only the Intel engine does expensive
-// work at boot (building vmcs01 and the advertised capability MSRs); AMD
-// boots are a handful of scalar stores, so AMD snapshots stay config-only
-// and restore through the StartVm fallback.
-struct KvmSnapshotData : VmSnapshotData {
-  KvmNestedVmx::BootImage vmx_boot;
-};
-
-}  // namespace
 
 SimKvm::SimKvm()
     : vmx_cov_("kvm/vmx/nested.c", kKvmNestedVmxCoveragePoints),
@@ -28,29 +17,6 @@ void SimKvm::StartVm(const VcpuConfig& config) {
   } else {
     nested_svm_.Reset(config);
   }
-}
-
-VmSnapshot SimKvm::SnapshotVm() {
-  VmSnapshot snap;
-  snap.hypervisor = std::string(name());
-  snap.config = config_;
-  if (config_.arch == Arch::kIntel) {
-    auto data = std::make_shared<KvmSnapshotData>();
-    data->vmx_boot = nested_vmx_.CaptureBoot();
-    snap.data = std::move(data);
-  }
-  return snap;
-}
-
-void SimKvm::RestoreVm(const VmSnapshot& snapshot) {
-  const auto* data = dynamic_cast<const KvmSnapshotData*>(snapshot.data.get());
-  if (data == nullptr) {
-    StartVm(snapshot.config);  // Foreign or config-only snapshot.
-    return;
-  }
-  config_ = snapshot.config;
-  guest_memory_.Clear();
-  nested_vmx_.RestoreBoot(data->vmx_boot);
 }
 
 VmxEmuResult SimKvm::HandleVmxInstruction(const VmxInsn& insn) {

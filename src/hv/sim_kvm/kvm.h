@@ -23,8 +23,6 @@ class SimKvm : public Hypervisor {
   std::string_view name() const override { return "kvm"; }
   Arch arch() const override { return config_.arch; }
   void StartVm(const VcpuConfig& config) override;
-  VmSnapshot SnapshotVm() override;
-  void RestoreVm(const VmSnapshot& snapshot) override;
   VmxEmuResult HandleVmxInstruction(const VmxInsn& insn) override;
   SvmEmuResult HandleSvmInstruction(const SvmInsn& insn) override;
   HandledBy HandleGuestInstruction(const GuestInsn& insn,

@@ -1,5 +1,7 @@
 #include "src/hv/sim_kvm/nested_vmx.h"
 
+#include <string>
+
 #include "src/arch/vmx_bits.h"
 #include "src/support/bits.h"
 
@@ -19,22 +21,6 @@ void KvmNestedVmx::Reset(const VcpuConfig& config) {
   current_ptr_ = kNoPtr;
   vmcs12_cache_.clear();
   vmcs01_ = MakeDefaultVmcs();
-  vmcs02_ = Vmcs();
-  in_l2_ = false;
-  l2_ever_ran_ = false;
-}
-
-// Mirrors Reset() field for field; the derived members (nested_caps_,
-// vmcs01_) come from the image instead of being recomputed. Keep the two
-// in sync — the snapshot equivalence tests pin this.
-void KvmNestedVmx::RestoreBoot(const BootImage& image) {
-  config_ = image.config;
-  nested_caps_ = image.nested_caps;
-  vmxon_ = false;
-  vmxon_ptr_ = kNoPtr;
-  current_ptr_ = kNoPtr;
-  vmcs12_cache_.clear();
-  vmcs01_ = image.vmcs01;
   vmcs02_ = Vmcs();
   in_l2_ = false;
   l2_ever_ran_ = false;

@@ -47,18 +47,6 @@ class KvmNestedVmx {
   // Module reload + VM boot with a fresh configuration.
   void Reset(const VcpuConfig& config);
 
-  // Cooked post-boot state: everything Reset derives from the config
-  // (advertised capabilities, the L0-built vmcs01), captured so a restore
-  // is copy-assignment instead of recompute. RestoreBoot(CaptureBoot())
-  // right after Reset(config) is bit-equivalent to Reset(config).
-  struct BootImage {
-    VcpuConfig config;
-    VmxCapabilities nested_caps;
-    Vmcs vmcs01;
-  };
-  BootImage CaptureBoot() const { return {config_, nested_caps_, vmcs01_}; }
-  void RestoreBoot(const BootImage& image);
-
   VmxEmuResult HandleInstruction(const VmxInsn& insn);
   HandledBy HandleL2Instruction(const GuestInsn& insn);
   HandledBy HandleL1Instruction(const GuestInsn& insn);

@@ -6,17 +6,6 @@
 #include "src/support/bits.h"
 
 namespace neco {
-namespace {
-
-// Cooked post-boot image for SimVbox: the forced-Intel config plus the
-// two boot-derived members (advertised capabilities, vmcs01).
-struct VboxSnapshotData : VmSnapshotData {
-  VcpuConfig config;
-  VmxCapabilities nested_caps;
-  Vmcs vmcs01;
-};
-
-}  // namespace
 
 SimVbox::SimVbox()
     : cov_("vbox/VMMR0/HMVMXR0+IEM-nested", kVboxNestedVmxCoveragePoints),
@@ -35,42 +24,6 @@ void SimVbox::StartVm(const VcpuConfig& config) {
   vmcs12_cache_.clear();
   launched_.clear();
   vmcs01_ = MakeDefaultVmcs();
-  vmcs02_ = Vmcs();
-  in_l2_ = false;
-  vm_dead_ = false;
-}
-
-VmSnapshot SimVbox::SnapshotVm() {
-  VmSnapshot snap;
-  snap.hypervisor = std::string(name());
-  snap.config = config_;
-  auto data = std::make_shared<VboxSnapshotData>();
-  data->config = config_;  // Already forced to Intel by StartVm.
-  data->nested_caps = nested_caps_;
-  data->vmcs01 = vmcs01_;
-  snap.data = std::move(data);
-  return snap;
-}
-
-// Mirrors StartVm() field for field, with the derived members copied from
-// the image instead of recomputed. Keep in sync with StartVm — the
-// snapshot equivalence tests pin this.
-void SimVbox::RestoreVm(const VmSnapshot& snapshot) {
-  const auto* data =
-      dynamic_cast<const VboxSnapshotData*>(snapshot.data.get());
-  if (data == nullptr) {
-    StartVm(snapshot.config);  // Foreign or config-only snapshot.
-    return;
-  }
-  config_ = data->config;
-  nested_caps_ = data->nested_caps;
-  guest_memory_.Clear();
-  vmxon_ = false;
-  vmxon_ptr_ = kNoPtr;
-  current_ptr_ = kNoPtr;
-  vmcs12_cache_.clear();
-  launched_.clear();
-  vmcs01_ = data->vmcs01;
   vmcs02_ = Vmcs();
   in_l2_ = false;
   vm_dead_ = false;

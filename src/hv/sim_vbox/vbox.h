@@ -31,8 +31,6 @@ class SimVbox : public Hypervisor {
   std::string_view name() const override { return "virtualbox"; }
   Arch arch() const override { return Arch::kIntel; }
   void StartVm(const VcpuConfig& config) override;
-  VmSnapshot SnapshotVm() override;
-  void RestoreVm(const VmSnapshot& snapshot) override;
   VmxEmuResult HandleVmxInstruction(const VmxInsn& insn) override;
   SvmEmuResult HandleSvmInstruction(const SvmInsn& insn) override;
   HandledBy HandleGuestInstruction(const GuestInsn& insn,
@@ -67,7 +65,7 @@ class SimVbox : public Hypervisor {
   std::map<uint64_t, bool> launched_;
   // The L0 container VMCS for the L1 guest, built once at boot (same
   // fidelity as KVM's vmcs01) and copied into vmcs02 per nested entry.
-  // Never written after StartVm/RestoreVm.
+  // Never written after StartVm.
   Vmcs vmcs01_;
   Vmcs vmcs02_;
   bool in_l2_ = false;

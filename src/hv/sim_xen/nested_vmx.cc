@@ -2,6 +2,8 @@
 // NVCOV/__COUNTER__ point ids stay dense and private to this "source file".
 #include "src/hv/sim_xen/xen.h"
 
+#include <string>
+
 #include "src/arch/vmx_bits.h"
 #include "src/support/bits.h"
 
@@ -24,22 +26,6 @@ void XenNestedVmx::Reset(const VcpuConfig& config) {
   vvmcs_cache_.clear();
   launched_.clear();
   vmcs01_ = MakeDefaultVmcs();
-  vmcs02_ = Vmcs();
-  in_l2_ = false;
-}
-
-// Mirrors Reset() field for field, with the derived members copied from
-// the image instead of recomputed. Keep in sync with Reset — the snapshot
-// equivalence tests pin this.
-void XenNestedVmx::RestoreBoot(const BootImage& image) {
-  config_ = image.config;
-  nested_caps_ = image.nested_caps;
-  vmxon_ = false;
-  vmxon_ptr_ = kNoPtr;
-  vvmcs_ptr_ = kNoPtr;
-  vvmcs_cache_.clear();
-  launched_.clear();
-  vmcs01_ = image.vmcs01;
   vmcs02_ = Vmcs();
   in_l2_ = false;
 }

@@ -1,17 +1,6 @@
 #include "src/hv/sim_xen/xen.h"
 
 namespace neco {
-namespace {
-
-// Cooked post-boot image for SimXen. AMD boots are a handful of scalar
-// stores, so only the Intel engine (which builds vmcs01 and the advertised
-// capability MSRs at boot) carries a cooked image; AMD snapshots stay
-// config-only and restore via the StartVm fallback.
-struct XenSnapshotData : VmSnapshotData {
-  XenNestedVmx::BootImage vmx_boot;
-};
-
-}  // namespace
 
 SimXen::SimXen()
     : vmx_cov_("xen/hvm/vmx/vvmx.c", kXenNestedVmxCoveragePoints),
@@ -30,29 +19,6 @@ void SimXen::StartVm(const VcpuConfig& config) {
   } else {
     nested_svm_.Reset(config);
   }
-}
-
-VmSnapshot SimXen::SnapshotVm() {
-  VmSnapshot snap;
-  snap.hypervisor = std::string(name());
-  snap.config = config_;
-  if (config_.arch == Arch::kIntel) {
-    auto data = std::make_shared<XenSnapshotData>();
-    data->vmx_boot = nested_vmx_.CaptureBoot();
-    snap.data = std::move(data);
-  }
-  return snap;
-}
-
-void SimXen::RestoreVm(const VmSnapshot& snapshot) {
-  const auto* data = dynamic_cast<const XenSnapshotData*>(snapshot.data.get());
-  if (data == nullptr) {
-    StartVm(snapshot.config);  // Foreign or config-only snapshot.
-    return;
-  }
-  config_ = snapshot.config;
-  guest_memory_.Clear();
-  nested_vmx_.RestoreBoot(data->vmx_boot);
 }
 
 VmxEmuResult SimXen::HandleVmxInstruction(const VmxInsn& insn) {

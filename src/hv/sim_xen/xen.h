@@ -42,17 +42,6 @@ class XenNestedVmx {
                VmxCpu& cpu, bool* host_crashed);
   void Reset(const VcpuConfig& config);
 
-  // Cooked post-boot state (advertised capabilities, the boot-built
-  // vmcs01) so a restore is copy-assignment instead of recompute.
-  // RestoreBoot(CaptureBoot()) after Reset(config) == Reset(config).
-  struct BootImage {
-    VcpuConfig config;
-    VmxCapabilities nested_caps;
-    Vmcs vmcs01;
-  };
-  BootImage CaptureBoot() const { return {config_, nested_caps_, vmcs01_}; }
-  void RestoreBoot(const BootImage& image);
-
   VmxEmuResult HandleInstruction(const VmxInsn& insn);
   HandledBy HandleL2Instruction(const GuestInsn& insn);
   HandledBy HandleL1Instruction(const GuestInsn& insn);
@@ -85,7 +74,7 @@ class XenNestedVmx {
   std::map<uint64_t, bool> launched_;
   // The L0 container VMCS for the L1 guest, built once at boot (same
   // fidelity as KVM's vmcs01) and copied into vmcs02 per nested entry.
-  // Never written after Reset/RestoreBoot.
+  // Never written after Reset.
   Vmcs vmcs01_;
   Vmcs vmcs02_;
   bool in_l2_ = false;
@@ -133,8 +122,6 @@ class SimXen : public Hypervisor {
   std::string_view name() const override { return "xen"; }
   Arch arch() const override { return config_.arch; }
   void StartVm(const VcpuConfig& config) override;
-  VmSnapshot SnapshotVm() override;
-  void RestoreVm(const VmSnapshot& snapshot) override;
   VmxEmuResult HandleVmxInstruction(const VmxInsn& insn) override;
   SvmEmuResult HandleSvmInstruction(const SvmInsn& insn) override;
   HandledBy HandleGuestInstruction(const GuestInsn& insn,

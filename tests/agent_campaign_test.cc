@@ -1,15 +1,169 @@
 // Tests for the agent (end-to-end test-case execution, component
-// toggles, watchdog) and the campaign engine's borrowed-target sessions
-// (series sampling, coverage reset, determinism).
+// toggles, watchdog, the per-exec VM boot) and the campaign engine's
+// borrowed-target sessions (series sampling, coverage reset, determinism).
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/core/agent.h"
 #include "src/core/engine.h"
+#include "src/core/partition.h"
+#include "src/hv/factory.h"
 #include "src/hv/sim_kvm/kvm.h"
 #include "src/hv/sim_xen/xen.h"
 
 namespace neco {
 namespace {
+
+// --- Probing a hypervisor's observable behaviour ---------------------------
+
+VcpuConfig RandomConfig(Rng& rng, Arch arch) {
+  FuzzInput bytes(InputPartition::kConfigSize);
+  for (auto& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  ByteReader reader(bytes);
+  return VcpuConfigurator().Generate(reader, arch);
+}
+
+// Everything a fixed probe of virtualization + guest instructions can
+// observe: emulation results, handler dispositions, the coverage trace
+// and the anomalies. Two hypervisors with equal logs behave the same.
+struct ProbeLog {
+  std::vector<uint64_t> values;
+  std::vector<uint32_t> trace;
+  std::vector<std::string> anomalies;
+};
+
+// Puts `hv` into the state the agent's watchdog guarantees at the top of
+// an execution (crash flag clear, no pending reports or trace), so two
+// instances with different histories can be compared by probing.
+void NormalizeForProbe(Hypervisor& hv, Arch arch) {
+  if (hv.host_crashed()) {
+    hv.RestartHost();
+  }
+  hv.sanitizers().Drain();
+  hv.nested_coverage(arch).DrainTrace();
+}
+
+// Pointers are 4 KiB-aligned, as real VMCS/VMCB regions are. On Intel the
+// probe plants the region revision headers first, as the agent does, so
+// it runs inside VMX operation.
+ProbeLog RunProbe(Hypervisor& hv, Arch arch, uint64_t salt) {
+  ProbeLog log;
+  log.values.push_back(hv.in_l2());
+  log.values.push_back(hv.guest_memory().touched_words());
+  auto note_vmx = [&log](const VmxEmuResult& r) {
+    log.values.push_back(r.ok);
+    log.values.push_back(r.entered_l2);
+    log.values.push_back(r.read_value);
+  };
+  auto note_svm = [&log](const SvmEmuResult& r) {
+    log.values.push_back(r.ok);
+    log.values.push_back(r.entered_l2);
+  };
+  auto note_guest = [&log, &hv](HandledBy by) {
+    log.values.push_back(static_cast<uint64_t>(by));
+    log.values.push_back(hv.in_l2());
+    log.values.push_back(hv.host_crashed());
+  };
+  const uint64_t pa = 0x1000 + (salt % 8) * 0x1000;
+  if (arch == Arch::kIntel) {
+    hv.guest_memory().Write32(pa, Vmcs::kRevisionId);
+    hv.guest_memory().Write32(pa + 0x1000, Vmcs::kRevisionId);
+    note_vmx(hv.HandleVmxInstruction({VmxOp::kVmxon, pa, {}, 0}));
+    note_vmx(hv.HandleVmxInstruction({VmxOp::kVmclear, pa + 0x1000, {}, 0}));
+    note_vmx(hv.HandleVmxInstruction({VmxOp::kVmptrld, pa + 0x1000, {}, 0}));
+    note_vmx(hv.HandleVmxInstruction(
+        {VmxOp::kVmwrite, 0, VmcsField::kGuestRip, salt}));
+    note_vmx(hv.HandleVmxInstruction(
+        {VmxOp::kVmread, 0, VmcsField::kGuestRip, 0}));
+    note_vmx(hv.HandleVmxInstruction({VmxOp::kVmlaunch, 0, {}, 0}));
+    note_vmx(hv.HandleVmxInstruction({VmxOp::kVmptrst, 0, {}, 0}));
+  } else {
+    note_guest(hv.HandleGuestInstruction(
+        {GuestInsnKind::kWrmsr, Msr::kIa32Efer, 1ull << 12}, GuestLevel::kL1));
+    note_svm(hv.HandleSvmInstruction({SvmOp::kStgi, 0, {}, 0}));
+    note_svm(hv.HandleSvmInstruction(
+        {SvmOp::kVmcbWrite, pa, VmcbField::kRip, salt}));
+    note_svm(hv.HandleSvmInstruction({SvmOp::kVmrun, pa, {}, 0}));
+  }
+  note_guest(hv.HandleGuestInstruction({GuestInsnKind::kCpuid, salt, 0},
+                                       GuestLevel::kL1));
+  note_guest(hv.HandleGuestInstruction({GuestInsnKind::kRdmsr, Msr::kIa32Efer,
+                                        0},
+                                       GuestLevel::kL1));
+  log.trace = hv.nested_coverage(arch).DrainTrace();
+  for (AnomalyReport& report : hv.sanitizers().Drain()) {
+    log.anomalies.push_back(report.bug_id);
+  }
+  return log;
+}
+
+// Random guest activity, so the next boot has real state to erase: agent
+// test cases, which can leave VMX/SVM operation on, VMCS12/VMCB12 images
+// cached, L2 running and guest memory planted, then probes and a stray
+// guest-memory write.
+void DirtyState(Hypervisor& hv, Arch arch, Rng& rng) {
+  AgentOptions options;
+  options.arch = arch;
+  Agent agent(hv, options);
+  for (int i = 0; i < 4; ++i) {
+    agent.ExecuteOne(MakeRandomInput(rng));
+  }
+  for (int i = 0; i < 6; ++i) {
+    RunProbe(hv, arch, rng.Next());
+  }
+  hv.guest_memory().Write32(0x1000, static_cast<uint32_t>(rng.Next()));
+}
+
+// The agent boots every exec with StartVm on a VM the previous exec left
+// dirty, so campaign results are deterministic only if the boot erases
+// that history. Two instances of each target with different histories
+// boot the same config: one has lived through every earlier trial (other
+// configs, random test cases), the other is brand new. A probe must see
+// the same hypervisor on both.
+TEST(AgentTest, StartVmErasesTheVmHistory) {
+  struct TargetCase {
+    const char* target;
+    Arch arch;
+  };
+  // SimVbox is Intel-only (it forces arch at StartVm), like the original.
+  const TargetCase kTargetCases[] = {
+      {"kvm", Arch::kIntel},        {"kvm", Arch::kAmd},
+      {"xen", Arch::kIntel},        {"xen", Arch::kAmd},
+      {"virtualbox", Arch::kIntel},
+  };
+  for (const TargetCase& c : kTargetCases) {
+    SCOPED_TRACE(std::string(c.target) + "/" + std::string(ArchName(c.arch)));
+    const HypervisorFactory factory = FindHypervisorFactory(c.target);
+    ASSERT_TRUE(factory);
+    auto dirty = factory();
+    Rng rng(0x5eed + static_cast<uint64_t>(c.arch));
+    for (int trial = 0; trial < 25; ++trial) {
+      SCOPED_TRACE(trial);
+      const VcpuConfig config = RandomConfig(rng, c.arch);
+      const uint64_t salt = rng.Next();
+
+      Rng history(salt);
+      DirtyState(*dirty, c.arch, history);
+      dirty->StartVm(config);
+      auto fresh = factory();
+      fresh->StartVm(config);
+
+      // The dirtying may have crashed the host or queued reports, which
+      // a boot deliberately keeps; clear them the way the watchdog would.
+      NormalizeForProbe(*dirty, c.arch);
+      NormalizeForProbe(*fresh, c.arch);
+      const ProbeLog a = RunProbe(*dirty, c.arch, salt);
+      const ProbeLog b = RunProbe(*fresh, c.arch, salt);
+      ASSERT_EQ(a.values, b.values);
+      ASSERT_EQ(a.trace, b.trace);
+      ASSERT_EQ(a.anomalies, b.anomalies);
+    }
+  }
+}
 
 TEST(AgentTest, ExecuteOneProducesEdges) {
   SimKvm kvm;

@@ -4,7 +4,7 @@
 // wire::Records: round trip with ==, exact sizing, every truncation, a
 // trailing byte, wrong type / version / length, random buffers, a flip of
 // every byte, and decoding into a reused out-param. A table pins the
-// record-specific rejections, golden hashes pin the v6 byte layout, and
+// record-specific rejections, golden hashes pin the v7 byte layout, and
 // the rest covers the zero-copy overload, stream framing and random
 // well-formed records.
 #include <gtest/gtest.h>
@@ -107,10 +107,6 @@ ShardResultRecord Sample<ShardResultRecord>() {
   r.bitmap_edges = 451;
   r.watchdog_restarts = 1;
   r.imports = 59;
-  r.snapshot_hits = 4800;
-  r.snapshot_misses = 200;
-  r.config_memo_hits = 4810;
-  r.restore_ns = 123456789;
   r.crash_ids = {"kvm-a", "kvm-b"};
   r.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
   return r;
@@ -135,7 +131,6 @@ ShardChildConfigRecord Sample<ShardChildConfigRecord>() {
   r.use_validator = 0;
   r.use_configurator = 0;
   r.oracle_interval = 96;
-  r.snapshot_cache_size = 32;
   r.crash_dir = "state/crashes";
   r.start_epoch = 10;
   r.snapshot_every = 5;
@@ -233,10 +228,6 @@ WorkerStateRecord Sample<WorkerStateRecord>() {
   r.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
   r.executions = 4217;
   r.watchdog_restarts = 1;
-  r.snapshot_hits = 4000;
-  r.snapshot_misses = 217;
-  r.config_memo_hits = 4100;
-  r.restore_ns = 987654321;
   r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
   r.vmx_suppressed_checks = {0, 1};
   r.vmx_learned_fixups = {0};
@@ -294,27 +285,27 @@ uint64_t FrameHash() {
   return Fnv1a64(wire::Encode(Sample<Record>()));
 }
 
-TEST(WireGoldenTest, FramesKeepTheVersion6Layout) {
-  // Pipes and state dirs written by any v6 build must keep decoding, so
+TEST(WireGoldenTest, FramesKeepTheVersion7Layout) {
+  // Pipes and state dirs written by any v7 build must keep decoding, so
   // these hashes of the sample frames are the byte layout itself: a
   // change here is a format change, which needs a kVersion bump.
-  EXPECT_EQ(wire::kVersion, 6);
-  EXPECT_EQ(FrameHash<ShardDelta>(), 0x34625AB858C82456ULL);
-  EXPECT_EQ(FrameHash<SampleEvent>(), 0xEA7FCE34E617A590ULL);
-  EXPECT_EQ(FrameHash<FindingEvent>(), 0x01588B062011A056ULL);
-  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0x34B964EBF8F1E3C5ULL);
-  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0x201E4C138187F0DEULL);
-  EXPECT_EQ(FrameHash<FinishEvent>(), 0xF2EF47E6433C48DEULL);
-  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0x1AFF029E7B50CE7FULL);
-  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0xD80631AB2A8EF8A8ULL);
-  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0x2ACB88AF172B1DEEULL);
-  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x16DD26D36F8BC35BULL);
-  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x61ED4DA392888B1FULL);
-  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0x42BDA7F9D2CB6835ULL);
-  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0xC2A1A5AA99BD82B1ULL);
-  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0xF218F625BB783561ULL);
-  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xC36742BBC742119AULL);
-  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x91E0D617BB4BCCC2ULL);
+  EXPECT_EQ(wire::kVersion, 7);
+  EXPECT_EQ(FrameHash<ShardDelta>(), 0x3D2C3F8A2684D24FULL);
+  EXPECT_EQ(FrameHash<SampleEvent>(), 0xB09796BED9AF8DEBULL);
+  EXPECT_EQ(FrameHash<FindingEvent>(), 0xFFECF73DC4CE3F85ULL);
+  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0x96BA814DA5AE6056ULL);
+  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xB421B67008DE225DULL);
+  EXPECT_EQ(FrameHash<FinishEvent>(), 0xDCB5AF35CD753CBDULL);
+  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0xD7FD525078D1FC04ULL);
+  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0xD6C5DAA9EED42926ULL);
+  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0xEAF2F42C2269EF19ULL);
+  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x544BBD325FB2D72CULL);
+  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0xAE9C06E165E5B4C2ULL);
+  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0xE42E0E6EF1FED512ULL);
+  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0x5CAB2A9EE383B2C6ULL);
+  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0x30C2C70540646167ULL);
+  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xC7FF93B12A52ABFBULL);
+  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x50DC2734D05076C9ULL);
 
   // The zero-copy overload (queue entries read through corpus pointers,
   // record.queue_entries ignored) writes the same ShardDelta frame.
@@ -325,7 +316,7 @@ TEST(WireGoldenTest, FramesKeepTheVersion6Layout) {
   for (const FuzzInput& input : corpus) {
     entries.push_back(&input);
   }
-  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x34625AB858C82456ULL);
+  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x3D2C3F8A2684D24FULL);
 }
 
 // --- Generic checks, run on every record in wire::Records --------------------

@@ -43,14 +43,6 @@
 //                        --smoke (a seconds-scale budget), so CI can
 //                        exercise every bench's code path on each push
 //                        instead of only the full multi-minute runs.
-//   snapshot-equivalence A class overriding Hypervisor::SnapshotVm must
-//                        be pinned by an equivalence test: some tests/
-//                        *.cc file has to reference the class name
-//                        together with both SnapshotVm and RestoreVm.
-//                        Restore-vs-cold-boot bit-equivalence is the
-//                        load-bearing contract of the snapshot cache —
-//                        an unpinned override is how a subtly-stateful
-//                        restore silently corrupts campaign determinism.
 //
 // The scanner is textual by design: it strips comments and string
 // literals, then pattern-matches. That keeps it dependency-free (no
@@ -458,117 +450,6 @@ void CheckBenchSmoke(const fs::path& root, std::vector<Violation>* out) {
   }
 }
 
-// --- Rule: snapshot-equivalence ------------------------------------------
-
-// The class name owning the declaration at `offset`: the identifier after
-// the nearest preceding `class` keyword (skipping `enum class`).
-std::string EnclosingClassName(const SourceFile& file, size_t offset) {
-  size_t best = std::string::npos;
-  size_t pos = 0;
-  while ((pos = FindWordStart(file.code, "class", pos)) !=
-         std::string::npos) {
-    if (pos > offset) {
-      break;
-    }
-    // `enum class X` declares a scoped enum, not a class.
-    size_t before = pos;
-    while (before > 0 && std::isspace(static_cast<unsigned char>(
-                             file.code[before - 1]))) {
-      --before;
-    }
-    const bool is_enum =
-        before >= 4 && file.code.compare(before - 4, 4, "enum") == 0;
-    if (!is_enum) {
-      best = pos;
-    }
-    pos += 5;
-  }
-  if (best == std::string::npos) {
-    return std::string();
-  }
-  size_t begin = best + 5;
-  while (begin < file.code.size() &&
-         std::isspace(static_cast<unsigned char>(file.code[begin]))) {
-    ++begin;
-  }
-  size_t end = begin;
-  while (end < file.code.size() && IsIdentChar(file.code[end])) {
-    ++end;
-  }
-  return file.code.substr(begin, end - begin);
-}
-
-void CheckSnapshotEquivalence(const fs::path& root,
-                              const std::vector<SourceFile>& files,
-                              std::vector<Violation>* out) {
-  struct OverrideDecl {
-    std::string file;
-    size_t line;
-    std::string class_name;
-  };
-  std::vector<OverrideDecl> decls;
-  for (const SourceFile& file : files) {
-    size_t pos = 0;
-    while ((pos = FindWordStart(file.code, "SnapshotVm", pos)) !=
-           std::string::npos) {
-      // Only override declarations: the base-class virtual (no `override`
-      // in its statement) and call sites don't obligate a test.
-      if (StatementAround(file.code, pos).find("override") !=
-          std::string::npos) {
-        const std::string class_name = EnclosingClassName(file, pos);
-        bool seen = false;
-        for (const OverrideDecl& decl : decls) {
-          seen = seen || (decl.class_name == class_name &&
-                          decl.file == file.rel_path);
-        }
-        if (!class_name.empty() && !seen) {
-          decls.push_back({file.rel_path, LineOf(file, pos), class_name});
-        }
-      }
-      pos += std::string("SnapshotVm").size();
-    }
-  }
-  if (decls.empty()) {
-    return;
-  }
-
-  // A decl is covered when one tests/*.cc references the class name and
-  // both snapshot hooks (the equivalence suite by construction).
-  std::vector<std::string> test_sources;
-  const fs::path tests = root / "tests";
-  if (fs::exists(tests)) {
-    for (const auto& entry : fs::recursive_directory_iterator(tests)) {
-      if (!entry.is_regular_file() ||
-          entry.path().extension().string() != ".cc") {
-        continue;
-      }
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream text;
-      text << in.rdbuf();
-      test_sources.push_back(StripCommentsAndStrings(text.str()));
-    }
-  }
-  for (const OverrideDecl& decl : decls) {
-    bool covered = false;
-    for (const std::string& source : test_sources) {
-      if (FindWordStart(source, decl.class_name, 0) != std::string::npos &&
-          FindWordStart(source, "SnapshotVm", 0) != std::string::npos &&
-          FindWordStart(source, "RestoreVm", 0) != std::string::npos) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      out->push_back(
-          {decl.file, decl.line, "snapshot-equivalence",
-           decl.class_name +
-               " overrides SnapshotVm but no tests/*.cc references the "
-               "class together with SnapshotVm and RestoreVm; pin the "
-               "restore-vs-cold-boot equivalence in the snapshot suite"});
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -592,7 +473,6 @@ int main(int argc, char** argv) {
   CheckStateAtomicWrite(files, &violations);
   CheckBufferHygiene(files, &violations);
   CheckBenchSmoke(root, &violations);
-  CheckSnapshotEquivalence(root, files, &violations);
 
   for (const Violation& v : violations) {
     std::cout << v.file << ":" << v.line << ": [" << v.rule << "] "
