@@ -12,16 +12,14 @@
 // identical across transports by construction; the per-transport columns
 // (wire bytes moved, queue depth, wait time) show what the medium costs.
 //
-// Three sections:
+// Two sections:
 //  * NecoFuzz's default breadth-first mode (no corpus, so no cross-shard
 //    syncing and no feedback frames — shards only meet in the pipeline),
 //  * guided mode where shards exchange queue entries at every sample
-//    boundary (the "imports" column),
-//  * the merge-pipeline mode: a merge_batch sweep at a fixed worker
-//    count reporting queue depth and worker idle time (publish + feedback
-//    waits), the counters that show the many-core win once hardware
-//    allows. Results are identical across batches by construction; only
-//    the pipeline counters move.
+//    boundary (the "imports" column).
+// The idle_s column is worker idle time: publish backpressure plus
+// feedback waits (thread shards only; a child process waits in its own
+// process).
 //
 // `--smoke` shrinks the budget and sweep so CI can exercise the pipeline
 // path under optimization in seconds. `--json=PATH` writes the
@@ -63,7 +61,7 @@ CampaignOptions BaseOptions(int workers, bool coverage_guidance) {
 
 double TransportWaitSeconds(const EngineResult& result) {
   return result.transport.publish_wait_seconds +
-         result.pipeline.feedback_wait_seconds;
+         result.transport.feedback_wait_seconds;
 }
 
 uint64_t TransportWireBytes(const EngineResult& result) {
@@ -107,45 +105,6 @@ void RunSection(const char* title, bool coverage_guidance,
               "wire_kb", "qmax", "idle_s");
   for (int workers : worker_counts) {
     RunAt(workers, coverage_guidance);
-  }
-}
-
-void RunMergeBatch(int workers, int merge_batch) {
-  CampaignOptions options = BaseOptions(workers, true);
-  options.merge_batch = merge_batch;
-
-  const auto start = std::chrono::steady_clock::now();
-  const EngineResult result = CampaignEngine("kvm", options).Run();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const TransportStats& t = result.transport;
-
-  std::printf(
-      "  %7d %12.0f %8llu %8llu %8.1f %7zu %7.2f %9.3f %9.3f %9.2f%%\n",
-      merge_batch, secs > 0 ? static_cast<double>(g_budget) / secs : 0.0,
-      static_cast<unsigned long long>(t.deltas),
-      static_cast<unsigned long long>(result.pipeline.flushes),
-      static_cast<double>(TransportWireBytes(result)) / 1024.0,
-      t.max_queue_depth, t.avg_queue_depth, t.publish_wait_seconds,
-      result.pipeline.feedback_wait_seconds, result.merged.final_percent);
-  if (g_json != nullptr) {
-    const std::string suffix = "_batch" + std::to_string(merge_batch);
-    g_json->Metric("coverage" + suffix, "%", result.merged.final_percent);
-    g_json->Metric("wire_kb" + suffix, "KiB",
-                   static_cast<double>(TransportWireBytes(result)) / 1024.0);
-  }
-}
-
-void RunMergeBatchSection(int workers, const std::vector<int>& batches) {
-  std::printf(
-      "\n[merge-pipeline mode: merge_batch sweep at %d workers, guided]\n",
-      workers);
-  std::printf("  %7s %12s %8s %8s %8s %7s %7s %9s %9s %10s\n", "batch",
-              "iters/sec", "deltas", "flushes", "wire_kb", "qmax", "qavg",
-              "pub_wait", "fb_wait", "coverage");
-  for (int batch : batches) {
-    RunMergeBatch(workers, batch);
   }
 }
 
@@ -207,8 +166,6 @@ int main(int argc, char** argv) {
                    workers);
   neco::RunSection("[coverage-guided, cross-shard corpus sync active]", true,
                    workers);
-  neco::RunMergeBatchSection(4, smoke ? std::vector<int>{1, 8}
-                                      : std::vector<int>{1, 8, 32});
   if (!json_path.empty()) {
     if (!json.WriteTo(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());

@@ -62,7 +62,6 @@ CampaignOptions BenchOptions(size_t epochs) {
   options.samples = static_cast<int>(epochs);
   options.iterations = 2 * 40 * epochs;
   options.seed = 11;
-  options.merge_batch = 1;
   options.fuzzer.coverage_guidance = true;
   return options;
 }

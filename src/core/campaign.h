@@ -16,8 +16,8 @@
 namespace neco {
 
 // How CampaignEngine runs its worker shards (src/core/transport/):
-//  * kThreads — worker threads in this process, deltas over the in-proc
-//    bounded queue (InProcTransport);
+//  * kThreads — worker threads in this process, the same frames over
+//    in-memory queues (InProcTransport);
 //  * kProcesses — fork/exec'd child processes, deltas and feedback over
 //    pipes (PipeTransport + ShardSupervisor);
 //  * kSockets — shard children dial a TCP listener and speak the same
@@ -59,7 +59,7 @@ struct CampaignOptions {
   int samples = 24;
   uint64_t seed = 1;
   // Worker shards for CampaignEngine (a borrowed-target session ignores
-  // this and always runs one shard inline). Each worker derives its
+  // this and always runs one thread shard). Each worker derives its
   // fuzzer seed as seed + worker_id, so worker 0 reproduces the serial
   // campaign exactly.
   int workers = 1;
@@ -68,17 +68,11 @@ struct CampaignOptions {
   // effective in guided mode — breadth-first campaigns have no corpus,
   // so their shards run fully decoupled regardless of this flag.
   bool corpus_sync = true;
-  // Shard deltas folded per merge-pipeline flush (src/core/merge_pipeline).
-  // 1 reproduces the barrier-era one-merge-per-delta cadence; larger
-  // values amortize drainer wake-ups. Merged results and observer event
-  // sequences are identical for every value — the fold order is fixed —
-  // so this only trades flush frequency against queue depth.
-  int merge_batch = 1;
   // Thread shards, fork/exec'd process shards, or socket-dialing shard
   // children. Every mode produces bit-identical merged results and
   // observer event sequences for the same (options, target) — pinned in
   // tests/engine_test.cc. A borrowed-target session ignores this (single
-  // inline shard, like `workers`).
+  // thread shard, like `workers`).
   ShardMode shard_mode = ShardMode::kThreads;
   // With shard_mode = sockets: the address/port the parent listens on and
   // shard children dial. Port 0 binds an ephemeral port (the resolved
@@ -124,9 +118,9 @@ struct CampaignOptions {
   // last committed epoch, bit-identical to an uninterrupted run: same
   // EngineResult, and the observer event stream continues exactly where
   // the committed prefix stopped. Works across all shard modes (the
-  // journal lives in the parent; shard_mode and merge_batch may even
-  // change between incarnations). A state_dir written by different
-  // options, target, or binary is rejected at Run() with an error.
+  // journal lives in the parent; shard_mode may even change between
+  // incarnations). A state_dir written by different options, target, or
+  // binary is rejected at Run() with an error.
   std::string state_dir;
   // Materialized-snapshot cadence (src/core/state/snapshot.h): with a
   // state_dir, commit a full merged-state snapshot every N epochs, so a
@@ -134,9 +128,9 @@ struct CampaignOptions {
   // campaign, and journal files behind the previous snapshot horizon are
   // compacted away. 0 (the default) disables snapshots: resume replays
   // every committed epoch, exactly the pre-snapshot behavior. Results are
-  // invariant to this knob — like merge_batch and shard_mode it is
-  // excluded from the journal fingerprint, so the cadence may change
-  // between incarnations of the same campaign.
+  // invariant to this knob — like shard_mode it is excluded from the
+  // journal fingerprint, so the cadence may change between incarnations
+  // of the same campaign.
   size_t snapshot_every_epochs = 0;
   // Test-only fault injection: when set, every fork-mode process shard
   // calls this at the start of each epoch (in the child process). Lets

@@ -26,6 +26,19 @@
 #include "src/support/mutex.h"
 
 namespace neco {
+
+// The schedule and protocol every shard of one campaign follows, whichever
+// medium carries it. Exec'd and remote children rebuild it from their
+// ShardChildConfigRecord.
+struct ShardPlan {
+  int workers = 1;
+  int samples = 1;
+  size_t epochs = 0;          // Global epoch count (longest shard schedule).
+  bool syncing = false;       // Shards exchange corpus entries every epoch.
+  size_t start_epoch = 0;     // Snapshot horizon a resumed shard starts at.
+  size_t snapshot_every = 0;  // WorkerStateRecord cadence (journal only).
+};
+
 namespace {
 
 // --- One shard's private campaign state ----------------------------------
@@ -46,16 +59,6 @@ struct ShardContext {
   // the order ShardDelta::findings promises).
   std::unordered_set<std::string> shipped_findings;
   uint64_t imports = 0;  // Pool entries adopted (post-dedup).
-};
-
-// What the engine needs from a finished shard, whichever side of a fork it
-// ran on: thread shards fill this from their ShardContext, process shards
-// ship it as a ShardResultRecord.
-struct ShardOutcome {
-  CampaignResult result;
-  uint64_t imports = 0;
-  std::vector<std::string> crash_ids;
-  std::vector<FuzzInput> crash_inputs;  // Parallel to crash_ids.
 };
 
 uint64_t ShardBudget(uint64_t iterations, int workers, int w) {
@@ -79,8 +82,7 @@ size_t ComputeEpochs(uint64_t iterations, int workers, int samples) {
 
 void InitShard(ShardContext& state, Hypervisor* borrowed,
                const HypervisorFactory& factory,
-               const CampaignOptions& options, int workers, int w,
-               int samples) {
+               const CampaignOptions& options, const ShardPlan& plan, int w) {
   if (borrowed != nullptr) {
     state.hv = borrowed;
   } else {
@@ -100,8 +102,8 @@ void InitShard(ShardContext& state, Hypervisor* borrowed,
   state.fuzzer =
       std::make_unique<Fuzzer>(fuzzer_options, state.agent->MakeExecutor());
 
-  state.steps =
-      ChunkSchedule(ShardBudget(options.iterations, workers, w), samples);
+  state.steps = ChunkSchedule(
+      ShardBudget(options.iterations, plan.workers, w), plan.samples);
 }
 
 // --- Worker state capture/restore (materialized snapshots) ---------------
@@ -151,30 +153,72 @@ void ImportWorkerState(ShardContext& state, const CampaignOptions& options,
   }
 }
 
-// The shard epoch loop, shared by thread workers and process children:
-// absorb the previous epoch's feedback (when syncing), fuzz one step,
-// publish one wire-encoded ShardDelta. `get_feedback` and `publish`
-// abstract the transport direction; either returning false means the
-// campaign is going down and the shard stops quietly. Every worker
-// publishes one delta per global epoch — empty ones past its own schedule
-// — so the drainer can finalize epochs without tracking per-shard
-// schedules. A snapshot-resumed shard starts at `start_epoch` instead of
-// 0; with a snapshot cadence it additionally publishes a
-// WorkerStateRecord frame right before each snapshot epoch's delta.
-bool RunShardEpochs(
-    ShardContext& state, const CampaignOptions& options, int w,
-    size_t epochs, bool syncing, size_t start_epoch, size_t snapshot_every,
-    const std::function<bool(size_t, MergePipeline::Feedback*)>& get_feedback,
-    const std::function<bool(wire::Buffer)>& publish,
-    const std::function<void(int, size_t)>& fault_hook) {
-  for (size_t epoch = start_epoch; epoch < epochs; ++epoch) {
+// A shard's link to the merge side, the same two calls over every medium:
+// publish one encoded frame, receive one. Either returning false means the
+// campaign is going down (or the stream is gone) and the shard stops.
+struct ShardChannel {
+  std::function<bool(wire::Buffer)> publish;
+  std::function<bool(wire::Buffer*)> receive;
+};
+
+ShardResultRecord RecordFromContext(ShardContext& state,
+                                    const CampaignOptions& options, int w) {
+  ShardResultRecord record;
+  CoverageUnit& cov = state.hv->nested_coverage(options.arch);
+  record.worker = w;
+  record.final_percent = cov.percent();
+  record.covered_points = cov.covered_points();
+  record.total_points = cov.total_points();
+  for (size_t point : cov.CoveredSet()) {
+    record.covered_set.push_back(static_cast<uint32_t>(point));
+  }
+  for (const auto& [id, report] : state.agent->findings()) {
+    record.findings.push_back(report);
+  }
+  const FuzzerStats stats = state.fuzzer->stats();
+  record.iterations = stats.iterations;
+  record.queue_size = stats.queue_size;
+  record.unique_anomalies = stats.unique_anomalies;
+  record.bitmap_edges = stats.bitmap_edges;
+  record.watchdog_restarts = state.agent->watchdog_restarts();
+  record.imports = state.imports;
+  for (const auto& [id, input] : state.fuzzer->crashes()) {
+    record.crash_ids.push_back(id);
+    record.crash_inputs.push_back(input);
+  }
+  return record;
+}
+
+// The shard run path, shared by thread workers and process/socket
+// children: build the shard, seed it from its snapshot record (`restore`,
+// consumed; null for a fresh start), run the epoch loop, and publish the
+// ShardResultRecord. Each epoch absorbs the previous epoch's
+// FeedbackRecord (when syncing), fuzzes one step, and publishes one
+// wire-encoded ShardDelta. Every worker publishes one delta per global
+// epoch — empty ones past its own schedule — so the drainer can finalize
+// epochs without tracking per-shard schedules. With a snapshot cadence it
+// additionally publishes a WorkerStateRecord frame right before each
+// snapshot epoch's delta. Returns false when the channel failed or handed
+// over a frame that is not this shard's next feedback.
+bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
+              const CampaignOptions& options, const ShardPlan& plan, int w,
+              WorkerStateRecord* restore, const ShardChannel& channel,
+              const std::function<void(int, size_t)>& fault_hook) {
+  ShardContext state;
+  InitShard(state, borrowed, factory, options, plan, w);
+  if (restore != nullptr) {
+    ImportWorkerState(state, options, restore);
+  }
+  for (size_t epoch = plan.start_epoch; epoch < plan.epochs; ++epoch) {
     if (fault_hook) {
       fault_hook(w, epoch);
     }
     uint64_t imported = 0;
-    if (syncing && epoch > 0) {
-      MergePipeline::Feedback feedback;
-      if (!get_feedback(epoch - 1, &feedback)) {
+    if (plan.syncing && epoch > 0) {
+      wire::Buffer frame;
+      FeedbackRecord feedback;
+      if (!channel.receive(&frame) || !wire::Decode(frame, &feedback) ||
+          feedback.worker != w || feedback.epoch != epoch - 1) {
         return false;
       }
       for (const FuzzInput& input : feedback.pool_entries) {
@@ -196,7 +240,7 @@ bool RunShardEpochs(
       state.fuzzer->Run(state.steps[epoch]);
     }
 
-    if (!syncing) {
+    if (!plan.syncing) {
       // Nothing consumes queue entries without syncing; skip the
       // per-epoch input copies entirely.
       state.fuzzer->MarkQueueExported();
@@ -224,8 +268,8 @@ bool RunShardEpochs(
     // position — and publish it BEFORE the delta: per-channel FIFO then
     // guarantees the drainer has the state staged by the time the epoch
     // can fold.
-    if (snapshot_every != 0 && (epoch + 1) % snapshot_every == 0) {
-      if (!publish(wire::Encode(
+    if (plan.snapshot_every != 0 && (epoch + 1) % plan.snapshot_every == 0) {
+      if (!channel.publish(wire::Encode(
               ExportWorkerState(state, options, w, epoch + 1)))) {
         return false;
       }
@@ -234,78 +278,11 @@ bool RunShardEpochs(
     // (fuzzer_delta holds pointers, valid until the fuzzer's next Run);
     // delta.queue_entries stays empty — the bytes exist once, in the
     // corpus and then in the frame.
-    if (!publish(wire::Encode(delta, fuzzer_delta.queue_entries))) {
+    if (!channel.publish(wire::Encode(delta, fuzzer_delta.queue_entries))) {
       return false;
     }
   }
-  return true;
-}
-
-ShardOutcome CollectOutcome(ShardContext& state,
-                            const CampaignOptions& options) {
-  ShardOutcome out;
-  CampaignResult& wr = out.result;
-  CoverageUnit& cov = state.hv->nested_coverage(options.arch);
-  wr.final_percent = cov.percent();
-  wr.covered_points = cov.covered_points();
-  wr.total_points = cov.total_points();
-  wr.covered_set = cov.CoveredSet();
-  for (const auto& [id, report] : state.agent->findings()) {
-    wr.findings.push_back(report);
-  }
-  wr.fuzzer_stats = state.fuzzer->stats();
-  wr.watchdog_restarts = state.agent->watchdog_restarts();
-  out.imports = state.imports;
-  for (const auto& [id, input] : state.fuzzer->crashes()) {
-    out.crash_ids.push_back(id);
-    out.crash_inputs.push_back(input);
-  }
-  return out;
-}
-
-ShardOutcome OutcomeFromRecord(const ShardResultRecord& record) {
-  ShardOutcome out;
-  CampaignResult& wr = out.result;
-  wr.final_percent = record.final_percent;
-  wr.covered_points = static_cast<size_t>(record.covered_points);
-  wr.total_points = static_cast<size_t>(record.total_points);
-  for (uint32_t point : record.covered_set) {
-    wr.covered_set.push_back(point);
-  }
-  wr.findings = record.findings;
-  wr.fuzzer_stats.iterations = record.iterations;
-  wr.fuzzer_stats.queue_size = record.queue_size;
-  wr.fuzzer_stats.unique_anomalies = record.unique_anomalies;
-  wr.fuzzer_stats.bitmap_edges = record.bitmap_edges;
-  wr.watchdog_restarts = record.watchdog_restarts;
-  out.imports = record.imports;
-  out.crash_ids = record.crash_ids;
-  out.crash_inputs = record.crash_inputs;
-  return out;
-}
-
-ShardResultRecord RecordFromContext(ShardContext& state,
-                                    const CampaignOptions& options, int w) {
-  ShardResultRecord record;
-  ShardOutcome outcome = CollectOutcome(state, options);
-  const CampaignResult& wr = outcome.result;
-  record.worker = w;
-  record.final_percent = wr.final_percent;
-  record.covered_points = wr.covered_points;
-  record.total_points = wr.total_points;
-  for (size_t point : wr.covered_set) {
-    record.covered_set.push_back(static_cast<uint32_t>(point));
-  }
-  record.findings = wr.findings;
-  record.iterations = wr.fuzzer_stats.iterations;
-  record.queue_size = wr.fuzzer_stats.queue_size;
-  record.unique_anomalies = wr.fuzzer_stats.unique_anomalies;
-  record.bitmap_edges = wr.fuzzer_stats.bitmap_edges;
-  record.watchdog_restarts = wr.watchdog_restarts;
-  record.imports = outcome.imports;
-  record.crash_ids = std::move(outcome.crash_ids);
-  record.crash_inputs = std::move(outcome.crash_inputs);
-  return record;
+  return channel.publish(wire::Encode(RecordFromContext(state, options, w)));
 }
 
 // Closes every registered descriptor on destruction unless released;
@@ -325,30 +302,20 @@ class FdCloser {
   std::vector<int> fds_;
 };
 
-// Whether shards exchange corpus entries: syncing needs a corpus, and in
-// breadth-first mode (guidance off) nothing is ever queued or exported, so
-// shards run fully decoupled instead of idling on empty exchanges.
-bool ResolveSyncing(const CampaignOptions& options, int workers) {
-  return options.corpus_sync && workers > 1 &&
-         options.fuzzer.coverage_guidance;
-}
-
 // The journal fingerprint: everything the campaign's results depend on.
-// merge_batch and shard_mode are deliberately absent — results are
-// invariant to both, so a campaign may resume under a different transport
-// or batch size than it started with.
+// shard_mode is deliberately absent — results are invariant to it, so a
+// campaign may resume under a different transport than it started with.
 CampaignManifestRecord MakeManifest(const CampaignOptions& options,
-                                    const std::string& target, int workers,
-                                    int samples, size_t epochs,
-                                    bool syncing) {
+                                    const std::string& target,
+                                    const ShardPlan& plan) {
   CampaignManifestRecord manifest;
-  manifest.epochs = epochs;
-  manifest.workers = workers;
-  manifest.samples = samples;
+  manifest.epochs = plan.epochs;
+  manifest.workers = plan.workers;
+  manifest.samples = plan.samples;
   manifest.arch = static_cast<uint8_t>(options.arch);
   manifest.iterations = options.iterations;
   manifest.seed = options.seed;
-  manifest.corpus_sync = syncing ? 1 : 0;
+  manifest.corpus_sync = plan.syncing ? 1 : 0;
   manifest.coverage_guidance = options.fuzzer.coverage_guidance ? 1 : 0;
   manifest.havoc_stack = options.fuzzer.havoc_stack;
   manifest.splice_percent = options.fuzzer.splice_percent;
@@ -360,48 +327,54 @@ CampaignManifestRecord MakeManifest(const CampaignOptions& options,
   return manifest;
 }
 
+// The merge pipeline's options, the same for every shard mode. One probe
+// instance built by the factory — or the borrowed target — answers the
+// coverage-universe size and names the target for persisted crash
+// artifacts.
+MergePipelineOptions MakePipelineOptions(const CampaignOptions& options,
+                                         const ShardPlan& plan,
+                                         Hypervisor* borrowed,
+                                         const HypervisorFactory& factory,
+                                         CampaignJournal* journal,
+                                         const CampaignSnapshot* snapshot) {
+  const std::unique_ptr<Hypervisor> probe =
+      borrowed == nullptr ? factory() : nullptr;
+  Hypervisor& target = borrowed != nullptr ? *borrowed : *probe;
+  MergePipelineOptions pipeline;
+  pipeline.workers = plan.workers;
+  pipeline.epochs = plan.epochs;
+  pipeline.total_points = target.nested_coverage(options.arch).total_points();
+  pipeline.push_feedback = plan.syncing;
+  if (journal != nullptr) {
+    pipeline.journal = journal;
+    pipeline.resume_epochs = std::min(journal->committed_epochs(), plan.epochs);
+    pipeline.snapshot_every = plan.snapshot_every;
+    pipeline.restore = snapshot != nullptr ? &snapshot->merged : nullptr;
+    pipeline.hypervisor = std::string(target.name());
+    pipeline.arch = std::string(ArchName(options.arch));
+  }
+  return pipeline;
+}
+
 // --- The shard child loop (process/socket mode, fork and exec flavors) ---
 
-// `delta_fd` and `feedback_fd` are the same descriptor for a socket-mode
-// child: the frames are direction-tagged by type, so one full-duplex
-// stream carries both. `restore` (consumed; null for a fresh start) seeds
-// the shard from its snapshot record before the tail runs.
+// Runs the shard over the child's end of its byte stream. `delta_fd` and
+// `feedback_fd` are the same descriptor for a socket-mode child: the
+// frames are direction-tagged by type, so one full-duplex stream carries
+// both.
 int RunShardChildLoop(const HypervisorFactory& factory,
-                      const CampaignOptions& options, int workers, int w,
-                      int samples, size_t epochs, bool syncing,
-                      size_t start_epoch, size_t snapshot_every,
-                      WorkerStateRecord* restore, int delta_fd,
+                      const CampaignOptions& options, const ShardPlan& plan,
+                      int w, WorkerStateRecord* restore, int delta_fd,
                       int feedback_fd) {
   // The parent may die or abort at any time; a write into the closed pipe
   // must come back as an error code, not a process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
-  ShardContext state;
-  InitShard(state, nullptr, factory, options, workers, w, samples);
-  if (restore != nullptr) {
-    ImportWorkerState(state, options, restore);
-  }
-  const bool completed = RunShardEpochs(
-      state, options, w, epochs, syncing, start_epoch, snapshot_every,
-      [&](size_t through_epoch, MergePipeline::Feedback* out) {
-        wire::Buffer frame;
-        FeedbackRecord record;
-        if (!ReadPipeFrame(feedback_fd, &frame) ||
-            !wire::Decode(frame, &record) || record.worker != w ||
-            record.epoch != through_epoch) {
-          return false;  // Parent gone or stream corrupt: stop quietly.
-        }
-        out->pool_entries = std::move(record.pool_entries);
-        out->virgin = std::move(record.virgin);
-        return true;
-      },
+  const ShardChannel channel{
       [&](wire::Buffer frame) { return WritePipeFrame(delta_fd, frame); },
-      options.shard_fault_for_test);
-  if (!completed) {
-    return 2;  // Aborted mid-campaign; the parent reports its own error.
-  }
-  const ShardResultRecord record = RecordFromContext(state, options, w);
-  if (!WritePipeFrame(delta_fd, wire::Encode(record))) {
-    return 2;
+      [&](wire::Buffer* frame) { return ReadPipeFrame(feedback_fd, frame); }};
+  if (!RunShard(nullptr, factory, options, plan, w, restore, channel,
+                options.shard_fault_for_test)) {
+    return 2;  // Parent gone or stream corrupt; it reports its own error.
   }
   ::close(delta_fd);
   if (feedback_fd != delta_fd) {
@@ -410,19 +383,51 @@ int RunShardChildLoop(const HypervisorFactory& factory,
   return 0;
 }
 
+// Reads a shard child's startup frames off `fd`: its config record and,
+// when the config resumes from a snapshot (start_epoch > 0), the
+// WorkerStateRecord framed right behind it. False when either is missing,
+// does not decode, or belongs to another worker (a negative `worker`
+// accepts whichever the config names).
+bool ReadChildConfig(int fd, int worker, ShardChildConfigRecord* config,
+                     WorkerStateRecord* restore) {
+  wire::Buffer frame;
+  if (!ReadPipeFrame(fd, &frame) || !wire::Decode(frame, config) ||
+      (worker >= 0 && config->worker != worker)) {
+    return false;
+  }
+  return config->start_epoch == 0 ||
+         (ReadPipeFrame(fd, &frame) && wire::Decode(frame, restore) &&
+          restore->worker == config->worker &&
+          restore->epochs_covered == config->start_epoch);
+}
+
+// Runs the merge loop through the last epoch, then waits for every shard's
+// result record; throws when either falls short.
+void MergeAndCollect(MergePipeline& pipeline, ShardTransport& transport,
+                     size_t epochs) {
+  pipeline.RunMergeLoop();
+  if (pipeline.finalized_epochs() < epochs) {
+    throw std::runtime_error("CampaignEngine: campaign aborted after " +
+                             std::to_string(pipeline.finalized_epochs()) +
+                             " of " + std::to_string(epochs) + " epochs");
+  }
+  if (!transport.CollectResults()) {
+    throw std::runtime_error("CampaignEngine: " + transport.error());
+  }
+}
+
 // --- Result assembly (shared by both shard modes) ------------------------
 
 EngineResult AssembleResult(MergePipeline& pipeline,
-                            ShardTransport& transport,
-                            std::vector<ShardOutcome> outcomes, int workers,
-                            size_t epochs, size_t total_points,
-                            CampaignJournal* journal) {
+                            const ShardTransport& transport,
+                            const MergePipelineOptions& options) {
   EngineResult out;
   out.pipeline = pipeline.stats();
   out.transport = transport.stats();
-  if (journal != nullptr) {
-    out.journal = journal->stats();
+  if (options.journal != nullptr) {
+    out.journal = options.journal->stats();
   }
+  const size_t total_points = options.total_points;
   out.merged.series = pipeline.series();
   out.merged.total_points = total_points;
   const std::vector<uint8_t>& global_covered = pipeline.covered();
@@ -443,25 +448,34 @@ EngineResult AssembleResult(MergePipeline& pipeline,
   out.merged.fuzzer_stats.bitmap_edges = pipeline.virgin().CountNonZero();
 
   std::unordered_set<std::string> crash_ids;
-  for (int w = 0; w < workers; ++w) {
-    ShardOutcome& outcome = outcomes[static_cast<size_t>(w)];
-    CampaignResult& wr = outcome.result;
+  for (int w = 0; w < options.workers; ++w) {
+    const ShardResultRecord* record = transport.shard_result(w);
+    if (record == nullptr) {
+      throw std::runtime_error("CampaignEngine: shard " + std::to_string(w) +
+                               " never delivered its result record");
+    }
+    CampaignResult wr;
+    wr.final_percent = record->final_percent;
+    wr.covered_points = static_cast<size_t>(record->covered_points);
+    wr.total_points = static_cast<size_t>(record->total_points);
+    wr.covered_set.assign(record->covered_set.begin(),
+                          record->covered_set.end());
+    wr.findings = record->findings;
+    wr.fuzzer_stats = {record->iterations, record->queue_size,
+                       record->unique_anomalies, record->bitmap_edges};
+    wr.watchdog_restarts = record->watchdog_restarts;
     out.merged.fuzzer_stats.iterations += wr.fuzzer_stats.iterations;
     out.merged.fuzzer_stats.queue_size += wr.fuzzer_stats.queue_size;
-    for (const std::string& id : outcome.crash_ids) {
-      crash_ids.insert(id);
+    // Decode() guarantees the two crash arrays agree in length.
+    std::vector<std::pair<std::string, FuzzInput>>& shard_crashes =
+        out.crashes.emplace_back();
+    for (size_t i = 0; i < record->crash_ids.size(); ++i) {
+      crash_ids.insert(record->crash_ids[i]);
+      shard_crashes.emplace_back(record->crash_ids[i],
+                                 record->crash_inputs[i]);
     }
-    std::vector<std::pair<std::string, FuzzInput>> shard_crashes;
-    const size_t crash_count =
-        std::min(outcome.crash_ids.size(), outcome.crash_inputs.size());
-    shard_crashes.reserve(crash_count);
-    for (size_t i = 0; i < crash_count; ++i) {
-      shard_crashes.emplace_back(std::move(outcome.crash_ids[i]),
-                                 std::move(outcome.crash_inputs[i]));
-    }
-    out.crashes.push_back(std::move(shard_crashes));
     out.merged.watchdog_restarts += wr.watchdog_restarts;
-    out.corpus_imports += outcome.imports;
+    out.corpus_imports += record->imports;
 
     const ShardDoneEvent event{w,
                                wr.fuzzer_stats.iterations,
@@ -469,15 +483,15 @@ EngineResult AssembleResult(MergePipeline& pipeline,
                                wr.covered_points,
                                wr.fuzzer_stats.queue_size,
                                wr.findings.size(),
-                               outcome.imports,
+                               record->imports,
                                wr.watchdog_restarts};
     pipeline.NotifyShardDone(event);
     out.per_worker.push_back(std::move(wr));
   }
   out.merged.fuzzer_stats.unique_anomalies = crash_ids.size();
 
-  const FinishEvent event{workers,
-                          epochs,
+  const FinishEvent event{options.workers,
+                          options.epochs,
                           out.merged.fuzzer_stats.iterations,
                           out.merged.final_percent,
                           out.merged.covered_points,
@@ -514,93 +528,57 @@ CampaignEngine& CampaignEngine::AddObserver(CampaignObserver* observer) {
 }
 
 EngineResult CampaignEngine::Run() {
-  // A borrowed target is a single instance, hence a single inline shard
-  // (and nothing that could cross a fork).
-  const int workers =
-      borrowed_ != nullptr ? 1
-                           : (options_.workers > 0 ? options_.workers : 1);
-  const int samples = options_.samples > 0 ? options_.samples : 1;
+  ShardPlan plan;
+  // A borrowed target is a single instance, hence a single shard (and
+  // nothing that could cross a fork).
+  plan.workers = borrowed_ != nullptr ? 1 : std::max(options_.workers, 1);
+  plan.samples = std::max(options_.samples, 1);
+  plan.epochs = ComputeEpochs(options_.iterations, plan.workers, plan.samples);
+  // Syncing needs a corpus, and in breadth-first mode (guidance off)
+  // nothing is ever queued or exported, so shards run fully decoupled
+  // instead of idling on empty exchanges.
+  plan.syncing = options_.corpus_sync && plan.workers > 1 &&
+                 options_.fuzzer.coverage_guidance;
   // Durable state: open (or create) the journal before any shard starts.
   // A fingerprint mismatch — the directory belongs to a different
   // campaign — throws here, before anything runs.
   std::unique_ptr<CampaignJournal> journal;
   CampaignSnapshot snapshot;
-  size_t horizon = 0;
+  CampaignSnapshot* resume = nullptr;
   if (!options_.state_dir.empty()) {
-    const size_t epochs =
-        ComputeEpochs(options_.iterations, workers, samples);
     journal = std::make_unique<CampaignJournal>(
-        options_.state_dir,
-        MakeManifest(options_, target_name_, workers, samples, epochs,
-                     ResolveSyncing(options_, workers)));
+        options_.state_dir, MakeManifest(options_, target_name_, plan));
     // O(tail) resume: seed everything from the newest loadable snapshot
     // and replay only the epochs past its horizon. A 0 return (no
     // snapshot, or every candidate torn/corrupt) degrades to full replay
     // — never an error. The worker-count check is belt and braces: the
     // fingerprint already pins `workers`.
-    horizon = journal->LoadLatestSnapshot(&snapshot);
-    if (horizon != 0 &&
-        snapshot.workers.size() != static_cast<size_t>(workers)) {
-      horizon = 0;
+    if (journal->LoadLatestSnapshot(&snapshot) != 0 &&
+        snapshot.workers.size() == static_cast<size_t>(plan.workers)) {
+      resume = &snapshot;
+      plan.start_epoch = snapshot.epochs_covered;
     }
+    plan.snapshot_every = options_.snapshot_every_epochs;
   }
-  CampaignSnapshot* resume = horizon != 0 ? &snapshot : nullptr;
+  const MergePipelineOptions pipeline_options = MakePipelineOptions(
+      options_, plan, borrowed_, factory_, journal.get(), resume);
   if (borrowed_ == nullptr && options_.shard_mode != ShardMode::kThreads) {
-    // kProcesses and kSockets share the epoch/merge loop; only the
-    // transport setup differs.
-    return RunWithProcessShards(workers, samples, journal.get(), resume);
+    // kProcesses and kSockets share the child loop and the stream
+    // transport engine; only the transport setup differs.
+    return RunWithProcessShards(plan, pipeline_options, resume);
   }
-  return RunWithThreadShards(workers, samples, journal.get(), resume);
+  return RunWithThreadShards(plan, pipeline_options, resume);
 }
 
-EngineResult CampaignEngine::RunWithThreadShards(int workers, int samples,
-                                                 CampaignJournal* journal,
-                                                 CampaignSnapshot* snapshot) {
-  const CampaignOptions& options = options_;
-
-  std::vector<ShardContext> states(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    InitShard(states[static_cast<size_t>(w)], borrowed_, factory_, options,
-              workers, w, samples);
-  }
-  const size_t start_epoch =
-      snapshot != nullptr ? snapshot->epochs_covered : 0;
-  const size_t snapshot_every =
-      journal != nullptr ? options.snapshot_every_epochs : 0;
-  if (snapshot != nullptr) {
-    for (int w = 0; w < workers; ++w) {
-      ImportWorkerState(states[static_cast<size_t>(w)], options,
-                        &snapshot->workers[static_cast<size_t>(w)]);
-    }
-  }
-  const size_t epochs = ComputeEpochs(options.iterations, workers, samples);
-  const size_t total_points =
-      states[0].hv->nested_coverage(options.arch).total_points();
-  const bool syncing = ResolveSyncing(options, workers);
-
+EngineResult CampaignEngine::RunWithThreadShards(
+    const ShardPlan& plan, const MergePipelineOptions& pipeline_options,
+    CampaignSnapshot* snapshot) {
   InProcTransportOptions transport_options;
-  transport_options.workers = workers;
-  transport_options.merge_batch = options.merge_batch;
+  transport_options.workers = plan.workers;
   InProcTransport transport(transport_options);
-
-  MergePipelineOptions pipeline_options;
-  pipeline_options.workers = workers;
-  pipeline_options.epochs = epochs;
-  pipeline_options.total_points = total_points;
-  pipeline_options.merge_batch = options.merge_batch;
-  if (journal != nullptr) {
-    pipeline_options.journal = journal;
-    pipeline_options.resume_epochs =
-        std::min(journal->committed_epochs(), epochs);
-    pipeline_options.snapshot_every = snapshot_every;
-    pipeline_options.restore =
-        snapshot != nullptr ? &snapshot->merged : nullptr;
-    pipeline_options.hypervisor = std::string(states[0].hv->name());
-    pipeline_options.arch = std::string(ArchName(options.arch));
-  }
   MergePipeline pipeline(pipeline_options, &transport, observers_);
 
-  // A worker or merge-thread failure must not strand the other threads at
+  // A worker or merge-loop failure must not strand the other threads at
   // the queue or the feedback wait: record the first exception, abort the
   // pipeline (unblocking everybody), and rethrow after the join. (`fatal`
   // is a local, so clang's analysis cannot tie it to error_mu the way
@@ -618,65 +596,54 @@ EngineResult CampaignEngine::RunWithThreadShards(int workers, int samples,
   };
 
   auto worker_main = [&](int w) {
-    ShardContext& state = states[static_cast<size_t>(w)];
+    const ShardChannel channel{
+        [&](wire::Buffer frame) {
+          return transport.Publish(std::move(frame));
+        },
+        [&, w](wire::Buffer* frame) {
+          return transport.ReceiveFeedback(w, frame);
+        }};
     try {
-      RunShardEpochs(
-          state, options, w, epochs, syncing, start_epoch, snapshot_every,
-          [&](size_t through_epoch, MergePipeline::Feedback* out) {
-            return pipeline.WaitForFeedback(through_epoch, w, out);
-          },
-          [&](wire::Buffer frame) {
-            return transport.Publish(std::move(frame));
-          },
-          /*fault_hook=*/nullptr);
+      if (!RunShard(borrowed_, factory_, options_, plan, w,
+                    snapshot != nullptr
+                        ? &snapshot->workers[static_cast<size_t>(w)]
+                        : nullptr,
+                    channel, /*fault_hook=*/nullptr)) {
+        // The campaign is already failing (that error was recorded first),
+        // or the shard broke the protocol: fail rather than leave it hung.
+        throw std::runtime_error("CampaignEngine: shard " +
+                                 std::to_string(w) +
+                                 " stopped before delivering its result");
+      }
     } catch (...) {
       capture(std::current_exception());
     }
   };
 
-  std::thread merge_thread([&] {
-    try {
-      pipeline.RunMergeLoop();
-    } catch (...) {
-      capture(std::current_exception());
-    }
-  });
-
-  if (workers == 1) {
-    worker_main(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
+  // Every shard builds and runs on its own thread; the merge loop runs on
+  // this one.
+  std::vector<std::thread> threads;
+  try {
+    for (int w = 0; w < plan.workers; ++w) {
       threads.emplace_back(worker_main, w);
     }
-    for (auto& thread : threads) {
-      thread.join();
-    }
+    MergeAndCollect(pipeline, transport, plan.epochs);
+  } catch (...) {
+    capture(std::current_exception());
   }
-  merge_thread.join();
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
   if (fatal) {
     std::rethrow_exception(fatal);
   }
-
-  std::vector<ShardOutcome> outcomes;
-  outcomes.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    outcomes.push_back(
-        CollectOutcome(states[static_cast<size_t>(w)], options));
-  }
-  return AssembleResult(pipeline, transport, std::move(outcomes), workers,
-                        epochs, total_points, journal);
+  return AssembleResult(pipeline, transport, pipeline_options);
 }
 
-EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
-                                                  CampaignJournal* journal,
-                                                  CampaignSnapshot* snapshot) {
+EngineResult CampaignEngine::RunWithProcessShards(
+    const ShardPlan& plan, const MergePipelineOptions& pipeline_options,
+    CampaignSnapshot* snapshot) {
   const CampaignOptions& options = options_;
-  const size_t start_epoch =
-      snapshot != nullptr ? snapshot->epochs_covered : 0;
-  const size_t snapshot_every =
-      journal != nullptr ? options.snapshot_every_epochs : 0;
   const bool sockets = options.shard_mode == ShardMode::kSockets;
   const bool exec_mode = !options.shard_exec_path.empty();
   const bool remote = sockets && options.remote_launcher != nullptr;
@@ -687,19 +654,6 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
         "name");
   }
 
-  const size_t epochs = ComputeEpochs(options.iterations, workers, samples);
-  const bool syncing = ResolveSyncing(options, workers);
-  size_t total_points = 0;
-  std::string hv_name;
-  {
-    // One throwaway instance answers the coverage-universe question the
-    // thread path reads off its worker states (and names the target for
-    // persisted crash artifacts).
-    const std::unique_ptr<Hypervisor> probe = factory_();
-    total_points = probe->nested_coverage(options.arch).total_points();
-    hv_name = std::string(probe->name());
-  }
-
   // Everything an exec'd or remote child needs to rebuild its shard; fork
   // children receive (and discard) the same record so the handshake is
   // uniform.
@@ -707,13 +661,13 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     ShardChildConfigRecord config;
     config.target = target_name_;
     config.worker = w;
-    config.workers = workers;
-    config.epochs = epochs;
+    config.workers = plan.workers;
+    config.epochs = plan.epochs;
     config.arch = static_cast<uint8_t>(options.arch);
     config.iterations = options.iterations;
-    config.samples = samples;
+    config.samples = plan.samples;
     config.seed = options.seed;
-    config.syncing = syncing ? 1 : 0;
+    config.syncing = plan.syncing ? 1 : 0;
     config.coverage_guidance = options.fuzzer.coverage_guidance ? 1 : 0;
     config.havoc_stack = options.fuzzer.havoc_stack;
     config.splice_percent = options.fuzzer.splice_percent;
@@ -722,8 +676,8 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     config.use_configurator = options.agent.use_configurator ? 1 : 0;
     config.oracle_interval = options.agent.oracle_interval;
     config.crash_dir = options.agent.crash_dir;
-    config.start_epoch = start_epoch;
-    config.snapshot_every = snapshot_every;
+    config.start_epoch = plan.start_epoch;
+    config.snapshot_every = plan.snapshot_every;
     wire::Buffer frame = wire::Encode(config);
     // Snapshot resume: the shard's materialized state rides the same
     // stream, framed right behind the config (children read one frame at
@@ -744,7 +698,7 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
 
   if (sockets) {
     SocketTransportOptions transport_options;
-    transport_options.workers = workers;
+    transport_options.workers = plan.workers;
     transport_options.address = options.listen_address;
     transport_options.port = options.listen_port;
     transport_options.accept_timeout_seconds = options.socket_accept_timeout;
@@ -753,7 +707,7 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     transport = std::move(owned);
     const uint16_t port = socket_transport->port();
 
-    for (int w = 0; w < workers; ++w) {
+    for (int w = 0; w < plan.workers; ++w) {
       if (remote) {
         if (!options.remote_launcher(
                 {w, options.listen_address, port, target_name_})) {
@@ -783,28 +737,18 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
             return 2;
           }
           // A fork child inherits its configuration through memory, but
-          // reads the config frame anyway so the stream afterwards
-          // carries feedback frames only.
-          wire::Buffer frame;
+          // reads its startup frames anyway so the stream afterwards
+          // carries feedback frames only (a resume's state frame is
+          // decoded off the stream, like an exec'd child would).
           ShardChildConfigRecord config;
-          if (!ReadPipeFrame(sock, &frame) || !wire::Decode(frame, &config)) {
-            ::close(sock);
-            return 2;
-          }
-          // Same for the snapshot state frame trailing the config on a
-          // resume — decoded off the stream, like an exec'd child would.
           WorkerStateRecord restore;
-          if (config.start_epoch > 0 &&
-              (!ReadPipeFrame(sock, &frame) ||
-               !wire::Decode(frame, &restore) || restore.worker != w)) {
+          if (!ReadChildConfig(sock, w, &config, &restore)) {
             ::close(sock);
             return 2;
           }
-          return RunShardChildLoop(factory, options, workers, w, samples,
-                                   epochs, syncing, start_epoch,
-                                   snapshot_every,
-                                   config.start_epoch > 0 ? &restore : nullptr,
-                                   sock, sock);
+          return RunShardChildLoop(
+              factory, options, plan, w,
+              config.start_epoch > 0 ? &restore : nullptr, sock, sock);
         });
         if (pid < 0) {
           throw std::runtime_error("CampaignEngine: fork() failed");
@@ -819,7 +763,7 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     // any close sweep racing the exec.
     std::vector<PipeShardChannel> channels;
     FdCloser parent_ends;  // Until PipeTransport takes ownership.
-    for (int w = 0; w < workers; ++w) {
+    for (int w = 0; w < plan.workers; ++w) {
       int delta[2] = {-1, -1};
       int feedback[2] = {-1, -1};
       if (::pipe2(delta, O_CLOEXEC) != 0) {
@@ -862,8 +806,7 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
           // memory, like the rest of its configuration (no config frame
           // is sent on the pipe-fork path).
           return RunShardChildLoop(
-              factory, options, workers, w, samples, epochs, syncing,
-              start_epoch, snapshot_every,
+              factory, options, plan, w,
               snapshot != nullptr
                   ? &snapshot->workers[static_cast<size_t>(w)]
                   : nullptr,
@@ -886,27 +829,10 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     transport = std::make_unique<PipeTransport>(std::move(channels));
   }
 
-  MergePipelineOptions pipeline_options;
-  pipeline_options.workers = workers;
-  pipeline_options.epochs = epochs;
-  pipeline_options.total_points = total_points;
-  pipeline_options.merge_batch = options.merge_batch;
-  pipeline_options.push_feedback = syncing;
-  if (journal != nullptr) {
-    pipeline_options.journal = journal;
-    pipeline_options.resume_epochs =
-        std::min(journal->committed_epochs(), epochs);
-    pipeline_options.snapshot_every = snapshot_every;
-    pipeline_options.restore =
-        snapshot != nullptr ? &snapshot->merged : nullptr;
-    pipeline_options.hypervisor = hv_name;
-    pipeline_options.arch = std::string(ArchName(options.arch));
-  }
   MergePipeline pipeline(pipeline_options, transport.get(), observers_);
 
-  // There are no worker threads in the parent, so the merge loop runs
-  // inline; any failure (corrupt delta, dead shard, failed handshake)
-  // lands here.
+  // There are no worker threads in the parent; any failure of the merge
+  // loop (corrupt delta, dead shard, failed handshake) lands here.
   try {
     if (sockets) {
       // The handshake doubles as config delivery; with a local launcher a
@@ -931,21 +857,13 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     } else if (exec_mode) {
       // Exec'd pipe children know nothing yet: ship each one its config
       // record before expecting the first delta.
-      for (int w = 0; w < workers; ++w) {
+      for (int w = 0; w < plan.workers; ++w) {
         if (!transport->SendFeedback(w, child_config(w))) {
           throw std::runtime_error("CampaignEngine: " + transport->error());
         }
       }
     }
-    pipeline.RunMergeLoop();
-    if (pipeline.finalized_epochs() < epochs) {
-      throw std::runtime_error("CampaignEngine: campaign aborted after " +
-                               std::to_string(pipeline.finalized_epochs()) +
-                               " of " + std::to_string(epochs) + " epochs");
-    }
-    if (!transport->CollectResults()) {
-      throw std::runtime_error("CampaignEngine: " + transport->error());
-    }
+    MergeAndCollect(pipeline, *transport, plan.epochs);
   } catch (const std::exception& e) {
     // Harvest whoever already died (the likely culprit) for the error
     // message, then tear the rest down so nothing outlives the campaign.
@@ -987,18 +905,7 @@ EngineResult CampaignEngine::RunWithProcessShards(int workers, int samples,
     }
   }
 
-  std::vector<ShardOutcome> outcomes;
-  outcomes.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    const ShardResultRecord* record = transport->shard_result(w);
-    if (record == nullptr) {
-      throw std::runtime_error("CampaignEngine: shard " + std::to_string(w) +
-                               " never delivered its result record");
-    }
-    outcomes.push_back(OutcomeFromRecord(*record));
-  }
-  return AssembleResult(pipeline, *transport, std::move(outcomes), workers,
-                        epochs, total_points, journal);
+  return AssembleResult(pipeline, *transport, pipeline_options);
 }
 
 namespace {
@@ -1071,19 +978,9 @@ int MaybeRunShardChild(int argc, char** argv) {
     return 2;
   }
 
-  wire::Buffer frame;
   ShardChildConfigRecord config;
-  if (!ReadPipeFrame(feedback_fd, &frame) || !wire::Decode(frame, &config) ||
-      (worker_arg >= 0 && config.worker != worker_arg)) {
-    return 2;
-  }
-  // Snapshot resume: a non-zero start epoch promises a WorkerStateRecord
-  // frame right behind the config on the same stream.
   WorkerStateRecord restore;
-  if (config.start_epoch > 0 &&
-      (!ReadPipeFrame(feedback_fd, &frame) || !wire::Decode(frame, &restore) ||
-       restore.worker != config.worker ||
-       restore.epochs_covered != config.start_epoch)) {
+  if (!ReadChildConfig(feedback_fd, worker_arg, &config, &restore)) {
     return 2;
   }
   try {
@@ -1092,9 +989,7 @@ int MaybeRunShardChild(int argc, char** argv) {
     CampaignOptions options;
     options.arch = static_cast<Arch>(config.arch);
     options.iterations = config.iterations;
-    options.samples = config.samples;
     options.seed = config.seed;
-    options.workers = config.workers;
     options.fuzzer.coverage_guidance = config.coverage_guidance != 0;
     options.fuzzer.havoc_stack = config.havoc_stack;
     options.fuzzer.splice_percent = config.splice_percent;
@@ -1103,12 +998,15 @@ int MaybeRunShardChild(int argc, char** argv) {
     options.agent.use_configurator = config.use_configurator != 0;
     options.agent.oracle_interval = config.oracle_interval;
     options.agent.crash_dir = config.crash_dir;
-    return RunShardChildLoop(
-        factory, options, config.workers, config.worker, config.samples,
-        config.epochs, config.syncing != 0,
-        static_cast<size_t>(config.start_epoch),
-        static_cast<size_t>(config.snapshot_every),
-        config.start_epoch > 0 ? &restore : nullptr, delta_fd, feedback_fd);
+    const ShardPlan plan{.workers = config.workers,
+                         .samples = config.samples,
+                         .epochs = config.epochs,
+                         .syncing = config.syncing != 0,
+                         .start_epoch = config.start_epoch,
+                         .snapshot_every = config.snapshot_every};
+    return RunShardChildLoop(factory, options, plan, config.worker,
+                             config.start_epoch > 0 ? &restore : nullptr,
+                             delta_fd, feedback_fd);
   } catch (...) {
     return 1;
   }

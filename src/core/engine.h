@@ -10,25 +10,24 @@
 // path at different widths.
 //
 // Since PR 3 the merge path is a delta pipeline, not a lock-step barrier:
-// every worker owns a private Hypervisor/Agent/Fuzzer (coverage units are
-// not thread-safe) and, once per epoch, publishes a wire-encoded
-// ShardDelta (src/core/wire.h) into a ShardTransport
-// (src/core/transport/). A single merge loop (src/core/merge_pipeline.h)
+// every shard owns a private Hypervisor/Agent/Fuzzer (coverage units are
+// not thread-safe) and runs one shard loop whatever carries its frames:
+// once per epoch it publishes a wire-encoded ShardDelta (src/core/wire.h)
+// into a ShardTransport (src/core/transport/), reads one FeedbackRecord
+// per epoch when shards sync, and ends with a ShardResultRecord. A single
+// merge loop (src/core/merge_pipeline.h) on the thread that called Run()
 // drains the transport, folds deltas into the global view in
-// deterministic (epoch, worker) order, and fires observer events in that
-// same merge-ordered sequence, concurrently with the shards' next epoch.
-// CampaignOptions::merge_batch sets how many deltas a flush folds;
-// results and event sequences are identical for every value (1 recovers
-// the barrier-era cadence).
+// deterministic (epoch, worker) order, pushes each epoch's feedback, and
+// fires observer events in that same merge-ordered sequence, concurrently
+// with the shards' next epoch.
 //
 // CampaignOptions::shard_mode picks the transport:
-//  * threads (default) — worker threads publish into the in-proc bounded
-//    queue (backpressure when full; corpus-syncing workers pull feedback
-//    straight from the pipeline);
+//  * threads (default) — one worker thread per shard, exchanging the
+//    frames over in-memory queues (InProcTransport; backpressure when the
+//    queue toward the merge loop is full);
 //  * processes — the engine fork(/exec)s one child process per shard
-//    (ShardSupervisor), children ship the same wire frames over pipes
-//    (PipeTransport), and the drainer pushes per-epoch FeedbackRecords
-//    back;
+//    (ShardSupervisor) and the children exchange the same frames over
+//    pipes (PipeTransport);
 //  * sockets — the engine listens on a TCP port (SocketTransport) and
 //    shard children dial in, handshake (hello -> config record), and
 //    stream the same frames over the connection. The launcher is
@@ -47,10 +46,10 @@
 // Every event is a plain serializable wire record, and delivery is
 // deterministic and merge-ordered: two runs with identical (options,
 // target) produce identical event sequences.
-// Events fire on the merge thread (final-assembly events on the calling
-// thread), never concurrently. Observer exceptions cannot strand or kill
-// the campaign: every callback is guarded, the first exception is
-// recorded, and Run() rethrows it after all shards joined.
+// Events fire on the thread that called Run(), never concurrently.
+// Observer exceptions cannot strand or kill the campaign: every callback
+// is guarded, the first exception is recorded, and Run() rethrows it
+// after all shards joined.
 #ifndef SRC_CORE_ENGINE_H_
 #define SRC_CORE_ENGINE_H_
 
@@ -74,8 +73,8 @@ namespace neco {
 // Default-no-op interface; override the events you care about. Observers
 // are borrowed (caller keeps ownership) and must stay alive across Run().
 // The event records themselves live in src/core/wire.h, next to their
-// serialized form. Callbacks run on the merge thread (ShardDone/Finish on
-// the thread calling Run()) and are never invoked concurrently. A
+// serialized form. Callbacks run on the thread calling Run() and are
+// never invoked concurrently. A
 // callback that throws does not terminate the process: the engine records
 // the first exception, keeps the campaign (and other observers) running,
 // and rethrows it from Run() after every shard joined.
@@ -102,16 +101,15 @@ struct EngineResult {
   // Queue entries adopted across shards over the whole campaign.
   uint64_t corpus_imports = 0;
   // Per-worker crash reproduction: the (bug id, input) pairs each shard's
-  // fuzzer saved, in discovery order. Thread shards read them off their
-  // own fuzzer; process and socket shards ship them home inside their
-  // ShardResultRecord — which is what makes a crash found on a remote
+  // fuzzer saved, in discovery order. Every shard ships them home inside
+  // its ShardResultRecord — which is what makes a crash found on a remote
   // machine reproducible on the parent. Identical across shard modes.
   std::vector<std::vector<std::pair<std::string, FuzzInput>>> crashes;
-  // Merge-loop counters (flushes, thread-shard feedback waits).
+  // Merge-loop counters (flushes).
   MergePipelineStats pipeline;
-  // Transport counters: bytes and queue depth through whichever
-  // ShardTransport carried the campaign (the per-transport columns of
-  // bench/parallel_scaling).
+  // Transport counters: bytes, queue depth and thread-shard waits through
+  // whichever ShardTransport carried the campaign (the per-transport
+  // columns of bench/parallel_scaling).
   TransportStats transport;
   // Durable-state counters (all zero without CampaignOptions::state_dir):
   // epochs committed and replayed, bytes fsync'd, crash artifacts
@@ -121,6 +119,8 @@ struct EngineResult {
 };
 
 // --- The session object --------------------------------------------------
+
+struct ShardPlan;  // engine.cc: the schedule every shard of one Run() follows.
 
 class CampaignEngine {
  public:
@@ -136,8 +136,8 @@ class CampaignEngine {
 
   // Borrowed-target session: runs against an existing instance the caller
   // keeps alive and owns. A single instance cannot shard, so this mode
-  // always runs one inline shard regardless of options.workers (the
-  // historical serial-campaign contract).
+  // always runs one thread shard regardless of options.workers and
+  // options.shard_mode (the historical serial-campaign contract).
   explicit CampaignEngine(Hypervisor& target, CampaignOptions options = {});
 
   // Registers a borrowed observer for subsequent Run() calls.
@@ -151,17 +151,19 @@ class CampaignEngine {
   EngineResult Run();
 
  private:
+  // Run() resolves the plan and the pipeline options, the same for every
+  // shard mode; each path only launches and tears down its shards.
   // `snapshot` is the materialized resume point loaded from the journal
   // (null for a fresh or snapshot-less campaign): shards seed their
   // private state from snapshot->workers and start at the horizon, the
   // pipeline seeds its merged state from snapshot->merged, and only the
   // tail past the horizon is replayed.
-  EngineResult RunWithThreadShards(int workers, int samples,
-                                   CampaignJournal* journal,
+  EngineResult RunWithThreadShards(const ShardPlan& plan,
+                                   const MergePipelineOptions& pipeline_options,
                                    CampaignSnapshot* snapshot);
-  EngineResult RunWithProcessShards(int workers, int samples,
-                                    CampaignJournal* journal,
-                                    CampaignSnapshot* snapshot);
+  EngineResult RunWithProcessShards(
+      const ShardPlan& plan, const MergePipelineOptions& pipeline_options,
+      CampaignSnapshot* snapshot);
 
   HypervisorFactory factory_;
   Hypervisor* borrowed_ = nullptr;

@@ -1,7 +1,6 @@
 #include "src/core/merge_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -11,12 +10,6 @@
 
 namespace neco {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 // An epoch's observer events in barrier-era order: per worker the corpus
 // sync first, then that worker's new findings; the coverage sample last.
@@ -40,19 +33,16 @@ MergePipeline::MergePipeline(MergePipelineOptions options,
   if (options_.workers < 1) {
     options_.workers = 1;
   }
-  if (options_.merge_batch < 1) {
-    options_.merge_batch = 1;
-  }
   global_covered_.assign(options_.total_points, 0);
-  cursors_.resize(static_cast<size_t>(options_.workers));
   if (options_.restore == nullptr) {
     return;
   }
   // Snapshot-seeded start: reinstate the merged state exactly as the fold
-  // of epoch horizon-1 left it, cursors included, so the first live epoch
-  // (the horizon) merges — and feeds back — bit-identically to the
-  // uninterrupted run. No thread has the pipeline yet; the lock is taken
-  // purely so the -Wthread-safety discipline holds without waivers.
+  // of epoch horizon-1 left it, that epoch's feedback included, so the
+  // first live epoch (the horizon) merges — and feeds back —
+  // bit-identically to the uninterrupted run. No thread has the pipeline
+  // yet; the lock is taken purely so the -Wthread-safety discipline holds
+  // without waivers.
   MutexLock lock(&state_mu_);
   const SnapshotMergedStateRecord& restore = *options_.restore;
   const size_t horizon = restore.epochs_covered;
@@ -63,13 +53,11 @@ MergePipeline::MergePipeline(MergePipelineOptions options,
   for (const AnomalyReport& report : restore.findings) {
     global_findings_.emplace(report.bug_id, report);
   }
-  // Pool entries below prior_pool_end were consumed by every cursor
-  // before the snapshot, so placeholders keep the indices honest and the
-  // bytes stay out of the snapshot.
-  pool_.resize(restore.prior_pool_end);
   for (size_t i = 0; i < restore.pool_inputs.size(); ++i) {
-    pool_.push_back({restore.pool_origins[i], restore.pool_inputs[i]});
+    epoch_pool_.push_back({restore.pool_origins[i], restore.pool_inputs[i]});
   }
+  epoch_virgin_ = restore.feedback_virgin;
+  pool_end_ = restore.pool_end;
   const size_t samples = std::min(restore.series_iterations.size(),
                                   restore.series_percents.size());
   for (size_t i = 0; i < samples; ++i) {
@@ -77,18 +65,6 @@ MergePipeline::MergePipeline(MergePipelineOptions options,
         {restore.series_iterations[i], restore.series_percents[i]});
   }
   total_iterations_ = restore.total_iterations;
-  // Feedback entries below the horizon are placeholders no cursor can
-  // reach; the horizon epoch's entry is live — it is what every worker's
-  // first feedback request (for epoch horizon-1) drains.
-  feedback_.resize(horizon);
-  if (horizon > 0) {
-    feedback_[horizon - 1].virgin = restore.feedback_virgin;
-    feedback_[horizon - 1].pool_end = restore.pool_end;
-  }
-  for (WorkerCursor& cursor : cursors_) {
-    cursor.pool = restore.prior_pool_end;
-    cursor.epoch = horizon == 0 ? 0 : horizon - 1;
-  }
 }
 
 // Note on memory: the transport bounds *encoded* deltas in flight, but the
@@ -163,15 +139,17 @@ void MergePipeline::FoldReadyEpochs() {
     PendingEvents events;
     // Journal mode: the epoch's new crash artifacts, in fold order, and
     // the commit trailer's merged-state summary — both assembled under
-    // the lock, persisted after it (fsync must not block WaitForFeedback).
+    // the lock, persisted after it (and after the feedback push, so no
+    // shard waits on an fsync).
     std::vector<CrashRecord> crashes;
     EpochCommitRecord summary;
     const bool snapshot_now =
         options_.journal != nullptr && !replay && SnapshotEpoch(epoch);
     CampaignSnapshot snapshot;
+    epoch_pool_.clear();
+    epoch_virgin_ = {};
     {
       MutexLock lock(&state_mu_);
-      EpochFeedback fb;
       // The barrier accumulated the epoch's iteration total before
       // merging any shard, so the sample reflects every worker.
       for (const StagedDelta& staged : deltas) {
@@ -187,14 +165,14 @@ void MergePipeline::FoldReadyEpochs() {
           events.order.push_back(0);
         }
         for (FuzzInput& input : delta.queue_entries) {
-          pool_.push_back({w, std::move(input)});
+          epoch_pool_.push_back({w, std::move(input)});
         }
         for (size_t i = 0; i < delta.virgin.size(); ++i) {
           const uint32_t cell = delta.virgin.cells[i];
           const uint8_t grown =
               global_virgin_.OrCell(cell, delta.virgin.bits[i]);
           if (grown != 0) {
-            fb.virgin.Append(cell, grown);
+            epoch_virgin_.Append(cell, grown);
           }
         }
         covered_count_ +=
@@ -237,18 +215,17 @@ void MergePipeline::FoldReadyEpochs() {
                     static_cast<double>(options_.total_points);
       series_.push_back({total_iterations_, percent});
       events.sample = {epoch, total_iterations_, percent, covered_count_};
-      fb.pool_end = pool_.size();
+      pool_end_ += epoch_pool_.size();
       summary.iterations = total_iterations_;
       summary.covered_points = covered_count_;
-      summary.pool_end = fb.pool_end;
+      summary.pool_end = pool_end_;
       summary.findings = global_findings_.size();
       summary.percent = percent;
-      feedback_.push_back(std::move(fb));
       finalized_ = epoch + 1;
       if (snapshot_now) {
         // Materialize the merged half of the snapshot exactly as the fold
-        // just left it — including the feedback entry and pool boundary a
-        // restored incarnation's first feedback request will drain.
+        // just left it — including the epoch's feedback, which a restored
+        // incarnation pushes again before its first live epoch.
         snapshot.epochs_covered = epoch + 1;
         SnapshotMergedStateRecord& merged = snapshot.merged;
         merged.epochs_covered = epoch + 1;
@@ -262,20 +239,27 @@ void MergePipeline::FoldReadyEpochs() {
         for (const auto& [id, report] : global_findings_) {
           merged.findings.push_back(report);
         }
-        merged.prior_pool_end = epoch == 0 ? 0 : feedback_[epoch - 1].pool_end;
-        merged.pool_end = feedback_[epoch].pool_end;
-        for (size_t i = merged.prior_pool_end; i < merged.pool_end; ++i) {
-          merged.pool_origins.push_back(pool_[i].origin);
-          merged.pool_inputs.push_back(pool_[i].input);
+        merged.prior_pool_end = pool_end_ - epoch_pool_.size();
+        merged.pool_end = pool_end_;
+        for (const PoolEntry& entry : epoch_pool_) {
+          merged.pool_origins.push_back(entry.origin);
+          merged.pool_inputs.push_back(entry.input);
         }
         for (const CoverageSample& sample : series_) {
           merged.series_iterations.push_back(sample.iteration);
           merged.series_percents.push_back(sample.percent);
         }
         merged.total_iterations = total_iterations_;
-        merged.feedback_virgin = feedback_[epoch].virgin;
+        merged.feedback_virgin = epoch_virgin_;
       }
-      feedback_cv_.NotifyAll();
+    }
+
+    // Feedback leaves before the crash-artifact saves, the commit and the
+    // events, so shards run their next epoch while the journal fsyncs.
+    // Replayed epochs push too (the shards re-execute them); the final
+    // epoch has no consumer (shards read feedback *before* an epoch).
+    if (options_.push_feedback && epoch + 1 < options_.epochs) {
+      PushEpochFeedback(epoch);
     }
 
     if (options_.journal != nullptr) {
@@ -339,15 +323,6 @@ void MergePipeline::FoldReadyEpochs() {
       Notify([&](CampaignObserver* obs) { obs->OnSample(events.sample); });
     }
 
-    // Process shards cannot reach WaitForFeedback, so the drainer pushes
-    // each epoch's feedback through the transport instead — same cursors,
-    // same content, replayed epochs included (the children re-execute
-    // them too). The final epoch's feedback has no consumer (shards read
-    // feedback *before* an epoch, and there is no next epoch).
-    if (options_.push_feedback && epoch + 1 < options_.epochs) {
-      PushEpochFeedback(epoch);
-    }
-
     // Replayed snapshot epochs discard their staged states here (the
     // journal already holds that snapshot); committed ones were consumed.
     staged_states_.erase(epoch);
@@ -361,13 +336,13 @@ void MergePipeline::PushEpochFeedback(size_t epoch) {
     FeedbackRecord record;
     record.epoch = epoch;
     record.worker = w;
-    Feedback feedback;
-    {
-      MutexLock lock(&state_mu_);
-      BuildFeedbackLocked(epoch, w, &feedback);
+    record.pool_entries.reserve(epoch_pool_.size());
+    for (const PoolEntry& entry : epoch_pool_) {
+      if (entry.origin != w) {
+        record.pool_entries.push_back(entry.input);
+      }
     }
-    record.pool_entries = std::move(feedback.pool_entries);
-    record.virgin = std::move(feedback.virgin);
+    record.virgin = epoch_virgin_;
     if (!transport_->SendFeedback(w, wire::Encode(record))) {
       throw std::runtime_error("MergePipeline: " + transport_->error());
     }
@@ -375,20 +350,17 @@ void MergePipeline::PushEpochFeedback(size_t epoch) {
 }
 
 void MergePipeline::RunMergeLoop() {
-  // Snapshot-seeded process campaign: the original incarnation pushed the
-  // horizon epoch's feedback right after folding it, and the restored
-  // children (which start AT the horizon) will block reading it — so
-  // re-push it from the restored cursors before draining anything. The
-  // cursors advance exactly as they did originally, keeping every later
-  // feedback bit-identical.
+  // Snapshot-seeded campaign: the original incarnation pushed epoch
+  // horizon-1's feedback right after folding it, and the restored shards
+  // (which start AT the horizon) will block reading it — so push it again
+  // from the restored state before draining anything.
   if (options_.push_feedback && options_.restore != nullptr &&
       next_epoch_ > 0 && next_epoch_ < options_.epochs) {
     PushEpochFeedback(next_epoch_ - 1);
   }
   std::vector<wire::Buffer> batch;
   while (next_epoch_ < options_.epochs) {
-    if (!transport_->Drain(static_cast<size_t>(options_.merge_batch),
-                           &batch)) {
+    if (!transport_->Drain(&batch)) {
       const std::string error = transport_->error();
       if (!error.empty()) {
         // A shard died mid-campaign (or the stream corrupted): fail loudly
@@ -432,55 +404,9 @@ void MergePipeline::RunMergeLoop() {
   }
 }
 
-void MergePipeline::BuildFeedbackLocked(size_t through_epoch, int worker,
-                                        Feedback* out) {
-  out->pool_entries.clear();
-  out->virgin = {};
-  WorkerCursor& cursor = cursors_[static_cast<size_t>(worker)];
-  // The pool boundary recorded at `through_epoch` keeps the answer
-  // identical however far ahead the drainer has folded by now.
-  const size_t pool_end = feedback_[through_epoch].pool_end;
-  // Upper bound (the worker's own entries are filtered out below); one
-  // allocation instead of growth doubling across a large catch-up span.
-  out->pool_entries.reserve(pool_end - cursor.pool);
-  for (size_t i = cursor.pool; i < pool_end; ++i) {
-    if (pool_[i].origin != worker) {
-      out->pool_entries.push_back(pool_[i].input);
-    }
-  }
-  cursor.pool = pool_end;
-  for (size_t epoch = cursor.epoch; epoch <= through_epoch; ++epoch) {
-    out->virgin.Append(feedback_[epoch].virgin);
-  }
-  cursor.epoch = through_epoch + 1;
-}
-
-bool MergePipeline::WaitForFeedback(size_t through_epoch, int worker,
-                                    Feedback* out) {
-  out->pool_entries.clear();
-  out->virgin = {};
-  MutexLock lock(&state_mu_);
-  if (finalized_ <= through_epoch && !aborted_) {
-    const auto start = Clock::now();
-    while (finalized_ <= through_epoch && !aborted_) {
-      feedback_cv_.Wait(state_mu_);
-    }
-    stats_.feedback_wait_seconds += SecondsSince(start);
-  }
-  if (aborted_) {
-    return false;
-  }
-  BuildFeedbackLocked(through_epoch, worker, out);
-  return true;
-}
-
 void MergePipeline::Abort() {
   aborted_ = true;
   transport_->Abort();
-  {
-    MutexLock lock(&state_mu_);
-    feedback_cv_.NotifyAll();
-  }
 }
 
 template <typename Fn>
@@ -522,7 +448,7 @@ MergePipelineStats MergePipeline::stats() const {
 
 // The merged-state accessors lock like every other reader. Before this
 // they returned the members without state_mu_ — correct only because the
-// engine calls them after joining the merge thread, but exactly the kind
+// engine calls them after the merge loop returned, but exactly the kind
 // of by-convention discipline -Wthread-safety exists to replace.
 const CoverageBitmap& MergePipeline::virgin() const {
   MutexLock lock(&state_mu_);

@@ -4,28 +4,21 @@
 // PR 4 split it from its medium. Workers publish self-contained,
 // wire-encoded ShardDeltas (src/core/wire.h) into a ShardTransport
 // (src/core/transport/) — an in-process bounded queue for thread shards,
-// pipes from fork/exec'd children for process shards — and the merge loop
-// drains whichever transport it was given, decodes, assigns deterministic
-// epoch numbers, and folds into the global virgin bitmap, covered set,
-// finding-dedup map, and corpus pool in fixed (epoch, worker) order.
-// Observer events therefore fire in exactly the same merge-ordered
-// sequence the barrier produced, for any merge_batch, any thread timing,
-// and any transport; only wall-clock interleaving changes.
+// pipes or sockets from child processes for process and socket shards —
+// and the merge loop drains whichever transport it was given, decodes,
+// assigns deterministic epoch numbers, and folds into the global virgin
+// bitmap, covered set, finding-dedup map, and corpus pool in fixed
+// (epoch, worker) order. Observer events therefore fire in exactly the
+// same merge-ordered sequence the barrier produced, for any drain size,
+// any thread timing, and any transport; only wall-clock interleaving
+// changes.
 //
 // Feedback (the merged state corpus-syncing shards absorb at epoch
-// boundaries) flows back two ways, same content either way:
-//  * thread shards pull it: WaitForFeedback() blocks until the epoch is
-//    finalized, then snapshots against per-worker cursors;
-//  * process shards get it pushed: with options.push_feedback the drainer
-//    encodes a FeedbackRecord per worker right after finalizing an epoch
-//    and sends it through the transport, using the same cursors — so a
-//    shard sees identical feedback whichever side of the fork it runs on.
-//
-// Determinism: the pool boundary and global-novelty delta are recorded
-// per finalized epoch, so a worker asking for "the merged state through
-// epoch E" gets the same answer no matter how far ahead the drainer has
-// already folded. That property is what makes results independent of
-// merge_batch and of the transport (tested in tests/engine_test.cc).
+// boundaries) is pushed in every shard mode: with options.push_feedback
+// the drainer sends each worker a FeedbackRecord right after folding an
+// epoch — the other shards' pool entries from that epoch plus its global
+// novelty. Shards absorb every epoch's feedback in order, so that one
+// epoch is all the pipeline keeps.
 #ifndef SRC_CORE_MERGE_PIPELINE_H_
 #define SRC_CORE_MERGE_PIPELINE_H_
 
@@ -56,13 +49,8 @@ struct MergePipelineOptions {
   // complete epoch from a pending one.
   size_t epochs = 0;
   size_t total_points = 0;  // Line-coverage universe size.
-  // Deltas drained per flush; 1 reproduces the barrier-era one-merge-per-
-  // delta cadence. Results are identical for any value.
-  int merge_batch = 1;
   // Push an encoded FeedbackRecord to every worker through the transport
-  // after finalizing each epoch (process shards; mutually exclusive with
-  // the workers calling WaitForFeedback — both advance the same per-worker
-  // cursors).
+  // after folding each epoch but the last: set whenever shards sync.
   bool push_feedback = false;
   // Durable campaign state (src/core/state/journal.h), borrowed; null for
   // a memory-resident campaign. With a journal, every finalized epoch is
@@ -71,10 +59,10 @@ struct MergePipelineOptions {
   // never gets ahead of what a resume can reproduce.
   CampaignJournal* journal = nullptr;
   // Epochs already committed by a previous incarnation. The fold replays
-  // them: merged state, cursors, and feedback advance exactly as they
-  // originally did, the re-published frames are verified byte-for-byte
-  // against the journal, and observer events are suppressed — the stream
-  // resumes precisely where the interrupted run's commits stopped.
+  // them: merged state and feedback advance exactly as they originally
+  // did, the re-published frames are verified byte-for-byte against the
+  // journal, and observer events are suppressed — the stream resumes
+  // precisely where the interrupted run's commits stopped.
   size_t resume_epochs = 0;
   // Materialized-snapshot cadence (journal mode; 0 disables): at every
   // snapshot_every-th epoch the workers publish a WorkerStateRecord frame
@@ -85,10 +73,9 @@ struct MergePipelineOptions {
   size_t snapshot_every = 0;
   // Resume seed (borrowed, may be null): the merged half of the snapshot
   // the campaign restarts from. The pipeline then starts with epochs
-  // [0, restore->epochs_covered) already finalized — merged state,
-  // feedback bookkeeping, and per-worker cursors positioned exactly as
-  // the original incarnation left them at the horizon — and the fold
-  // begins at the horizon instead of epoch 0.
+  // [0, restore->epochs_covered) already finalized — merged state and the
+  // last epoch's feedback as the original incarnation left them — and
+  // the fold begins at the horizon instead of epoch 0.
   const SnapshotMergedStateRecord* restore = nullptr;
   // Crash-artifact metadata stamped into persisted records (journal mode).
   std::string hypervisor;
@@ -99,9 +86,6 @@ struct MergePipelineOptions {
 // see TransportStats).
 struct MergePipelineStats {
   uint64_t flushes = 0;  // Drainer wake-ups.
-  // Time thread shards spent blocked in WaitForFeedback (always 0 with
-  // push_feedback — a process shard's wait happens in its own process).
-  double feedback_wait_seconds = 0.0;
 };
 
 class MergePipeline {
@@ -114,37 +98,19 @@ class MergePipeline {
   MergePipeline(MergePipelineOptions options, ShardTransport* transport,
                 std::vector<CampaignObserver*> observers);
 
-  // --- Thread-shard feedback (pull side) ---
-
-  // The merged state a syncing shard absorbs at an epoch boundary (the
-  // in-memory twin of the wire FeedbackRecord).
-  struct Feedback {
-    // Other shards' pool entries, in deterministic pool order.
-    std::vector<FuzzInput> pool_entries;
-    // Global novelty (cells merged into the global virgin map) since this
-    // worker's previous feedback.
-    BitmapDelta virgin;
-  };
-
-  // Blocks until epoch `through_epoch` is finalized, then fills `out`
-  // with everything merged through it that `worker` has not seen yet.
-  // Returns false when the pipeline was aborted.
-  bool WaitForFeedback(size_t through_epoch, int worker, Feedback* out)
-      NECO_EXCLUDES(state_mu_);
-
   // --- Drainer ---
 
   // Drains the transport and folds published deltas until every epoch is
-  // finalized (or Abort()). The engine runs this on a dedicated merge
-  // thread (inline for process shards); observer events fire here, never
-  // concurrently. Throws std::runtime_error on a corrupt delta or a
-  // transport failure (a dead shard surfaces here, never as a hang).
+  // finalized (or Abort()). The engine runs this on the thread that
+  // called Run(); observer events fire here, never concurrently. Throws
+  // std::runtime_error on a corrupt delta or a transport failure (a dead
+  // shard surfaces here, never as a hang).
   void RunMergeLoop() NECO_EXCLUDES(state_mu_);
 
-  // Aborts the transport (unblocking its producers and Drain) and every
-  // WaitForFeedback (they return false); used when a worker dies so
-  // nobody waits forever.
-  void Abort() NECO_EXCLUDES(state_mu_);
+  // Aborts the transport (unblocking its producers, Drain, and shards
+  // waiting for feedback); used when a worker dies so nobody waits
+  // forever.
+  void Abort();
   bool aborted() const { return aborted_; }
 
   // --- Exception-guarded observer dispatch for the final assembly ---
@@ -155,10 +121,10 @@ class MergePipeline {
 
   // --- Merged state accessors ---
   // The returned references stay valid for the pipeline's lifetime, but
-  // their *contents* are only stable once RunMergeLoop() returned (and
-  // the merge thread joined) — which is the only time the engine reads
-  // them. Each accessor still takes the lock for the member access so the
-  // discipline is compiler-checked end to end, not waived for readers.
+  // their *contents* are only stable once RunMergeLoop() returned — which
+  // is the only time the engine reads them. Each accessor still takes the
+  // lock for the member access so the discipline is compiler-checked end
+  // to end, not waived for readers.
   const CoverageBitmap& virgin() const NECO_EXCLUDES(state_mu_);
   const std::vector<uint8_t>& covered() const NECO_EXCLUDES(state_mu_);
   size_t covered_points() const NECO_EXCLUDES(state_mu_);
@@ -169,18 +135,9 @@ class MergePipeline {
   MergePipelineStats stats() const NECO_EXCLUDES(state_mu_);
 
  private:
-  // What a finalized epoch leaves behind for later feedback requests.
-  struct EpochFeedback {
-    BitmapDelta virgin;   // Cells the fold newly set globally.
-    size_t pool_end = 0;  // Pool size when the epoch was finalized.
-  };
   struct PoolEntry {
     int origin = 0;
     FuzzInput input;
-  };
-  struct WorkerCursor {
-    size_t pool = 0;   // Pool entries already handed to this worker.
-    size_t epoch = 0;  // Next feedback epoch to hand out.
   };
 
   // A decoded delta plus (journal mode only) the exact frame bytes it
@@ -202,14 +159,9 @@ class MergePipeline {
            (epoch + 1) % options_.snapshot_every == 0;
   }
   void FoldReadyEpochs() NECO_EXCLUDES(state_mu_);
-  // Snapshots `worker`'s unseen merged state through `through_epoch` and
-  // advances its cursors; caller holds state_mu_ and the epoch must be
-  // finalized. Shared by WaitForFeedback and the push_feedback path.
-  void BuildFeedbackLocked(size_t through_epoch, int worker, Feedback* out)
-      NECO_REQUIRES(state_mu_);
-  // Encodes and pushes every worker's FeedbackRecord for `epoch`; throws
-  // on a transport failure.
-  void PushEpochFeedback(size_t epoch) NECO_EXCLUDES(state_mu_);
+  // Encodes and pushes every worker's FeedbackRecord for `epoch`, the
+  // last folded one; throws on a transport failure.
+  void PushEpochFeedback(size_t epoch);
   template <typename Fn>
   void Notify(Fn&& fn) NECO_EXCLUDES(error_mu_);
 
@@ -228,24 +180,24 @@ class MergePipeline {
   std::map<uint64_t, std::vector<std::unique_ptr<WorkerStateRecord>>>
       staged_states_;
   size_t next_epoch_ = 0;
+  // The last folded epoch's feedback, drainer-only like staged_: the pool
+  // entries it published (in fold order, with their origin worker), the
+  // cells it newly set globally, and the pool count through it.
+  std::vector<PoolEntry> epoch_pool_;
+  BitmapDelta epoch_virgin_;
+  size_t pool_end_ = 0;
 
-  // Global merged state: written by the drainer under state_mu_, read by
-  // WaitForFeedback (worker threads) and — through the locking accessors
-  // above — the engine.
+  // Global merged state: written by the drainer under state_mu_, read
+  // through the locking accessors above.
   mutable Mutex state_mu_;
-  CondVar feedback_cv_;
   MergePipelineStats stats_ NECO_GUARDED_BY(state_mu_);
   CoverageBitmap global_virgin_ NECO_GUARDED_BY(state_mu_);
   std::vector<uint8_t> global_covered_ NECO_GUARDED_BY(state_mu_);
   size_t covered_count_ NECO_GUARDED_BY(state_mu_) = 0;
   std::map<std::string, AnomalyReport> global_findings_
       NECO_GUARDED_BY(state_mu_);
-  std::vector<PoolEntry> pool_ NECO_GUARDED_BY(state_mu_);
   std::vector<CoverageSample> series_ NECO_GUARDED_BY(state_mu_);
   uint64_t total_iterations_ NECO_GUARDED_BY(state_mu_) = 0;
-  // Indexed by finalized epoch.
-  std::vector<EpochFeedback> feedback_ NECO_GUARDED_BY(state_mu_);
-  std::vector<WorkerCursor> cursors_ NECO_GUARDED_BY(state_mu_);
   size_t finalized_ NECO_GUARDED_BY(state_mu_) = 0;
 
   mutable Mutex error_mu_;

@@ -332,19 +332,18 @@ bool FrameStreamTransport::PumpOnce() {
   return error().empty();
 }
 
-bool FrameStreamTransport::Drain(size_t max_batch,
-                                 std::vector<wire::Buffer>* out) {
+bool FrameStreamTransport::Drain(std::vector<wire::Buffer>* out) {
   out->clear();
   while (pending_.empty()) {
     if (!PumpOnce()) {
       return false;
     }
   }
-  const size_t n = std::min(pending_.size(), std::max<size_t>(max_batch, 1));
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(std::move(pending_.front()));
-    pending_.pop_front();
+  out->reserve(pending_.size());
+  for (wire::Buffer& frame : pending_) {
+    out->push_back(std::move(frame));
   }
+  pending_.clear();
   return true;
 }
 

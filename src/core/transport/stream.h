@@ -68,20 +68,14 @@ class FrameStreamTransport : public ShardTransport {
   FrameStreamTransport& operator=(const FrameStreamTransport&) = delete;
 
   // ShardTransport:
-  bool Drain(size_t max_batch, std::vector<wire::Buffer>* out) override;
+  bool Drain(std::vector<wire::Buffer>* out) override;
   bool SendFeedback(int worker, const wire::Buffer& frame) override
       NECO_EXCLUDES(mu_);
+  bool CollectResults() override;
+  const ShardResultRecord* shard_result(int worker) const override;
   void Abort() override;
   std::string error() const override NECO_EXCLUDES(mu_);
   TransportStats stats() const override NECO_EXCLUDES(mu_);
-
-  // After the merge loop finished: keeps reading until every shard's
-  // ShardResultRecord arrived (they follow the final deltas, so they may
-  // or may not be buffered already). Returns false on abort or error.
-  bool CollectResults();
-
-  // Worker `worker`'s final summary, or nullptr if it never arrived.
-  const ShardResultRecord* shard_result(int worker) const;
 
   // The first worker observed dead (mid-campaign EOF / connection reset
   // on its delta stream, or EPIPE writing its feedback), or -1. "Dead" is

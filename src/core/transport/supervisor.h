@@ -23,7 +23,7 @@
 // Spawning must happen before the parent starts its worker/merge threads
 // (fork from a multithreaded process only copies the calling thread, which
 // would strand locks in the child). CampaignEngine respects this: children
-// are spawned first, and in process mode the merge loop runs inline.
+// are spawned first, and in process mode the parent runs no other thread.
 #ifndef SRC_CORE_TRANSPORT_SUPERVISOR_H_
 #define SRC_CORE_TRANSPORT_SUPERVISOR_H_
 

@@ -7,9 +7,9 @@
 // drains *a transport* — it no longer owns a queue — so the same drain /
 // stage / fold loop serves:
 //
-//  * InProcTransport (src/core/transport/inproc.h): the bounded in-memory
-//    MPSC deque the pipeline historically embedded, for thread shards
-//    inside one process,
+//  * InProcTransport (src/core/transport/inproc.h): a bounded in-memory
+//    MPSC deque toward the drainer plus per-worker feedback queues and
+//    result slots, for thread shards inside one process,
 //  * PipeTransport (src/core/transport/pipe.h): length-prefixed frames
 //    from fork/exec'd child-shard processes over pipes, with per-epoch
 //    FeedbackRecord frames flowing back, for campaigns that scale past
@@ -19,10 +19,14 @@
 //    past one machine (both stream backends share the poll/demux engine
 //    in src/core/transport/stream.h).
 //
-// The contract is deterministic content: a transport moves opaque encoded
-// frames without reordering records from the same shard, so the fold — and
-// therefore merged results and observer event sequences — is identical
-// whichever backend carried the bytes (pinned in tests/engine_test.cc).
+// Every backend carries the same frames: from each shard its ShardDeltas
+// (plus WorkerStateRecords at snapshot epochs) and one final
+// ShardResultRecord, back to each syncing shard one FeedbackRecord per
+// epoch. The contract is deterministic content: a transport moves opaque
+// encoded frames without reordering records from the same shard, so the
+// fold — and therefore merged results and observer event sequences — is
+// identical whichever backend carried the bytes (pinned in
+// tests/engine_test.cc).
 //
 // SIGPIPE constraint: the stream backends write to descriptors whose peer
 // can die at any moment, which must surface as an error code (EPIPE), not
@@ -58,28 +62,39 @@ struct TransportStats {
                                  // only: a child process blocks in the pipe
                                  // buffer, invisible to the parent).
   double publish_wait_seconds = 0.0;
+  // Thread shards blocked on their next feedback frame (in-proc only, like
+  // the publish wait).
+  double feedback_wait_seconds = 0.0;
 };
 
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
 
-  // Drainer side: blocks until at least one encoded ShardDelta is
-  // available, then moves up to `max_batch` of them into `*out` (cleared
-  // first). Returns false when no delta will ever arrive again — the
-  // transport was aborted, or a producer failed (see error()).
-  virtual bool Drain(size_t max_batch, std::vector<wire::Buffer>* out) = 0;
+  // Drainer side: blocks until at least one encoded frame (a ShardDelta,
+  // or a WorkerStateRecord at a snapshot epoch) is available, then moves
+  // every queued frame into `*out` (cleared first), in arrival order.
+  // Returns false when no frame will ever arrive again — the transport
+  // was aborted, or a producer failed (see error()).
+  virtual bool Drain(std::vector<wire::Buffer>* out) = 0;
 
   // Ships one encoded frame (a FeedbackRecord, or a ShardChildConfigRecord
-  // at startup) toward shard `worker`. In-process transports no-op and
-  // return true: thread shards read merged state straight from the
-  // pipeline (MergePipeline::WaitForFeedback). Returns false when the
-  // shard can no longer receive (dead child / aborted transport); the
-  // failure is also recorded in error().
+  // at startup) toward shard `worker`, which reads it as its next frame.
+  // Returns false when the shard can no longer receive (dead child /
+  // aborted transport); the failure is also recorded in error().
   virtual bool SendFeedback(int worker, const wire::Buffer& frame) = 0;
 
-  // Unblocks Drain() and every producer; both fail fast afterwards. Safe
-  // to call from any thread, repeatedly.
+  // After the merge loop finished: waits until every shard's
+  // ShardResultRecord arrived (they follow the final deltas, so they may
+  // or may not be in already). Returns false on abort or error.
+  virtual bool CollectResults() = 0;
+
+  // Worker `worker`'s final summary, or nullptr if it never arrived.
+  virtual const ShardResultRecord* shard_result(int worker) const = 0;
+
+  // Unblocks Drain(), every producer and every shard waiting for
+  // feedback; all fail fast afterwards. Safe to call from any thread,
+  // repeatedly.
   virtual void Abort() = 0;
 
   // Non-empty after a transport-level failure (producer died mid-stream,

@@ -365,6 +365,9 @@ void Fields(Io& io, ShardChildConfigRecord& r) {
      r.splice_percent, r.use_harness, r.use_validator, r.use_configurator,
      r.oracle_interval, r.crash_dir, r.start_epoch, r.snapshot_every);
   io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
+  // A shard that cannot exist: the child would divide its budget by zero
+  // or run a worker slot no parent owns.
+  io.Check(r.workers >= 1 && r.worker >= 0 && r.worker < r.workers);
   // A tail that ends before it begins: nothing legitimate encodes that.
   io.Check(r.start_epoch <= r.epochs);
 }

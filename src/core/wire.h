@@ -11,12 +11,12 @@
 //    new queue entries, new findings. Shards communicate with the merge
 //    loop exclusively through these; nothing shares in-memory fuzzer
 //    state across threads (or, with process shards, across processes).
-//  * The process-sharding records: FeedbackRecord (the per-epoch merged
+//  * The shard-protocol records: FeedbackRecord (the per-epoch merged
 //    state a syncing shard absorbs — pool entries + the global-novelty
-//    BitmapDelta — pushed from the drainer to child shards),
-//    ShardResultRecord (a child shard's final per-worker summary, shipped
-//    after its last delta — including the crash reproduction inputs, so
-//    nothing stays resident in a child that may live on another machine),
+//    BitmapDelta — pushed from the drainer to every shard),
+//    ShardResultRecord (a shard's final per-worker summary, shipped after
+//    its last delta — including the crash reproduction inputs, so nothing
+//    stays resident in a child that may live on another machine),
 //    ShardChildConfigRecord (the campaign configuration an exec'd
 //    --necofuzz-shard-child process reads at startup), and
 //    ShardHelloRecord (the socket-transport handshake: a dialing shard
@@ -152,24 +152,23 @@ struct ShardDelta {
 // --- Process-sharding records --------------------------------------------
 
 // The merged state a syncing shard absorbs at an epoch boundary, as the
-// drainer pushes it to a process shard over its feedback pipe (the
-// serialized form of MergePipeline::Feedback; thread shards pull the same
-// content through MergePipeline::WaitForFeedback instead).
+// drainer pushes it to every shard (over an in-proc queue, a pipe, or a
+// socket) right after folding the epoch.
 struct FeedbackRecord {
-  uint64_t epoch = 0;  // Feedback covers merged state through this epoch.
-  int worker = 0;      // Target shard (lets the child validate routing).
-  // Other shards' pool entries, in deterministic pool order.
+  uint64_t epoch = 0;  // The folded epoch this feedback comes from.
+  int worker = 0;      // Target shard (lets the shard validate routing).
+  // Other shards' pool entries published in that epoch, in fold order.
   std::vector<FuzzInput> pool_entries;
-  // Global novelty (cells merged into the global virgin map) since this
-  // worker's previous feedback.
+  // Global novelty: cells that epoch newly merged into the global virgin
+  // map.
   BitmapDelta virgin;
 
   bool operator==(const FeedbackRecord&) const = default;
 };
 
-// A child shard's final per-worker state, shipped after its last delta so
-// the parent can assemble EngineResult::per_worker (and the ShardDoneEvent
-// stream) bit-identically to thread mode.
+// A shard's final per-worker state, shipped after its last delta; the
+// engine assembles EngineResult::per_worker (and the ShardDoneEvent
+// stream) from these in every shard mode.
 struct ShardResultRecord {
   int worker = 0;
   double final_percent = 0.0;
@@ -260,9 +259,9 @@ struct ShardChildConfigRecord {
 // after the epoch file it names is durable. The remaining fields
 // fingerprint the campaign: a journal opened with a different fingerprint
 // is a different campaign (different schedule, seeds, or target), so the
-// open throws rather than silently mixing two runs' state. merge_batch
-// and shard_mode are deliberately absent: results are invariant to both,
-// so a campaign may resume under a different transport or batch size.
+// open throws rather than silently mixing two runs' state. shard_mode is
+// deliberately absent: results are invariant to it, so a campaign may
+// resume under a different transport.
 struct CampaignManifestRecord {
   static constexpr uint32_t kMagic = 0x4D4A434Eu;  // "NCJM" little-endian.
   uint32_t magic = kMagic;
@@ -382,17 +381,18 @@ struct WorkerStateRecord {
 };
 
 // The merge pipeline's global state at the snapshot horizon: the merged
-// views plus exactly the feedback bookkeeping a resumed pipeline needs to
-// push the next epoch's feedback (cursors resume from the horizon, so
-// only the pool slice newer than the previous feedback round and the
-// horizon epoch's virgin delta travel).
+// views plus the last folded epoch's feedback, which a resumed pipeline
+// pushes again before its first live epoch (every shard absorbed the
+// earlier epochs' feedback, so only that epoch's pool slice and virgin
+// delta travel).
 struct SnapshotMergedStateRecord {
   uint64_t epochs_covered = 0;
   BitmapDelta virgin;             // Global virgin map vs empty.
   std::vector<uint32_t> covered;  // Global covered point ids, ascending.
   std::vector<AnomalyReport> findings;  // Bug-id order (merge map order).
-  // Shared corpus pool: entries at index < prior_pool_end were already
-  // pulled by every cursor, so only [prior_pool_end, pool_end) ships.
+  // Shared corpus pool: prior_pool_end entries were published before the
+  // last folded epoch and pool_end through it; only that epoch's slice
+  // [prior_pool_end, pool_end) ships.
   // Parallel arrays (origin worker + input bytes); Decode() rejects
   // disagreement, and rejects prior_pool_end > pool_end or a slice whose
   // length disagrees with the two bounds.
@@ -404,8 +404,8 @@ struct SnapshotMergedStateRecord {
   std::vector<uint64_t> series_iterations;
   std::vector<double> series_percents;
   uint64_t total_iterations = 0;
-  // The horizon epoch's feedback virgin delta (what a cursor that already
-  // consumed epochs < horizon still needs).
+  // The last folded epoch's feedback virgin delta (the cells it newly set
+  // globally).
   BitmapDelta feedback_virgin;
 
   bool operator==(const SnapshotMergedStateRecord&) const = default;

@@ -1,13 +1,13 @@
 // Tests for the CampaignEngine session API and its delta-based merge
 // pipeline: registry round-trip (register/list/construct), loud failure
 // on unknown targets, observer event-stream determinism, barrier-era
-// golden event ordering at merge_batch=1 (in thread AND process AND
-// socket shard mode), merge_batch invariance of results and event
-// sequences, process/socket-shard equivalence (shard_mode=processes and
+// golden event ordering (in thread AND process AND socket shard mode),
+// process/socket-shard equivalence (shard_mode=processes and
 // shard_mode=sockets both reproduce the thread-mode EngineResult —
 // including the shipped-home crash reproduction inputs — and event
-// sequence exactly), dead-shard error reporting (kill -9 over a pipe and
-// an abruptly cut socket alike), and the observer exception guard.
+// sequence exactly, over the same frames), dead-shard error reporting
+// (kill -9 over a pipe and an abruptly cut socket alike), a failing
+// thread shard releasing its siblings, and the observer exception guard.
 //
 // This suite defines its own main() (calling MaybeRunShardChild before
 // gtest) so exec-mode campaigns can re-exec this binary as real shard
@@ -17,6 +17,7 @@
 #include <signal.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
@@ -296,10 +297,10 @@ class GoldenObserver : public CampaignObserver {
 
 // This exact event sequence was captured from the PR 2 engine — the
 // stop-the-world barrier implementation — for (kvm, AMD, 900 iterations,
-// 3 samples, seed 7, 3 workers, guided). The delta pipeline at
-// merge_batch=1 must reproduce it verbatim whichever transport carries
-// the deltas: same epochs, same worker order within an epoch, same
-// sync/finding interleaving, same merged counters.
+// 3 samples, seed 7, 3 workers, guided). The delta pipeline must
+// reproduce it verbatim whichever transport carries the deltas: same
+// epochs, same worker order within an epoch, same sync/finding
+// interleaving, same merged counters.
 std::vector<std::string> BarrierEraGolden() {
   return {
       "sync epoch=0 worker=0 published=23 imported=0",
@@ -330,7 +331,6 @@ CampaignOptions GoldenOptions() {
   options.samples = 3;
   options.seed = 7;
   options.workers = 3;
-  options.merge_batch = 1;
   options.fuzzer.coverage_guidance = true;
   return options;
 }
@@ -363,45 +363,8 @@ TEST(SocketShardGoldenTest, SocketShardsReproduceTheBarrierEraGolden) {
   EXPECT_EQ(observer.log, BarrierEraGolden());
 }
 
-TEST(MergePipelineDeterminismTest, MergeBatchChangesNeitherResultsNorEvents) {
-  // merge_batch only controls how many queued deltas one drainer flush
-  // folds; the fold order is fixed, so merged coverage, findings, and the
-  // whole observer event sequence must be identical at workers=4.
-  CampaignOptions options = SmallOptions(Arch::kAmd, 1600, 4);
-  options.fuzzer.coverage_guidance = true;
-
-  options.merge_batch = 1;
-  RecordingObserver barrier_cadence;
-  const EngineResult a =
-      CampaignEngine("kvm", options).AddObserver(&barrier_cadence).Run();
-
-  options.merge_batch = 5;
-  RecordingObserver batched;
-  const EngineResult b =
-      CampaignEngine("kvm", options).AddObserver(&batched).Run();
-
-  EXPECT_EQ(a.merged.covered_set, b.merged.covered_set);
-  EXPECT_EQ(a.merged.final_percent, b.merged.final_percent);
-  EXPECT_EQ(a.merged.fuzzer_stats.bitmap_edges,
-            b.merged.fuzzer_stats.bitmap_edges);
-  EXPECT_EQ(a.corpus_imports, b.corpus_imports);
-  ASSERT_EQ(a.merged.findings.size(), b.merged.findings.size());
-  for (size_t i = 0; i < a.merged.findings.size(); ++i) {
-    EXPECT_EQ(a.merged.findings[i].bug_id, b.merged.findings[i].bug_id);
-  }
-  ASSERT_EQ(a.per_worker.size(), b.per_worker.size());
-  for (size_t w = 0; w < a.per_worker.size(); ++w) {
-    EXPECT_EQ(a.per_worker[w].covered_set, b.per_worker[w].covered_set);
-    EXPECT_EQ(a.per_worker[w].fuzzer_stats.queue_size,
-              b.per_worker[w].fuzzer_stats.queue_size);
-  }
-  ASSERT_FALSE(barrier_cadence.log.empty());
-  EXPECT_EQ(barrier_cadence.log, batched.log);
-}
-
 TEST(MergePipelineStatsTest, PipelineAndTransportCountersAreReported) {
   CampaignOptions options = SmallOptions(Arch::kIntel, 600, 2);
-  options.merge_batch = 4;
   const EngineResult result = CampaignEngine("kvm", options).Run();
 
   // One delta per worker per epoch, empty trailing epochs included.
@@ -412,11 +375,10 @@ TEST(MergePipelineStatsTest, PipelineAndTransportCountersAreReported) {
   EXPECT_LE(result.pipeline.flushes, result.transport.deltas);
   EXPECT_GE(result.transport.max_queue_depth, 1u);
   EXPECT_GE(result.transport.avg_queue_depth, 0.0);
-  // Thread shards pull feedback in-process; nothing travels a transport.
-  EXPECT_EQ(result.transport.feedback_records, 0u);
   // Breadth-first mode has no corpus to exchange, so shards are fully
-  // decoupled: the feedback wait site is never entered.
-  EXPECT_EQ(result.pipeline.feedback_wait_seconds, 0.0);
+  // decoupled: no feedback frame is sent and none is waited for.
+  EXPECT_EQ(result.transport.feedback_records, 0u);
+  EXPECT_EQ(result.transport.feedback_wait_seconds, 0.0);
 }
 
 // --- Process shards vs thread shards -------------------------------------
@@ -453,6 +415,14 @@ TEST(ProcessShardTest, FourProcessShardsReproduceFourThreadShardsExactly) {
   // The deltas genuinely travelled pipes, and feedback flowed back.
   EXPECT_GT(process_result.transport.delta_bytes, 0u);
   EXPECT_GT(process_result.transport.feedback_records, 0u);
+  // Thread shards exchange the very same frames over their in-proc queues
+  // (fork children get no config frame, so the counts match exactly).
+  EXPECT_EQ(thread_result.transport.delta_bytes,
+            process_result.transport.delta_bytes);
+  EXPECT_EQ(thread_result.transport.feedback_records,
+            process_result.transport.feedback_records);
+  EXPECT_EQ(thread_result.transport.feedback_bytes,
+            process_result.transport.feedback_bytes);
 }
 
 TEST(ProcessShardTest, BreadthFirstProcessShardsMatchThreadShards) {
@@ -624,6 +594,48 @@ TEST(ProcessShardTest, ExecModeRequiresARegistryName) {
   CampaignEngine engine(
       HypervisorFactory([] { return std::make_unique<SimKvm>(); }), options);
   EXPECT_THROW(engine.Run(), std::invalid_argument);
+}
+
+// --- Failing thread shards -----------------------------------------------
+
+// A SimKvm whose StartVm throws once the campaign-wide boot count reaches
+// kFailingBoot: exactly one call, in whichever instance gets there first
+// (not chosen by construction order, which the engine does not promise).
+class FailingKvm : public SimKvm {
+ public:
+  static constexpr int kFailingBoot = 150;
+
+  explicit FailingKvm(std::atomic<int>* boots) : boots_(boots) {}
+
+  void StartVm(const VcpuConfig& config) override {
+    if (boots_->fetch_add(1) == kFailingBoot) {
+      throw std::runtime_error("StartVm failed on purpose");
+    }
+    SimKvm::StartVm(config);
+  }
+
+ private:
+  std::atomic<int>* boots_;
+};
+
+TEST(CampaignEngineTest, FailingThreadShardReleasesItsSiblings) {
+  // Guided with two workers, so when one shard throws mid-campaign its
+  // sibling is blocked on feedback or on the queue. Run() must unblock it,
+  // join every thread, and rethrow the shard's exception.
+  CampaignOptions options = SmallOptions(Arch::kIntel, 600, 2);
+  options.fuzzer.coverage_guidance = true;
+  std::atomic<int> boots{0};
+  CampaignEngine engine(HypervisorFactory([&boots] {
+                          return std::make_unique<FailingKvm>(&boots);
+                        }),
+                        options);
+  try {
+    engine.Run();
+    FAIL() << "expected the shard's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "StartVm failed on purpose");
+  }
+  EXPECT_GT(boots.load(), FailingKvm::kFailingBoot);
 }
 
 // --- Observer exception guard --------------------------------------------

@@ -2,21 +2,26 @@
 // drained through an InProcTransport, exercised directly with synthetic
 // wire-encoded ShardDeltas: epoch finalization from out-of-order arrivals,
 // deterministic (epoch, worker) fold order, first-wins finding dedup,
-// feedback snapshots, merge_batch invariance, queue capacity semantics
-// (explicit bound, 0 = derived default — never unbounded), backpressure,
-// abort semantics, and corrupt-delta rejection.
+// drain-size invariance, the feedback pushed each epoch and when it leaves
+// relative to the journal commit, queue capacity semantics (explicit
+// bound, 0 = derived default — never unbounded), backpressure, result
+// slots, abort semantics, and corrupt-delta rejection.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.h"
 #include "src/core/merge_pipeline.h"
+#include "src/core/state/journal.h"
 #include "src/core/transport/inproc.h"
 #include "src/core/wire.h"
 
@@ -82,42 +87,40 @@ std::vector<wire::Buffer> CannedDeltas() {
   return out;
 }
 
-InProcTransportOptions TwoWorkerTransportOptions(int merge_batch = 1) {
+InProcTransportOptions TwoWorkerTransportOptions() {
   InProcTransportOptions options;
   options.workers = 2;
-  options.merge_batch = merge_batch;
   options.capacity = 16;
   return options;
 }
 
-MergePipelineOptions TwoWorkerOptions(int merge_batch = 1) {
+MergePipelineOptions TwoWorkerOptions() {
   MergePipelineOptions options;
   options.workers = 2;
   options.epochs = 2;
   options.total_points = 8;
-  options.merge_batch = merge_batch;
   return options;
+}
+
+// Decodes the next feedback frame queued for `worker`.
+FeedbackRecord NextFeedback(InProcTransport& transport, int worker) {
+  wire::Buffer frame;
+  FeedbackRecord record;
+  EXPECT_TRUE(transport.ReceiveFeedback(worker, &frame));
+  EXPECT_TRUE(wire::Decode(frame, &record));
+  return record;
 }
 
 // --- InProcTransport capacity semantics ----------------------------------
 
 TEST(InProcTransportTest, ZeroCapacityDerivesTheDefaultNotUnbounded) {
   // capacity = 0 is the "pick for me" marker, NOT an unbounded queue: it
-  // derives max(2 * workers, merge_batch) — one epoch of deltas plus a
-  // flush in flight.
+  // derives 2 * workers — one epoch of deltas plus the next.
   {
     InProcTransportOptions options;
     options.workers = 3;
-    options.merge_batch = 1;
     options.capacity = 0;
     EXPECT_EQ(InProcTransport(options).capacity(), 6u);
-  }
-  {
-    InProcTransportOptions options;
-    options.workers = 2;
-    options.merge_batch = 32;  // A large flush dominates the bound.
-    options.capacity = 0;
-    EXPECT_EQ(InProcTransport(options).capacity(), 32u);
   }
   {
     // Explicit capacities are honored as-is, even below the derived
@@ -151,9 +154,10 @@ TEST(InProcTransportTest, ExplicitCapacityBoundsTheQueue) {
   }
   EXPECT_EQ(transport.stats().publish_blocks, 1u);
   EXPECT_FALSE(returned);
+  // A drain takes every queued frame.
   std::vector<wire::Buffer> batch;
-  ASSERT_TRUE(transport.Drain(1, &batch));
-  EXPECT_EQ(batch.size(), 1u);
+  ASSERT_TRUE(transport.Drain(&batch));
+  EXPECT_EQ(batch.size(), 3u);
   publisher.join();
   EXPECT_TRUE(returned);
   EXPECT_LE(transport.stats().max_queue_depth, 3u);
@@ -194,30 +198,48 @@ TEST(MergePipelineTest, OutOfOrderArrivalsFoldInEpochWorkerOrder) {
   EXPECT_EQ(pipeline.series()[1].iteration, 40u);
 }
 
-TEST(MergePipelineTest, MergeBatchDoesNotChangeTheEventSequence) {
-  std::vector<std::string> logs[2];
-  const int batches[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    LogObserver observer;
-    InProcTransport transport(TwoWorkerTransportOptions(batches[i]));
-    MergePipeline pipeline(TwoWorkerOptions(batches[i]), &transport,
-                           {&observer});
+TEST(MergePipelineTest, DrainSizeDoesNotChangeTheEventSequence) {
+  // All four deltas queued before the loop starts fold from one drain; a
+  // one-slot queue fed by a concurrent publisher hands them over one
+  // drain at a time. The fold order is fixed, so the events are the same.
+  LogObserver whole;
+  {
+    InProcTransport transport(TwoWorkerTransportOptions());
+    MergePipeline pipeline(TwoWorkerOptions(), &transport, {&whole});
     for (wire::Buffer& delta : CannedDeltas()) {
       ASSERT_TRUE(transport.Publish(std::move(delta)));
     }
     pipeline.RunMergeLoop();
-    logs[i] = observer.log;
+    EXPECT_EQ(pipeline.stats().flushes, 1u);
   }
-  ASSERT_FALSE(logs[0].empty());
-  EXPECT_EQ(logs[0], logs[1]);
+  LogObserver single;
+  {
+    InProcTransportOptions transport_options = TwoWorkerTransportOptions();
+    transport_options.capacity = 1;
+    InProcTransport transport(transport_options);
+    MergePipeline pipeline(TwoWorkerOptions(), &transport, {&single});
+    std::thread publisher([&] {
+      for (wire::Buffer& delta : CannedDeltas()) {
+        ASSERT_TRUE(transport.Publish(std::move(delta)));
+      }
+    });
+    pipeline.RunMergeLoop();
+    publisher.join();
+    EXPECT_EQ(pipeline.stats().flushes, 4u);
+  }
+  ASSERT_FALSE(whole.log.empty());
+  EXPECT_EQ(whole.log, single.log);
 }
 
-TEST(MergePipelineTest, FeedbackIsSnapshottedAtTheRequestedEpoch) {
-  // The pool boundary and virgin novelty handed to a worker asking for
-  // "through epoch 0" must not include epoch 1's fold, even though the
-  // drainer has long finished both epochs.
+TEST(MergePipelineTest, EachEpochPushesItsOwnFeedback) {
+  // With push_feedback every folded epoch but the last sends each worker
+  // a FeedbackRecord: the other shards' pool entries published in that
+  // epoch, and only the novelty that epoch added globally.
   InProcTransport transport(TwoWorkerTransportOptions());
-  MergePipeline pipeline(TwoWorkerOptions(), &transport, {});
+  MergePipelineOptions options = TwoWorkerOptions();
+  options.epochs = 3;
+  options.push_feedback = true;
+  MergePipeline pipeline(options, &transport, {});
   ShardDelta w0e0 = MakeDelta(0, 0, 10);
   w0e0.queue_entries = {MakeInput(0xAA)};
   w0e0.virgin.Append(3, 0x01);
@@ -226,32 +248,94 @@ TEST(MergePipelineTest, FeedbackIsSnapshottedAtTheRequestedEpoch) {
   w0e1.queue_entries = {MakeInput(0xBB)};
   w0e1.virgin.Append(4, 0x01);
   ShardDelta w1e1 = MakeDelta(1, 1, 10);
-  for (const ShardDelta* delta : {&w0e0, &w1e0, &w0e1, &w1e1}) {
+  w1e1.virgin.Append(3, 0x01);  // Already global: not novelty.
+  ShardDelta w0e2 = MakeDelta(0, 2, 10);
+  ShardDelta w1e2 = MakeDelta(1, 2, 10);
+  for (const ShardDelta* delta : {&w0e0, &w1e0, &w0e1, &w1e1, &w0e2, &w1e2}) {
     ASSERT_TRUE(transport.Publish(wire::Encode(*delta)));
   }
   pipeline.RunMergeLoop();
-  ASSERT_EQ(pipeline.finalized_epochs(), 2u);
+  ASSERT_EQ(pipeline.finalized_epochs(), 3u);
+  EXPECT_EQ(transport.stats().feedback_records, 4u);  // Epochs 0 and 1.
 
-  MergePipeline::Feedback feedback;
-  // Worker 1 asks for epoch 0 only: sees w0's first entry, not the
-  // second, and only epoch 0's novelty.
-  ASSERT_TRUE(pipeline.WaitForFeedback(0, 1, &feedback));
+  // Worker 1 sees w0's epoch-0 entry and epoch 0's novelty...
+  FeedbackRecord feedback = NextFeedback(transport, 1);
+  EXPECT_EQ(feedback.epoch, 0u);
+  EXPECT_EQ(feedback.worker, 1);
   ASSERT_EQ(feedback.pool_entries.size(), 1u);
   EXPECT_EQ(feedback.pool_entries[0][0], 0xAA);
   ASSERT_EQ(feedback.virgin.size(), 1u);
   EXPECT_EQ(feedback.virgin.cells[0], 3u);
 
-  // The next request (through epoch 1) hands over only the increment.
-  ASSERT_TRUE(pipeline.WaitForFeedback(1, 1, &feedback));
+  // ...then only epoch 1's increment.
+  feedback = NextFeedback(transport, 1);
+  EXPECT_EQ(feedback.epoch, 1u);
   ASSERT_EQ(feedback.pool_entries.size(), 1u);
   EXPECT_EQ(feedback.pool_entries[0][0], 0xBB);
   ASSERT_EQ(feedback.virgin.size(), 1u);
   EXPECT_EQ(feedback.virgin.cells[0], 4u);
 
-  // A worker never receives its own publications.
-  MergePipeline::Feedback own;
-  ASSERT_TRUE(pipeline.WaitForFeedback(1, 0, &own));
-  EXPECT_TRUE(own.pool_entries.empty());
+  // A worker never receives its own publications, but does get the
+  // novelty.
+  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+    const FeedbackRecord own = NextFeedback(transport, 0);
+    EXPECT_EQ(own.epoch, epoch);
+    EXPECT_EQ(own.worker, 0);
+    EXPECT_TRUE(own.pool_entries.empty());
+    EXPECT_EQ(own.virgin.size(), 1u);
+  }
+}
+
+// Records, per feedback push to worker 0, the journal's commit point at
+// the moment the frame left.
+class CommitProbeTransport : public InProcTransport {
+ public:
+  CommitProbeTransport(InProcTransportOptions options,
+                       const CampaignJournal* journal)
+      : InProcTransport(options), journal_(journal) {}
+
+  bool SendFeedback(int worker, const wire::Buffer& frame) override {
+    if (worker == 0) {
+      committed_at_push.push_back(journal_->committed_epochs());
+    }
+    return InProcTransport::SendFeedback(worker, frame);
+  }
+
+  std::vector<size_t> committed_at_push;
+
+ private:
+  const CampaignJournal* journal_;
+};
+
+TEST(MergePipelineTest, FeedbackLeavesBeforeTheEpochCommits) {
+  // Epoch E's feedback is pushed right after the fold, before the journal
+  // commits E: shards run their next epoch while the parent fsyncs.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("necofuzz-push-order-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    CampaignManifestRecord manifest;
+    manifest.epochs = 3;
+    manifest.workers = 2;
+    manifest.target = "push-order";
+    CampaignJournal journal(dir, manifest);
+    CommitProbeTransport transport(TwoWorkerTransportOptions(), &journal);
+    MergePipelineOptions options = TwoWorkerOptions();
+    options.epochs = 3;
+    options.push_feedback = true;
+    options.journal = &journal;
+    MergePipeline pipeline(options, &transport, {});
+    for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+      for (int w = 0; w < 2; ++w) {
+        ASSERT_TRUE(transport.Publish(wire::Encode(MakeDelta(w, epoch, 5))));
+      }
+    }
+    pipeline.RunMergeLoop();
+    EXPECT_EQ(journal.committed_epochs(), 3u);
+    EXPECT_EQ(transport.committed_at_push, (std::vector<size_t>{0, 1}));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MergePipelineTest, PublishBlocksAtCapacityUntilAborted) {
@@ -287,14 +371,56 @@ TEST(MergePipelineTest, AbortUnblocksFeedbackWaiters) {
   MergePipeline pipeline(TwoWorkerOptions(), &transport, {});
   std::atomic<bool> result{true};
   std::thread waiter([&] {
-    MergePipeline::Feedback feedback;
-    result = pipeline.WaitForFeedback(0, 1, &feedback);
+    wire::Buffer frame;
+    result = transport.ReceiveFeedback(1, &frame);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   pipeline.Abort();
   waiter.join();
   EXPECT_FALSE(result);
   EXPECT_TRUE(pipeline.aborted());
+}
+
+TEST(InProcTransportTest, ResultRecordsFillSlotsNotTheDrainQueue) {
+  InProcTransport transport(TwoWorkerTransportOptions());
+  ShardResultRecord result;
+  result.worker = 1;
+  result.iterations = 42;
+  ASSERT_TRUE(transport.Publish(wire::Encode(result)));
+  EXPECT_EQ(transport.stats().deltas, 0u);
+  ASSERT_NE(transport.shard_result(1), nullptr);
+  EXPECT_EQ(transport.shard_result(1)->iterations, 42u);
+  EXPECT_EQ(transport.shard_result(0), nullptr);
+  result.worker = 0;
+  ASSERT_TRUE(transport.Publish(wire::Encode(result)));
+  EXPECT_TRUE(transport.CollectResults());
+  EXPECT_TRUE(transport.error().empty());
+}
+
+TEST(InProcTransportTest, InvalidResultRecordsAreRejected) {
+  // A record that does not decode, names a worker out of range, or
+  // repeats one fails the publish and the collection, naming the cause.
+  ShardResultRecord result;
+  wire::Buffer truncated = wire::Encode(result);
+  truncated.pop_back();
+  result.worker = 2;  // Two workers: 0 and 1.
+  const wire::Buffer out_of_range = wire::Encode(result);
+  result.worker = 0;
+  const wire::Buffer first = wire::Encode(result);
+  for (const std::vector<wire::Buffer>& frames :
+       {std::vector<wire::Buffer>{truncated},
+        std::vector<wire::Buffer>{out_of_range},
+        std::vector<wire::Buffer>{first, first}}) {
+    InProcTransport transport(TwoWorkerTransportOptions());
+    for (size_t i = 0; i + 1 < frames.size(); ++i) {
+      ASSERT_TRUE(transport.Publish(frames[i]));
+    }
+    EXPECT_FALSE(transport.Publish(frames.back()));
+    EXPECT_FALSE(transport.error().empty());
+    EXPECT_FALSE(transport.CollectResults());
+    std::vector<wire::Buffer> batch;
+    EXPECT_FALSE(transport.Drain(&batch));
+  }
 }
 
 TEST(MergePipelineTest, CorruptAndImpossibleDeltasThrow) {

@@ -49,6 +49,8 @@ wire::Buffer ConfigFor(int worker) {
   ShardChildConfigRecord config;
   config.target = "sock-test";
   config.worker = worker;
+  config.workers = 2;  // The widest campaign here; the record needs
+                       // worker < workers to decode.
   return wire::Encode(config);
 }
 

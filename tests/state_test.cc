@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -542,7 +543,6 @@ CampaignOptions StateOptions() {
   options.samples = 3;
   options.seed = 7;
   options.workers = 3;
-  options.merge_batch = 1;
   options.fuzzer.coverage_guidance = true;
   return options;
 }
@@ -704,11 +704,10 @@ TEST(DurableCampaignTest, TrimmedJournalResumesAcrossShardModes) {
       CampaignEngine("kvm", options).AddObserver(&full).Run();
 
   // Rewind the commit point to one epoch and resume under a different
-  // transport AND batch size: neither is part of the fingerprint, because
-  // results are invariant to both.
+  // transport: it is not part of the fingerprint, because results are
+  // invariant to it.
   TruncateCommitPoint(options.state_dir, 1);
   options.shard_mode = ShardMode::kProcesses;
-  options.merge_batch = 4;
   EventObserver resumed;
   const EngineResult result =
       CampaignEngine("kvm", options).AddObserver(&resumed).Run();
@@ -881,10 +880,10 @@ TEST(DurableCampaignTest, CadenceMayChangeBetweenIncarnations) {
   EXPECT_EQ(first.journal.snapshot_epochs, epochs);
   EXPECT_EQ(first.journal.snapshots, epochs);
 
-  // The cadence, like merge_batch and shard_mode, is not part of the
-  // fingerprint: the same state dir reopens under a different one. The
-  // whole campaign is materialized, so the rerun deserializes the final
-  // snapshot and replays nothing at all.
+  // The cadence, like shard_mode, is not part of the fingerprint: the
+  // same state dir reopens under a different one. The whole campaign is
+  // materialized, so the rerun deserializes the final snapshot and
+  // replays nothing at all.
   options.snapshot_every_epochs = 0;
   EventObserver rerun;
   const EngineResult resumed =
@@ -893,6 +892,44 @@ TEST(DurableCampaignTest, CadenceMayChangeBetweenIncarnations) {
   EXPECT_EQ(rerun.log, ExpectedTail(plain.log, epochs));
   EXPECT_EQ(resumed.journal.replayed_epochs, 0u);
   EXPECT_EQ(resumed.journal.commits, 0u);
+}
+
+uint64_t FileFnv1a(const fs::path& path) {
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(ReadFileBytes(path, &bytes)) << path;
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(DurableCampaignTest, SnapshotFileBytesArePinned) {
+  // Resume equality only shows a snapshot is self-consistent; this pins
+  // its bytes — the merged pool slice and feedback novelty the fold keeps
+  // for the last epoch included — in thread and process mode alike.
+  const std::map<std::string, uint64_t> expected = {
+      {SnapshotFileName(2), 0xB9B495C7689F4127ULL},
+  };
+  for (ShardMode mode : {ShardMode::kThreads, ShardMode::kProcesses}) {
+    const std::string tag = mode == ShardMode::kThreads ? "threads" : "procs";
+    TempDir dir("engine-snapbytes-" + tag);
+    CampaignOptions options = StateOptions();
+    options.shard_mode = mode;
+    options.state_dir = (dir.path() / "state").string();
+    options.snapshot_every_epochs = 2;
+    CampaignEngine("kvm", options).Run();
+    std::map<std::string, uint64_t> hashes;
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(options.state_dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("snapshot-", 0) == 0) {
+        hashes[name] = FileFnv1a(entry.path());
+      }
+    }
+    EXPECT_EQ(hashes, expected) << tag;
+  }
 }
 
 TEST(DurableCampaignTest, CorruptNewestSnapshotFallsBackOneGeneration) {

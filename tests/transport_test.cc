@@ -244,7 +244,7 @@ TEST(PipeTransportTest, FeedbackFramesReachTheChild) {
   ASSERT_TRUE(transport.SendFeedback(0, wire::Encode(feedback)));
 
   std::vector<wire::Buffer> batch;
-  ASSERT_TRUE(transport.Drain(4, &batch));
+  ASSERT_TRUE(transport.Drain(&batch));
   ASSERT_EQ(batch.size(), 1u);
   ShardDelta delta;
   ASSERT_TRUE(wire::Decode(batch[0], &delta));
@@ -333,7 +333,7 @@ TEST(PipeTransportTest, AbortUnblocksTheDrain) {
 
   std::vector<wire::Buffer> batch;
   transport.Abort();
-  EXPECT_FALSE(transport.Drain(1, &batch));
+  EXPECT_FALSE(transport.Drain(&batch));
   EXPECT_FALSE(transport.SendFeedback(0, wire::Encode(FeedbackRecord{})));
   ::close(held[1]);
 }

@@ -543,6 +543,12 @@ TEST(WireInvalidTest, RecordInvariantViolationsAreRejected) {
       Broken<ShardChildConfigRecord>(
           "child config start_epoch > epochs",
           [](auto& r) { r.start_epoch = r.epochs + 1; }),
+      Broken<ShardChildConfigRecord>("child config zero workers",
+                                     [](auto& r) { r.workers = 0; }),
+      Broken<ShardChildConfigRecord>("child config worker == workers",
+                                     [](auto& r) { r.worker = r.workers; }),
+      Broken<ShardChildConfigRecord>("child config worker -1",
+                                     [](auto& r) { r.worker = -1; }),
       Broken<CampaignManifestRecord>(
           "manifest snapshot_epochs > committed_epochs",
           [](auto& r) { r.snapshot_epochs = r.committed_epochs + 1; }),
