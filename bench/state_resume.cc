@@ -17,8 +17,8 @@
 // is repeated under thread, process, and socket shards (from copies of
 // the same state dir) and each EngineResult is compared against the
 // golden run — the bit_identical_shard_modes metric is the count that
-// matched, and a mismatch fails tools/check_bench_json.py outright
-// (values must be positive, and the baseline records 3).
+// matched (0 when the replay-only resume diverged), and the bench exits
+// 1 unless all three modes and the replay-only resume matched.
 //
 // `--smoke` shrinks the campaign for CI; `--json=PATH` writes the
 // schema_version-1 result file diffed against the checked-in
@@ -218,9 +218,9 @@ int RunBench(bool smoke, const std::string& json_path) {
   options.shard_mode = ShardMode::kSockets;
   options.state_dir = snap_sock.string();
   identical += SameResult(golden, CampaignEngine("kvm", options).Run());
+  const bool replay_matched = SameResult(golden, replay_result);
   std::printf("  bit-identical modes  %d/3%s\n", identical,
-              SameResult(golden, replay_result) ? "" :
-              "  (replay-only DIVERGED)");
+              replay_matched ? "" : "  (replay-only DIVERGED)");
 
   BenchJson json("state_resume", smoke);
   json.Metric("campaign_epochs", "epochs", static_cast<double>(epochs));
@@ -241,11 +241,9 @@ int RunBench(bool smoke, const std::string& json_path) {
   json.Metric("replay_state_dir_bytes", "bytes",
               static_cast<double>(replay_dir_bytes));
   // 3 when thread, process, and socket resumes all matched the golden
-  // run; anything less is non-positive or short of the baseline and
-  // fails the JSON check.
+  // run; anything less fails the exit status below.
   json.Metric("bit_identical_shard_modes", "ok",
-              static_cast<double>(identical) *
-                  (SameResult(golden, replay_result) ? 1.0 : 0.0));
+              static_cast<double>(identical) * (replay_matched ? 1.0 : 0.0));
 
   fs::remove_all(root);
 
@@ -255,6 +253,10 @@ int RunBench(bool smoke, const std::string& json_path) {
       return 1;
     }
     std::printf("\nwrote %s\n", json_path.c_str());
+  }
+  if (identical != 3 || !replay_matched) {
+    std::fprintf(stderr, "a resumed campaign diverged from the golden run\n");
+    return 1;
   }
   return 0;
 }

@@ -27,23 +27,12 @@
 
 namespace neco {
 
-// The schedule and protocol every shard of one campaign follows, whichever
-// medium carries it. Exec'd and remote children rebuild it from their
-// ShardChildConfigRecord.
-struct ShardPlan {
-  int workers = 1;
-  int samples = 1;
-  size_t epochs = 0;          // Global epoch count (longest shard schedule).
-  bool syncing = false;       // Shards exchange corpus entries every epoch.
-  size_t start_epoch = 0;     // Snapshot horizon a resumed shard starts at.
-  size_t snapshot_every = 0;  // WorkerStateRecord cadence (journal only).
-};
-
 namespace {
 
 // --- One shard's private campaign state ----------------------------------
 
 struct ShardContext {
+  Arch arch = Arch::kIntel;
   Hypervisor* hv = nullptr;  // Owned or borrowed.
   std::unique_ptr<Hypervisor> owned;
   std::unique_ptr<Agent> agent;
@@ -80,30 +69,76 @@ size_t ComputeEpochs(uint64_t iterations, int workers, int samples) {
   return epochs;
 }
 
+// Everything the campaign's results depend on, resolved once per Run():
+// the journal fingerprints it and every shard is built from it.
+CampaignSpec MakeSpec(const CampaignOptions& options,
+                      const std::string& target, bool borrowed) {
+  CampaignSpec spec;
+  // A borrowed target is a single instance, hence a single shard (and
+  // nothing that could cross a fork).
+  spec.workers = borrowed ? 1 : std::max(options.workers, 1);
+  spec.samples = std::max(options.samples, 1);
+  spec.epochs = ComputeEpochs(options.iterations, spec.workers, spec.samples);
+  spec.arch = static_cast<uint8_t>(options.arch);
+  spec.iterations = options.iterations;
+  spec.seed = options.seed;
+  // Syncing needs a corpus, and in breadth-first mode (guidance off)
+  // nothing is ever queued or exported, so shards run fully decoupled
+  // instead of idling on empty exchanges.
+  spec.corpus_sync = options.corpus_sync && spec.workers > 1 &&
+                     options.fuzzer.coverage_guidance;
+  spec.coverage_guidance = options.fuzzer.coverage_guidance;
+  spec.havoc_stack = options.fuzzer.havoc_stack;
+  spec.splice_percent = options.fuzzer.splice_percent;
+  spec.use_harness = options.agent.use_harness;
+  spec.use_validator = options.agent.use_validator;
+  spec.use_configurator = options.agent.use_configurator;
+  spec.oracle_interval = options.agent.oracle_interval;
+  spec.target = target;
+  return spec;
+}
+
+// A shard's config: the campaign's, with the shard's worker id.
+ShardChildConfigRecord ShardConfig(ShardChildConfigRecord config, int w) {
+  config.worker = w;
+  return config;
+}
+
+// Builds a shard from its config, whichever medium delivered it.
 void InitShard(ShardContext& state, Hypervisor* borrowed,
                const HypervisorFactory& factory,
-               const CampaignOptions& options, const ShardPlan& plan, int w) {
+               const ShardChildConfigRecord& config) {
+  state.arch = static_cast<Arch>(config.arch);
   if (borrowed != nullptr) {
     state.hv = borrowed;
   } else {
     state.owned = factory();
     state.hv = state.owned.get();
   }
-  CoverageUnit& cov = state.hv->nested_coverage(options.arch);
+  CoverageUnit& cov = state.hv->nested_coverage(state.arch);
   cov.ResetCoverage();
   state.hv->sanitizers().Clear();
 
-  AgentOptions agent_options = options.agent;
-  agent_options.arch = options.arch;
+  const AgentOptions agent_options{
+      .arch = state.arch,
+      .use_harness = config.use_harness != 0,
+      .use_validator = config.use_validator != 0,
+      .use_configurator = config.use_configurator != 0,
+      .oracle_interval = config.oracle_interval,
+      .crash_dir = config.crash_dir};
   state.agent = std::make_unique<Agent>(*state.hv, agent_options);
 
-  FuzzerOptions fuzzer_options = options.fuzzer;
-  fuzzer_options.seed = options.seed + static_cast<uint64_t>(w);
+  const FuzzerOptions fuzzer_options{
+      .seed = config.seed + static_cast<uint64_t>(config.worker),
+      .coverage_guidance = config.coverage_guidance != 0,
+      .havoc_stack = config.havoc_stack,
+      .splice_percent = config.splice_percent};
   state.fuzzer =
       std::make_unique<Fuzzer>(fuzzer_options, state.agent->MakeExecutor());
 
   state.steps = ChunkSchedule(
-      ShardBudget(options.iterations, plan.workers, w), plan.samples);
+      ShardBudget(config.iterations, config.workers, config.worker),
+      config.samples);
 }
 
 // --- Worker state capture/restore (materialized snapshots) ---------------
@@ -114,15 +149,14 @@ void InitShard(ShardContext& state, Hypervisor* borrowed,
 // coverage unit, host-crash flags, and the export bookkeeping. Captured
 // AFTER the epoch's delta was assembled, so every "already shipped"
 // cursor is included at its post-export position.
-WorkerStateRecord ExportWorkerState(ShardContext& state,
-                                    const CampaignOptions& options, int w,
+WorkerStateRecord ExportWorkerState(ShardContext& state, int w,
                                     size_t horizon) {
   WorkerStateRecord record;
   record.worker = w;
   record.epochs_covered = horizon;
   state.fuzzer->ExportState(&record);
   state.agent->ExportState(&record);
-  const CoverageUnit& cov = state.hv->nested_coverage(options.arch);
+  const CoverageUnit& cov = state.hv->nested_coverage(state.arch);
   for (size_t point : cov.CoveredSet()) {
     record.covered.push_back(static_cast<uint32_t>(point));
   }
@@ -136,11 +170,10 @@ WorkerStateRecord ExportWorkerState(ShardContext& state,
 // The inverse: seeds a freshly initialized shard from its snapshot record
 // so the next epoch runs bit-identically to the incarnation that wrote
 // it. `record` is consumed (corpus entries are moved, not copied).
-void ImportWorkerState(ShardContext& state, const CampaignOptions& options,
-                       WorkerStateRecord* record) {
+void ImportWorkerState(ShardContext& state, WorkerStateRecord* record) {
   state.fuzzer->ImportState(record);
   state.agent->ImportState(*record);
-  CoverageUnit& cov = state.hv->nested_coverage(options.arch);
+  CoverageUnit& cov = state.hv->nested_coverage(state.arch);
   cov.RestoreCoverage(record->covered, record->hit_events);
   // The snapshot's coverage was exported right after a delta, so the
   // restored "already shipped" baseline is the full restored map.
@@ -161,10 +194,9 @@ struct ShardChannel {
   std::function<bool(wire::Buffer*)> receive;
 };
 
-ShardResultRecord RecordFromContext(ShardContext& state,
-                                    const CampaignOptions& options, int w) {
+ShardResultRecord RecordFromContext(ShardContext& state, int w) {
   ShardResultRecord record;
-  CoverageUnit& cov = state.hv->nested_coverage(options.arch);
+  CoverageUnit& cov = state.hv->nested_coverage(state.arch);
   record.worker = w;
   record.final_percent = cov.percent();
   record.covered_points = cov.covered_points();
@@ -190,31 +222,33 @@ ShardResultRecord RecordFromContext(ShardContext& state,
 }
 
 // The shard run path, shared by thread workers and process/socket
-// children: build the shard, seed it from its snapshot record (`restore`,
-// consumed; null for a fresh start), run the epoch loop, and publish the
-// ShardResultRecord. Each epoch absorbs the previous epoch's
-// FeedbackRecord (when syncing), fuzzes one step, and publishes one
-// wire-encoded ShardDelta. Every worker publishes one delta per global
-// epoch — empty ones past its own schedule — so the drainer can finalize
-// epochs without tracking per-shard schedules. With a snapshot cadence it
-// additionally publishes a WorkerStateRecord frame right before each
-// snapshot epoch's delta. Returns false when the channel failed or handed
-// over a frame that is not this shard's next feedback.
+// children: build the shard from its config, seed it from its snapshot
+// record (`restore`, consumed; null for a fresh start), run the epoch
+// loop, and publish the ShardResultRecord. Each epoch absorbs the
+// previous epoch's FeedbackRecord (when syncing), fuzzes one step, and
+// publishes one wire-encoded ShardDelta. Every worker publishes one delta
+// per global epoch — empty ones past its own schedule — so the drainer
+// can finalize epochs without tracking per-shard schedules. With a
+// snapshot cadence it additionally publishes a WorkerStateRecord frame
+// right before each snapshot epoch's delta. Returns false when the
+// channel failed or handed over a frame that is not this shard's next
+// feedback.
 bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
-              const CampaignOptions& options, const ShardPlan& plan, int w,
+              const ShardChildConfigRecord& config,
               WorkerStateRecord* restore, const ShardChannel& channel,
               const std::function<void(int, size_t)>& fault_hook) {
+  const int w = config.worker;
   ShardContext state;
-  InitShard(state, borrowed, factory, options, plan, w);
+  InitShard(state, borrowed, factory, config);
   if (restore != nullptr) {
-    ImportWorkerState(state, options, restore);
+    ImportWorkerState(state, restore);
   }
-  for (size_t epoch = plan.start_epoch; epoch < plan.epochs; ++epoch) {
+  for (size_t epoch = config.start_epoch; epoch < config.epochs; ++epoch) {
     if (fault_hook) {
       fault_hook(w, epoch);
     }
     uint64_t imported = 0;
-    if (plan.syncing && epoch > 0) {
+    if (config.corpus_sync && epoch > 0) {
       wire::Buffer frame;
       FeedbackRecord feedback;
       if (!channel.receive(&frame) || !wire::Decode(frame, &feedback) ||
@@ -240,7 +274,7 @@ bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
       state.fuzzer->Run(state.steps[epoch]);
     }
 
-    if (!plan.syncing) {
+    if (!config.corpus_sync) {
       // Nothing consumes queue entries without syncing; skip the
       // per-epoch input copies entirely.
       state.fuzzer->MarkQueueExported();
@@ -256,7 +290,7 @@ bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
       delta.crash_ids.push_back(std::move(id));
       delta.crash_inputs.push_back(std::move(input));
     }
-    delta.covered_points = state.hv->nested_coverage(options.arch)
+    delta.covered_points = state.hv->nested_coverage(state.arch)
                                .ExtractDeltaSince(state.covered_seen);
     for (const auto& [id, report] : state.agent->findings()) {
       if (state.shipped_findings.insert(id).second) {
@@ -268,9 +302,10 @@ bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
     // position — and publish it BEFORE the delta: per-channel FIFO then
     // guarantees the drainer has the state staged by the time the epoch
     // can fold.
-    if (plan.snapshot_every != 0 && (epoch + 1) % plan.snapshot_every == 0) {
-      if (!channel.publish(wire::Encode(
-              ExportWorkerState(state, options, w, epoch + 1)))) {
+    if (config.snapshot_every != 0 &&
+        (epoch + 1) % config.snapshot_every == 0) {
+      if (!channel.publish(
+              wire::Encode(ExportWorkerState(state, w, epoch + 1)))) {
         return false;
       }
     }
@@ -282,7 +317,7 @@ bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
       return false;
     }
   }
-  return channel.publish(wire::Encode(RecordFromContext(state, options, w)));
+  return channel.publish(wire::Encode(RecordFromContext(state, w)));
 }
 
 // Closes every registered descriptor on destruction unless released;
@@ -302,37 +337,11 @@ class FdCloser {
   std::vector<int> fds_;
 };
 
-// The journal fingerprint: everything the campaign's results depend on.
-// shard_mode is deliberately absent — results are invariant to it, so a
-// campaign may resume under a different transport than it started with.
-CampaignManifestRecord MakeManifest(const CampaignOptions& options,
-                                    const std::string& target,
-                                    const ShardPlan& plan) {
-  CampaignManifestRecord manifest;
-  manifest.epochs = plan.epochs;
-  manifest.workers = plan.workers;
-  manifest.samples = plan.samples;
-  manifest.arch = static_cast<uint8_t>(options.arch);
-  manifest.iterations = options.iterations;
-  manifest.seed = options.seed;
-  manifest.corpus_sync = plan.syncing ? 1 : 0;
-  manifest.coverage_guidance = options.fuzzer.coverage_guidance ? 1 : 0;
-  manifest.havoc_stack = options.fuzzer.havoc_stack;
-  manifest.splice_percent = options.fuzzer.splice_percent;
-  manifest.use_harness = options.agent.use_harness ? 1 : 0;
-  manifest.use_validator = options.agent.use_validator ? 1 : 0;
-  manifest.use_configurator = options.agent.use_configurator ? 1 : 0;
-  manifest.oracle_interval = options.agent.oracle_interval;
-  manifest.target = target;
-  return manifest;
-}
-
 // The merge pipeline's options, the same for every shard mode. One probe
 // instance built by the factory — or the borrowed target — answers the
 // coverage-universe size and names the target for persisted crash
 // artifacts.
-MergePipelineOptions MakePipelineOptions(const CampaignOptions& options,
-                                         const ShardPlan& plan,
+MergePipelineOptions MakePipelineOptions(const ShardChildConfigRecord& config,
                                          Hypervisor* borrowed,
                                          const HypervisorFactory& factory,
                                          CampaignJournal* journal,
@@ -340,18 +349,20 @@ MergePipelineOptions MakePipelineOptions(const CampaignOptions& options,
   const std::unique_ptr<Hypervisor> probe =
       borrowed == nullptr ? factory() : nullptr;
   Hypervisor& target = borrowed != nullptr ? *borrowed : *probe;
+  const Arch arch = static_cast<Arch>(config.arch);
   MergePipelineOptions pipeline;
-  pipeline.workers = plan.workers;
-  pipeline.epochs = plan.epochs;
-  pipeline.total_points = target.nested_coverage(options.arch).total_points();
-  pipeline.push_feedback = plan.syncing;
+  pipeline.workers = config.workers;
+  pipeline.epochs = config.epochs;
+  pipeline.total_points = target.nested_coverage(arch).total_points();
+  pipeline.push_feedback = config.corpus_sync != 0;
   if (journal != nullptr) {
     pipeline.journal = journal;
-    pipeline.resume_epochs = std::min(journal->committed_epochs(), plan.epochs);
-    pipeline.snapshot_every = plan.snapshot_every;
+    pipeline.resume_epochs =
+        std::min(journal->committed_epochs(), pipeline.epochs);
+    pipeline.snapshot_every = config.snapshot_every;
     pipeline.restore = snapshot != nullptr ? &snapshot->merged : nullptr;
     pipeline.hypervisor = std::string(target.name());
-    pipeline.arch = std::string(ArchName(options.arch));
+    pipeline.arch = std::string(ArchName(arch));
   }
   return pipeline;
 }
@@ -363,17 +374,17 @@ MergePipelineOptions MakePipelineOptions(const CampaignOptions& options,
 // frames are direction-tagged by type, so one full-duplex stream carries
 // both.
 int RunShardChildLoop(const HypervisorFactory& factory,
-                      const CampaignOptions& options, const ShardPlan& plan,
-                      int w, WorkerStateRecord* restore, int delta_fd,
-                      int feedback_fd) {
+                      const ShardChildConfigRecord& config,
+                      WorkerStateRecord* restore, int delta_fd,
+                      int feedback_fd,
+                      const std::function<void(int, size_t)>& fault_hook) {
   // The parent may die or abort at any time; a write into the closed pipe
   // must come back as an error code, not a process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
   const ShardChannel channel{
       [&](wire::Buffer frame) { return WritePipeFrame(delta_fd, frame); },
       [&](wire::Buffer* frame) { return ReadPipeFrame(feedback_fd, frame); }};
-  if (!RunShard(nullptr, factory, options, plan, w, restore, channel,
-                options.shard_fault_for_test)) {
+  if (!RunShard(nullptr, factory, config, restore, channel, fault_hook)) {
     return 2;  // Parent gone or stream corrupt; it reports its own error.
   }
   ::close(delta_fd);
@@ -528,17 +539,9 @@ CampaignEngine& CampaignEngine::AddObserver(CampaignObserver* observer) {
 }
 
 EngineResult CampaignEngine::Run() {
-  ShardPlan plan;
-  // A borrowed target is a single instance, hence a single shard (and
-  // nothing that could cross a fork).
-  plan.workers = borrowed_ != nullptr ? 1 : std::max(options_.workers, 1);
-  plan.samples = std::max(options_.samples, 1);
-  plan.epochs = ComputeEpochs(options_.iterations, plan.workers, plan.samples);
-  // Syncing needs a corpus, and in breadth-first mode (guidance off)
-  // nothing is ever queued or exported, so shards run fully decoupled
-  // instead of idling on empty exchanges.
-  plan.syncing = options_.corpus_sync && plan.workers > 1 &&
-                 options_.fuzzer.coverage_guidance;
+  ShardChildConfigRecord config{
+      MakeSpec(options_, target_name_, borrowed_ != nullptr)};
+  config.crash_dir = options_.agent.crash_dir;
   // Durable state: open (or create) the journal before any shard starts.
   // A fingerprint mismatch — the directory belongs to a different
   // campaign — throws here, before anything runs.
@@ -546,35 +549,34 @@ EngineResult CampaignEngine::Run() {
   CampaignSnapshot snapshot;
   CampaignSnapshot* resume = nullptr;
   if (!options_.state_dir.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        options_.state_dir, MakeManifest(options_, target_name_, plan));
+    journal = std::make_unique<CampaignJournal>(options_.state_dir, config);
     // O(tail) resume: seed everything from the newest loadable snapshot
     // and replay only the epochs past its horizon. A 0 return (no
     // snapshot, or every candidate torn/corrupt) degrades to full replay
     // — never an error. The worker-count check is belt and braces: the
     // fingerprint already pins `workers`.
     if (journal->LoadLatestSnapshot(&snapshot) != 0 &&
-        snapshot.workers.size() == static_cast<size_t>(plan.workers)) {
+        snapshot.workers.size() == static_cast<size_t>(config.workers)) {
       resume = &snapshot;
-      plan.start_epoch = snapshot.epochs_covered;
+      config.start_epoch = snapshot.epochs_covered;
     }
-    plan.snapshot_every = options_.snapshot_every_epochs;
+    config.snapshot_every = options_.snapshot_every_epochs;
   }
   const MergePipelineOptions pipeline_options = MakePipelineOptions(
-      options_, plan, borrowed_, factory_, journal.get(), resume);
+      config, borrowed_, factory_, journal.get(), resume);
   if (borrowed_ == nullptr && options_.shard_mode != ShardMode::kThreads) {
     // kProcesses and kSockets share the child loop and the stream
     // transport engine; only the transport setup differs.
-    return RunWithProcessShards(plan, pipeline_options, resume);
+    return RunWithProcessShards(config, pipeline_options, resume);
   }
-  return RunWithThreadShards(plan, pipeline_options, resume);
+  return RunWithThreadShards(config, pipeline_options, resume);
 }
 
 EngineResult CampaignEngine::RunWithThreadShards(
-    const ShardPlan& plan, const MergePipelineOptions& pipeline_options,
-    CampaignSnapshot* snapshot) {
+    const ShardChildConfigRecord& config,
+    const MergePipelineOptions& pipeline_options, CampaignSnapshot* snapshot) {
   InProcTransportOptions transport_options;
-  transport_options.workers = plan.workers;
+  transport_options.workers = config.workers;
   InProcTransport transport(transport_options);
   MergePipeline pipeline(pipeline_options, &transport, observers_);
 
@@ -604,7 +606,7 @@ EngineResult CampaignEngine::RunWithThreadShards(
           return transport.ReceiveFeedback(w, frame);
         }};
     try {
-      if (!RunShard(borrowed_, factory_, options_, plan, w,
+      if (!RunShard(borrowed_, factory_, ShardConfig(config, w),
                     snapshot != nullptr
                         ? &snapshot->workers[static_cast<size_t>(w)]
                         : nullptr,
@@ -624,10 +626,10 @@ EngineResult CampaignEngine::RunWithThreadShards(
   // this one.
   std::vector<std::thread> threads;
   try {
-    for (int w = 0; w < plan.workers; ++w) {
+    for (int w = 0; w < config.workers; ++w) {
       threads.emplace_back(worker_main, w);
     }
-    MergeAndCollect(pipeline, transport, plan.epochs);
+    MergeAndCollect(pipeline, transport, config.epochs);
   } catch (...) {
     capture(std::current_exception());
   }
@@ -641,8 +643,8 @@ EngineResult CampaignEngine::RunWithThreadShards(
 }
 
 EngineResult CampaignEngine::RunWithProcessShards(
-    const ShardPlan& plan, const MergePipelineOptions& pipeline_options,
-    CampaignSnapshot* snapshot) {
+    const ShardChildConfigRecord& config,
+    const MergePipelineOptions& pipeline_options, CampaignSnapshot* snapshot) {
   const CampaignOptions& options = options_;
   const bool sockets = options.shard_mode == ShardMode::kSockets;
   const bool exec_mode = !options.shard_exec_path.empty();
@@ -654,31 +656,10 @@ EngineResult CampaignEngine::RunWithProcessShards(
         "name");
   }
 
-  // Everything an exec'd or remote child needs to rebuild its shard; fork
-  // children receive (and discard) the same record so the handshake is
-  // uniform.
+  // The startup frames of a child that decodes its config off its stream
+  // (every socket child and exec'd pipe children).
   auto child_config = [&](int w) {
-    ShardChildConfigRecord config;
-    config.target = target_name_;
-    config.worker = w;
-    config.workers = plan.workers;
-    config.epochs = plan.epochs;
-    config.arch = static_cast<uint8_t>(options.arch);
-    config.iterations = options.iterations;
-    config.samples = plan.samples;
-    config.seed = options.seed;
-    config.syncing = plan.syncing ? 1 : 0;
-    config.coverage_guidance = options.fuzzer.coverage_guidance ? 1 : 0;
-    config.havoc_stack = options.fuzzer.havoc_stack;
-    config.splice_percent = options.fuzzer.splice_percent;
-    config.use_harness = options.agent.use_harness ? 1 : 0;
-    config.use_validator = options.agent.use_validator ? 1 : 0;
-    config.use_configurator = options.agent.use_configurator ? 1 : 0;
-    config.oracle_interval = options.agent.oracle_interval;
-    config.crash_dir = options.agent.crash_dir;
-    config.start_epoch = plan.start_epoch;
-    config.snapshot_every = plan.snapshot_every;
-    wire::Buffer frame = wire::Encode(config);
+    wire::Buffer frame = wire::Encode(ShardConfig(config, w));
     // Snapshot resume: the shard's materialized state rides the same
     // stream, framed right behind the config (children read one frame at
     // a time, so the concatenation demuxes itself).
@@ -698,7 +679,7 @@ EngineResult CampaignEngine::RunWithProcessShards(
 
   if (sockets) {
     SocketTransportOptions transport_options;
-    transport_options.workers = plan.workers;
+    transport_options.workers = config.workers;
     transport_options.address = options.listen_address;
     transport_options.port = options.listen_port;
     transport_options.accept_timeout_seconds = options.socket_accept_timeout;
@@ -707,7 +688,7 @@ EngineResult CampaignEngine::RunWithProcessShards(
     transport = std::move(owned);
     const uint16_t port = socket_transport->port();
 
-    for (int w = 0; w < plan.workers; ++w) {
+    for (int w = 0; w < config.workers; ++w) {
       if (remote) {
         if (!options.remote_launcher(
                 {w, options.listen_address, port, target_name_})) {
@@ -736,19 +717,18 @@ EngineResult CampaignEngine::RunWithProcessShards(
           if (sock < 0) {
             return 2;
           }
-          // A fork child inherits its configuration through memory, but
-          // reads its startup frames anyway so the stream afterwards
-          // carries feedback frames only (a resume's state frame is
-          // decoded off the stream, like an exec'd child would).
-          ShardChildConfigRecord config;
+          // Only the target comes through memory (a factory session has
+          // no registry name to rebuild it from): the child runs from the
+          // config and state frames it decodes, like an exec'd child.
+          ShardChildConfigRecord decoded;
           WorkerStateRecord restore;
-          if (!ReadChildConfig(sock, w, &config, &restore)) {
+          if (!ReadChildConfig(sock, w, &decoded, &restore)) {
             ::close(sock);
             return 2;
           }
           return RunShardChildLoop(
-              factory, options, plan, w,
-              config.start_epoch > 0 ? &restore : nullptr, sock, sock);
+              factory, decoded, decoded.start_epoch > 0 ? &restore : nullptr,
+              sock, sock, options.shard_fault_for_test);
         });
         if (pid < 0) {
           throw std::runtime_error("CampaignEngine: fork() failed");
@@ -763,7 +743,7 @@ EngineResult CampaignEngine::RunWithProcessShards(
     // any close sweep racing the exec.
     std::vector<PipeShardChannel> channels;
     FdCloser parent_ends;  // Until PipeTransport takes ownership.
-    for (int w = 0; w < plan.workers; ++w) {
+    for (int w = 0; w < config.workers; ++w) {
       int delta[2] = {-1, -1};
       int feedback[2] = {-1, -1};
       if (::pipe2(delta, O_CLOEXEC) != 0) {
@@ -803,14 +783,14 @@ EngineResult CampaignEngine::RunWithProcessShards(
             ::close(ch.feedback_fd);
           }
           // A fork child's snapshot state arrives through inherited
-          // memory, like the rest of its configuration (no config frame
-          // is sent on the pipe-fork path).
+          // memory, like its config (no config frame is sent on the
+          // pipe-fork path).
           return RunShardChildLoop(
-              factory, options, plan, w,
+              factory, ShardConfig(config, w),
               snapshot != nullptr
                   ? &snapshot->workers[static_cast<size_t>(w)]
                   : nullptr,
-              delta_wr, feedback_rd);
+              delta_wr, feedback_rd, options.shard_fault_for_test);
         });
       }
       // Parent: the child-side ends live in the child now (or never will,
@@ -857,13 +837,13 @@ EngineResult CampaignEngine::RunWithProcessShards(
     } else if (exec_mode) {
       // Exec'd pipe children know nothing yet: ship each one its config
       // record before expecting the first delta.
-      for (int w = 0; w < plan.workers; ++w) {
+      for (int w = 0; w < config.workers; ++w) {
         if (!transport->SendFeedback(w, child_config(w))) {
           throw std::runtime_error("CampaignEngine: " + transport->error());
         }
       }
     }
-    MergeAndCollect(pipeline, *transport, plan.epochs);
+    MergeAndCollect(pipeline, *transport, config.epochs);
   } catch (const std::exception& e) {
     // Harvest whoever already died (the likely culprit) for the error
     // message, then tear the rest down so nothing outlives the campaign.
@@ -984,29 +964,9 @@ int MaybeRunShardChild(int argc, char** argv) {
     return 2;
   }
   try {
-    const HypervisorFactory factory =
-        ResolveHypervisorFactory(config.target);
-    CampaignOptions options;
-    options.arch = static_cast<Arch>(config.arch);
-    options.iterations = config.iterations;
-    options.seed = config.seed;
-    options.fuzzer.coverage_guidance = config.coverage_guidance != 0;
-    options.fuzzer.havoc_stack = config.havoc_stack;
-    options.fuzzer.splice_percent = config.splice_percent;
-    options.agent.use_harness = config.use_harness != 0;
-    options.agent.use_validator = config.use_validator != 0;
-    options.agent.use_configurator = config.use_configurator != 0;
-    options.agent.oracle_interval = config.oracle_interval;
-    options.agent.crash_dir = config.crash_dir;
-    const ShardPlan plan{.workers = config.workers,
-                         .samples = config.samples,
-                         .epochs = config.epochs,
-                         .syncing = config.syncing != 0,
-                         .start_epoch = config.start_epoch,
-                         .snapshot_every = config.snapshot_every};
-    return RunShardChildLoop(factory, options, plan, config.worker,
+    return RunShardChildLoop(ResolveHypervisorFactory(config.target), config,
                              config.start_epoch > 0 ? &restore : nullptr,
-                             delta_fd, feedback_fd);
+                             delta_fd, feedback_fd, /*fault_hook=*/nullptr);
   } catch (...) {
     return 1;
   }

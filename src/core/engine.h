@@ -120,8 +120,6 @@ struct EngineResult {
 
 // --- The session object --------------------------------------------------
 
-struct ShardPlan;  // engine.cc: the schedule every shard of one Run() follows.
-
 class CampaignEngine {
  public:
   // By registry name. Throws std::invalid_argument for an unknown name,
@@ -151,19 +149,21 @@ class CampaignEngine {
   EngineResult Run();
 
  private:
-  // Run() resolves the plan and the pipeline options, the same for every
-  // shard mode; each path only launches and tears down its shards.
+  // Run() resolves the campaign's CampaignSpec once, opens the journal
+  // from it, and builds `config` and the pipeline options, the same for
+  // every shard mode; every shard is built from `config` with its worker
+  // id set, and each path only launches and tears down its shards.
   // `snapshot` is the materialized resume point loaded from the journal
   // (null for a fresh or snapshot-less campaign): shards seed their
   // private state from snapshot->workers and start at the horizon, the
   // pipeline seeds its merged state from snapshot->merged, and only the
   // tail past the horizon is replayed.
-  EngineResult RunWithThreadShards(const ShardPlan& plan,
+  EngineResult RunWithThreadShards(const ShardChildConfigRecord& config,
                                    const MergePipelineOptions& pipeline_options,
                                    CampaignSnapshot* snapshot);
   EngineResult RunWithProcessShards(
-      const ShardPlan& plan, const MergePipelineOptions& pipeline_options,
-      CampaignSnapshot* snapshot);
+      const ShardChildConfigRecord& config,
+      const MergePipelineOptions& pipeline_options, CampaignSnapshot* snapshot);
 
   HypervisorFactory factory_;
   Hypervisor* borrowed_ = nullptr;
@@ -182,11 +182,12 @@ class CampaignEngine {
 // (--necofuzz-connect=<address:port> --necofuzz-worker=<n>) dial the
 // parent's listener, send a ShardHelloRecord, and receive the config over
 // the connection — this is the invocation a RemoteLauncher issues on
-// another machine. Either way the shard then runs (publishing ShardDelta
-// frames, absorbing FeedbackRecords, finishing with a ShardResultRecord)
-// and this returns the process exit code — the caller's main() must
-// return it without doing anything else. Returns -1 for a normal
-// invocation (no flag), in which case main() proceeds as usual.
+// another machine. Either way the shard is built from the decoded record
+// alone, runs (publishing ShardDelta frames, absorbing FeedbackRecords,
+// finishing with a ShardResultRecord), and this returns the process exit
+// code — the caller's main() must return it without doing anything else.
+// Returns -1 for a normal invocation (no flag), in which case main()
+// proceeds as usual.
 //
 //   int main(int argc, char** argv) {
 //     if (const int code = neco::MaybeRunShardChild(argc, argv); code >= 0)

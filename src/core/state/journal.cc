@@ -62,40 +62,34 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-// The fingerprint fields must match exactly; committed_epochs,
-// snapshot_epochs, and crash_artifacts are the manifest's only mutable
-// fields.
-std::string FingerprintMismatch(const CampaignManifestRecord& disk,
-                                const CampaignManifestRecord& run) {
-  auto differs = [](const std::string& field) {
-    return "fingerprint mismatch (" + field + ")";
+// The fingerprint is the whole CampaignSpec: every field must match. The
+// manifest's commit fields are not part of it.
+std::string FingerprintMismatch(const CampaignSpec& disk,
+                                const CampaignSpec& run) {
+  const std::pair<const char*, bool> fields[] = {
+      {"epochs", disk.epochs != run.epochs},
+      {"workers", disk.workers != run.workers},
+      {"samples", disk.samples != run.samples},
+      {"arch", disk.arch != run.arch},
+      {"iterations", disk.iterations != run.iterations},
+      {"seed", disk.seed != run.seed},
+      {"corpus_sync", disk.corpus_sync != run.corpus_sync},
+      {"coverage_guidance", disk.coverage_guidance != run.coverage_guidance},
+      {"havoc_stack", disk.havoc_stack != run.havoc_stack},
+      {"splice_percent", disk.splice_percent != run.splice_percent},
+      {"use_harness", disk.use_harness != run.use_harness},
+      {"use_validator", disk.use_validator != run.use_validator},
+      {"use_configurator", disk.use_configurator != run.use_configurator},
+      {"oracle_interval", disk.oracle_interval != run.oracle_interval},
+      {"target", disk.target != run.target},
   };
-  if (disk.epochs != run.epochs) return differs("epochs");
-  if (disk.workers != run.workers) return differs("workers");
-  if (disk.samples != run.samples) return differs("samples");
-  if (disk.arch != run.arch) return differs("arch");
-  if (disk.iterations != run.iterations) return differs("iterations");
-  if (disk.seed != run.seed) return differs("seed");
-  if (disk.corpus_sync != run.corpus_sync) return differs("corpus_sync");
-  if (disk.coverage_guidance != run.coverage_guidance) {
-    return differs("coverage_guidance");
+  for (const auto& [name, differs] : fields) {
+    if (differs) {
+      return "fingerprint mismatch (" + std::string(name) + ")";
+    }
   }
-  if (disk.havoc_stack != run.havoc_stack) return differs("havoc_stack");
-  if (disk.splice_percent != run.splice_percent) {
-    return differs("splice_percent");
-  }
-  if (disk.use_harness != run.use_harness) return differs("use_harness");
-  if (disk.use_validator != run.use_validator) {
-    return differs("use_validator");
-  }
-  if (disk.use_configurator != run.use_configurator) {
-    return differs("use_configurator");
-  }
-  if (disk.oracle_interval != run.oracle_interval) {
-    return differs("oracle_interval");
-  }
-  if (disk.target != run.target) return differs("target");
-  return {};
+  // A field the list above does not name still refuses the directory.
+  return disk == run ? std::string() : "fingerprint mismatch";
 }
 
 }  // namespace
@@ -131,9 +125,9 @@ std::optional<CampaignManifestRecord> CampaignJournal::ReadManifestFile(
 }
 
 CampaignJournal::CampaignJournal(std::filesystem::path dir,
-                                 const CampaignManifestRecord& fingerprint)
+                                 const CampaignSpec& spec)
     : dir_(std::move(dir)),
-      manifest_(fingerprint),
+      manifest_{spec},
       // The manifest is read before the crash store constructs so the
       // store can take the committed artifact count as its reload hint
       // (0 skips the directory scan outright).
@@ -144,12 +138,8 @@ CampaignJournal::CampaignJournal(std::filesystem::path dir,
                        ? std::optional<uint64_t>(disk_manifest_->crash_artifacts)
                        : std::nullopt) {
   stats_.reload_ns += crash_store_.reload_ns();
-  manifest_.committed_epochs = 0;
-  manifest_.snapshot_epochs = 0;
-  manifest_.crash_artifacts = 0;
   if (disk_manifest_.has_value()) {
-    const std::string mismatch =
-        FingerprintMismatch(*disk_manifest_, fingerprint);
+    const std::string mismatch = FingerprintMismatch(*disk_manifest_, spec);
     if (!mismatch.empty()) {
       throw std::runtime_error(
           "CampaignJournal: " + dir_.string() +

@@ -8,10 +8,11 @@
 // determinism contract from the delta pipeline). Layout under state_dir:
 //
 //   MANIFEST                  wire CampaignManifestRecord: the campaign
-//                             fingerprint + committed_epochs (the
-//                             journal's commit point) + snapshot_epochs
-//                             (the materialized horizon) + the committed
-//                             crash-artifact count
+//                             fingerprint (its CampaignSpec) +
+//                             committed_epochs (the journal's commit
+//                             point) + snapshot_epochs (the materialized
+//                             horizon) + the committed crash-artifact
+//                             count
 //   epoch-<N>.journal         N's worker delta frames (worker order) +
 //                             a trailing EpochCommitRecord (checksum +
 //                             merged-state summary)
@@ -86,12 +87,14 @@ struct JournalStats {
 
 class CampaignJournal {
  public:
-  // Opens (or creates) the journal at `dir`. A fresh directory starts at
-  // committed_epochs = 0; an existing one must carry a manifest whose
-  // fingerprint matches `fingerprint` exactly (committed_epochs aside) —
-  // a mismatch, or a corrupt manifest, throws std::runtime_error.
-  CampaignJournal(std::filesystem::path dir,
-                  const CampaignManifestRecord& fingerprint);
+  // Opens (or creates) the journal at `dir` for the campaign `spec`
+  // defines — the same spec every shard of the campaign is built from. A
+  // fresh directory starts at committed_epochs = 0 with `spec` stamped
+  // into its manifest; an existing one must carry a manifest whose spec
+  // equals `spec` — a mismatch (named by its first differing field), a
+  // manifest from another wire format version, or a corrupt manifest
+  // throws std::runtime_error.
+  CampaignJournal(std::filesystem::path dir, const CampaignSpec& spec);
 
   size_t committed_epochs() const { return committed_epochs_; }
 

@@ -358,16 +358,24 @@ void Fields(Io& io, ShardResultRecord& r) {
   CrashPairs(io, r);
 }
 
+// The spec ShardChildConfigRecord and CampaignManifestRecord both embed.
+template <class Io>
+void Fields(Io& io, CampaignSpec& r) {
+  io(r.epochs, r.workers, r.samples, r.arch, r.iterations, r.seed,
+     r.corpus_sync, r.coverage_guidance, r.havoc_stack, r.splice_percent,
+     r.use_harness, r.use_validator, r.use_configurator, r.oracle_interval,
+     r.target);
+  io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
+  // A campaign without shards would divide its budget by zero.
+  io.Check(r.workers >= 1);
+}
+
 template <class Io>
 void Fields(Io& io, ShardChildConfigRecord& r) {
-  io(r.target, r.worker, r.workers, r.epochs, r.arch, r.iterations,
-     r.samples, r.seed, r.syncing, r.coverage_guidance, r.havoc_stack,
-     r.splice_percent, r.use_harness, r.use_validator, r.use_configurator,
-     r.oracle_interval, r.crash_dir, r.start_epoch, r.snapshot_every);
-  io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
-  // A shard that cannot exist: the child would divide its budget by zero
-  // or run a worker slot no parent owns.
-  io.Check(r.workers >= 1 && r.worker >= 0 && r.worker < r.workers);
+  io(static_cast<CampaignSpec&>(r), r.worker, r.crash_dir, r.start_epoch,
+     r.snapshot_every);
+  // A worker slot no parent owns.
+  io.Check(r.worker >= 0 && r.worker < r.workers);
   // A tail that ends before it begins: nothing legitimate encodes that.
   io.Check(r.start_epoch <= r.epochs);
 }
@@ -381,14 +389,10 @@ void Fields(Io& io, ShardHelloRecord& r) {
 template <class Io>
 void Fields(Io& io, CampaignManifestRecord& r) {
   io(r.magic, r.committed_epochs, r.snapshot_epochs, r.crash_artifacts,
-     r.epochs, r.workers, r.samples, r.arch, r.iterations, r.seed,
-     r.corpus_sync, r.coverage_guidance, r.havoc_stack, r.splice_percent,
-     r.use_harness, r.use_validator, r.use_configurator, r.oracle_interval,
-     r.target);
+     static_cast<CampaignSpec&>(r));
   io.Check(r.magic == CampaignManifestRecord::kMagic);
   // The snapshot must cover a committed prefix.
   io.Check(r.snapshot_epochs <= r.committed_epochs);
-  io.Check(r.arch <= 1);  // Arch::{kIntel,kAmd}.
 }
 
 template <class Io>

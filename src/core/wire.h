@@ -17,15 +17,15 @@
 //    ShardResultRecord (a shard's final per-worker summary, shipped after
 //    its last delta — including the crash reproduction inputs, so nothing
 //    stays resident in a child that may live on another machine),
-//    ShardChildConfigRecord (the campaign configuration an exec'd
-//    --necofuzz-shard-child process reads at startup), and
+//    ShardChildConfigRecord (the CampaignSpec a shard is built from, plus
+//    its identity; exec'd and socket children read it at startup), and
 //    ShardHelloRecord (the socket-transport handshake: a dialing shard
 //    identifies itself before receiving its config).
 //
 // A fourth family — the durable-state records further down — reuses the
-// same framing as the storage format of src/core/state/: manifests, epoch
-// journal files, crash artifacts, and (since v6) materialized campaign
-// snapshots.
+// same framing as the storage format of src/core/state/: manifests (which
+// embed the same CampaignSpec), epoch journal files, crash artifacts, and
+// (since v6) materialized campaign snapshots.
 //
 // The binary encoding is versioned, length-prefixed, and endian-stable
 // (everything is serialized little-endian byte by byte, so records decode
@@ -149,6 +149,36 @@ struct ShardDelta {
   bool operator==(const ShardDelta&) const = default;
 };
 
+// --- CampaignSpec --------------------------------------------------------
+
+// Everything a campaign's results depend on, resolved once by
+// CampaignEngine::Run(). The journal manifest and every shard's config
+// inherit it, so an option cannot reach the fingerprint without reaching
+// the shards, or the reverse. shard_mode, the snapshot cadence and the
+// crash directory are absent: results are invariant to them, so a
+// campaign may resume with them changed. Not a record of its own.
+struct CampaignSpec {
+  uint64_t epochs = 0;  // Global epoch count (the longest shard schedule).
+  int workers = 1;
+  int samples = 1;
+  uint8_t arch = 0;  // static_cast<uint8_t>(Arch).
+  uint64_t iterations = 0;
+  uint64_t seed = 1;
+  uint8_t corpus_sync = 0;  // The resolved cross-shard syncing decision.
+  // FuzzerOptions (a shard's fuzzer seed is seed + worker).
+  uint8_t coverage_guidance = 0;
+  uint32_t havoc_stack = 16;
+  uint32_t splice_percent = 15;
+  // AgentOptions (the agent's arch is the campaign arch above).
+  uint8_t use_harness = 1;
+  uint8_t use_validator = 1;
+  uint8_t use_configurator = 1;
+  uint32_t oracle_interval = 64;
+  std::string target;  // Registry name ("" for factory/borrowed sessions).
+
+  bool operator==(const CampaignSpec&) const = default;
+};
+
 // --- Process-sharding records --------------------------------------------
 
 // The merged state a syncing shard absorbs at an epoch boundary, as the
@@ -209,38 +239,20 @@ struct ShardHelloRecord {
   bool operator==(const ShardHelloRecord&) const = default;
 };
 
-// Everything an exec'd --necofuzz-shard-child process needs to rebuild its
-// shard: the target (by registry name — factories cannot cross exec), the
-// campaign options that shape the schedule, and this shard's identity.
-// Fork-mode children inherit all of this through memory and skip the
-// record.
-struct ShardChildConfigRecord {
-  std::string target;
+// Everything one shard is built from: the campaign's spec, the shard's
+// identity, and knobs results do not depend on. Thread shards and
+// pipe-fork children get it in memory; exec'd pipe children and every
+// socket child decode it off their stream at startup.
+struct ShardChildConfigRecord : CampaignSpec {
   int worker = 0;
-  int workers = 1;
-  uint64_t epochs = 0;  // Global epoch count (parent's schedule authority).
-  uint8_t arch = 0;     // static_cast<uint8_t>(Arch).
-  uint64_t iterations = 0;
-  int samples = 1;
-  uint64_t seed = 1;
-  uint8_t syncing = 0;  // Parent's resolved corpus-sync decision.
-  // FuzzerOptions (seed is derived: campaign seed + worker).
-  uint8_t coverage_guidance = 0;
-  uint32_t havoc_stack = 16;
-  uint32_t splice_percent = 15;
-  // AgentOptions (arch comes from the campaign arch above).
-  uint8_t use_harness = 1;
-  uint8_t use_validator = 1;
-  uint8_t use_configurator = 1;
-  uint32_t oracle_interval = 64;
-  std::string crash_dir;
+  std::string crash_dir;  // AgentOptions::crash_dir.
   // Snapshot resume: the shard starts at this epoch instead of 0. When
   // non-zero, a WorkerStateRecord frame follows this config frame on the
   // same stream, carrying the shard's materialized state. Not part of the
-  // campaign fingerprint (like snapshot_every below): results are
-  // invariant to where the tail starts.
+  // spec (like snapshot_every below): results are invariant to where the
+  // tail starts.
   uint64_t start_epoch = 0;
-  // CampaignOptions::snapshot_every_epochs, so the child publishes its
+  // CampaignOptions::snapshot_every_epochs, so the shard publishes its
   // WorkerStateRecord at exactly the parent's snapshot epochs.
   uint64_t snapshot_every = 0;
 
@@ -256,13 +268,11 @@ struct ShardChildConfigRecord {
 
 // The journal's versioned manifest (file MANIFEST under the state dir).
 // `committed_epochs` is the journal's commit point — it only advances
-// after the epoch file it names is durable. The remaining fields
-// fingerprint the campaign: a journal opened with a different fingerprint
-// is a different campaign (different schedule, seeds, or target), so the
-// open throws rather than silently mixing two runs' state. shard_mode is
-// deliberately absent: results are invariant to it, so a campaign may
-// resume under a different transport.
-struct CampaignManifestRecord {
+// after the epoch file it names is durable. The inherited CampaignSpec is
+// the campaign's fingerprint: a journal opened with a different spec is a
+// different campaign (different schedule, seeds, or target), so the open
+// throws rather than silently mixing two runs' state.
+struct CampaignManifestRecord : CampaignSpec {
   static constexpr uint32_t kMagic = 0x4D4A434Eu;  // "NCJM" little-endian.
   uint32_t magic = kMagic;
   uint64_t committed_epochs = 0;
@@ -277,22 +287,6 @@ struct CampaignManifestRecord {
   // directory scan when zero); it is advisory — the .record files stay
   // authoritative.
   uint64_t crash_artifacts = 0;
-  // --- Fingerprint ---
-  uint64_t epochs = 0;  // Global epoch count.
-  int workers = 1;
-  int samples = 1;
-  uint8_t arch = 0;  // static_cast<uint8_t>(Arch).
-  uint64_t iterations = 0;
-  uint64_t seed = 1;
-  uint8_t corpus_sync = 0;  // The resolved cross-shard syncing decision.
-  uint8_t coverage_guidance = 0;
-  uint32_t havoc_stack = 16;
-  uint32_t splice_percent = 15;
-  uint8_t use_harness = 1;
-  uint8_t use_validator = 1;
-  uint8_t use_configurator = 1;
-  uint32_t oracle_interval = 64;
-  std::string target;  // Registry name ("" for factory/borrowed sessions).
 
   bool operator==(const CampaignManifestRecord&) const = default;
 };
@@ -427,7 +421,7 @@ struct CampaignSnapshotRecord {
 
 namespace wire {
 
-inline constexpr uint8_t kVersion = 7;  // v2 added the process-sharding
+inline constexpr uint8_t kVersion = 8;  // v2 added the process-sharding
                                         // records (kFeedback..kChildConfig);
                                         // v3 the socket handshake
                                         // (kShardHello) and crash-input
@@ -448,7 +442,10 @@ inline constexpr uint8_t kVersion = 7;  // v2 added the process-sharding
                                         // ShardChildConfigRecord; v7
                                         // removed the v5 additions and
                                         // the cache counters in
-                                        // WorkerStateRecord.
+                                        // WorkerStateRecord; v8 laid
+                                        // ShardChildConfigRecord out as
+                                        // the CampaignSpec it shares with
+                                        // the manifest.
 
 enum class RecordType : uint8_t {
   kShardDelta = 1,

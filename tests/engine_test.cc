@@ -526,6 +526,39 @@ TEST(SocketShardTest, ExecSocketShardsMatchThreadShards) {
   ExpectSameEngineResult(thread_result, socket_result);
 }
 
+TEST(ExecShardTest, ExecShardsBuiltFromANonDefaultSpecMatchThreadShards) {
+  // An exec'd child knows only the config record it decodes, so every
+  // spec field must reach it: fuzzer and agent options away from their
+  // defaults must give the same campaign over exec'd pipes and exec'd
+  // sockets as on threads.
+  CampaignOptions options = SmallOptions(Arch::kAmd, 900, 3);
+  options.samples = 5;
+  options.seed = 11;
+  options.fuzzer.coverage_guidance = true;
+  options.fuzzer.havoc_stack = 4;
+  options.fuzzer.splice_percent = 60;
+  options.agent.use_harness = false;
+  options.agent.use_configurator = false;
+  options.agent.oracle_interval = 7;
+
+  RecordingObserver threads;
+  const EngineResult thread_result =
+      CampaignEngine("kvm", options).AddObserver(&threads).Run();
+  ASSERT_FALSE(threads.log.empty());
+
+  options.shard_exec_path = "/proc/self/exe";
+  for (ShardMode mode : {ShardMode::kProcesses, ShardMode::kSockets}) {
+    SCOPED_TRACE(mode == ShardMode::kProcesses ? "exec'd pipe shards"
+                                               : "exec'd socket shards");
+    options.shard_mode = mode;
+    RecordingObserver exec;
+    const EngineResult exec_result =
+        CampaignEngine("kvm", options).AddObserver(&exec).Run();
+    EXPECT_EQ(threads.log, exec.log);
+    ExpectSameEngineResult(thread_result, exec_result);
+  }
+}
+
 TEST(SocketShardTest, KilledSocketShardIsARecordedErrorNotAHang) {
   // kill -9 one socket child mid-campaign: the connection is cut without
   // a clean EOF; the drainer must fail fast with a shard error naming the

@@ -193,18 +193,46 @@ TEST(CampaignJournalTest, CommitReopenLoadRoundTrip) {
 }
 
 TEST(CampaignJournalTest, FingerprintMismatchIsRejectedByName) {
+  // Every CampaignSpec field is part of the fingerprint: a spec that
+  // differs from the stamped one in that field alone is refused, and the
+  // error names the field.
+  struct Row {
+    const char* field;
+    void (*mutate)(CampaignSpec&);
+  };
+  const Row table[] = {
+      {"epochs", [](CampaignSpec& s) { s.epochs += 1; }},
+      {"workers", [](CampaignSpec& s) { s.workers += 1; }},
+      {"samples", [](CampaignSpec& s) { s.samples += 1; }},
+      {"arch", [](CampaignSpec& s) { s.arch = 0; }},
+      {"iterations", [](CampaignSpec& s) { s.iterations += 1; }},
+      {"seed", [](CampaignSpec& s) { s.seed = 8; }},
+      {"corpus_sync", [](CampaignSpec& s) { s.corpus_sync = 0; }},
+      {"coverage_guidance", [](CampaignSpec& s) { s.coverage_guidance = 0; }},
+      {"havoc_stack", [](CampaignSpec& s) { s.havoc_stack += 1; }},
+      {"splice_percent", [](CampaignSpec& s) { s.splice_percent += 1; }},
+      {"use_harness", [](CampaignSpec& s) { s.use_harness = 0; }},
+      {"use_validator", [](CampaignSpec& s) { s.use_validator = 0; }},
+      {"use_configurator", [](CampaignSpec& s) { s.use_configurator = 0; }},
+      {"oracle_interval", [](CampaignSpec& s) { s.oracle_interval += 1; }},
+      {"target", [](CampaignSpec& s) { s.target = "xen"; }},
+  };
   TempDir dir("journal-fingerprint");
   { CampaignJournal journal(dir.path(), TestFingerprint()); }
-  CampaignManifestRecord other = TestFingerprint();
-  other.seed = 8;
-  try {
-    CampaignJournal journal(dir.path(), other);
-    FAIL() << "expected a fingerprint mismatch";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("seed"), std::string::npos) << message;
-    EXPECT_NE(message.find(dir.path().string()), std::string::npos)
-        << message;
+  for (const Row& row : table) {
+    CampaignManifestRecord other = TestFingerprint();
+    row.mutate(other);
+    try {
+      CampaignJournal journal(dir.path(), other);
+      ADD_FAILURE() << "expected a fingerprint mismatch on " << row.field;
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("(" + std::string(row.field) + ")"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(dir.path().string()), std::string::npos)
+          << message;
+    }
   }
   // The original fingerprint still opens.
   CampaignJournal journal(dir.path(), TestFingerprint());
@@ -910,7 +938,7 @@ TEST(DurableCampaignTest, SnapshotFileBytesArePinned) {
   // its bytes — the merged pool slice and feedback novelty the fold keeps
   // for the last epoch included — in thread and process mode alike.
   const std::map<std::string, uint64_t> expected = {
-      {SnapshotFileName(2), 0xB9B495C7689F4127ULL},
+      {SnapshotFileName(2), 0xFFE4C4F112D212CCULL},
   };
   for (ShardMode mode : {ShardMode::kThreads, ShardMode::kProcesses}) {
     const std::string tag = mode == ShardMode::kThreads ? "threads" : "procs";

@@ -4,7 +4,7 @@
 // wire::Records: round trip with ==, exact sizing, every truncation, a
 // trailing byte, wrong type / version / length, random buffers, a flip of
 // every byte, and decoding into a reused out-param. A table pins the
-// record-specific rejections, golden hashes pin the v7 byte layout, and
+// record-specific rejections, golden hashes pin the v8 byte layout, and
 // the rest covers the zero-copy overload, stream framing and random
 // well-formed records.
 #include <gtest/gtest.h>
@@ -112,44 +112,9 @@ ShardResultRecord Sample<ShardResultRecord>() {
   return r;
 }
 
-template <>
-ShardChildConfigRecord Sample<ShardChildConfigRecord>() {
-  ShardChildConfigRecord r;
-  r.target = "kvm";
-  r.worker = 2;
-  r.workers = 4;
-  r.epochs = 24;
-  r.arch = 1;
-  r.iterations = 20000;
-  r.samples = 24;
-  r.seed = 7;
-  r.syncing = 1;
-  r.coverage_guidance = 1;
-  r.havoc_stack = 24;
-  r.splice_percent = 30;
-  r.use_harness = 0;
-  r.use_validator = 0;
-  r.use_configurator = 0;
-  r.oracle_interval = 96;
-  r.crash_dir = "state/crashes";
-  r.start_epoch = 10;
-  r.snapshot_every = 5;
-  return r;
-}
-
-template <>
-ShardHelloRecord Sample<ShardHelloRecord>() {
-  ShardHelloRecord r;
-  r.worker = 5;
-  return r;
-}
-
-template <>
-CampaignManifestRecord Sample<CampaignManifestRecord>() {
-  CampaignManifestRecord r;
-  r.committed_epochs = 5;
-  r.snapshot_epochs = 4;
-  r.crash_artifacts = 2;
+// The spec both the child config and the manifest sample embed.
+CampaignSpec SampleSpec() {
+  CampaignSpec r;
   r.epochs = 24;
   r.workers = 4;
   r.samples = 24;
@@ -165,6 +130,32 @@ CampaignManifestRecord Sample<CampaignManifestRecord>() {
   r.use_configurator = 0;
   r.oracle_interval = 96;
   r.target = "kvm";
+  return r;
+}
+
+template <>
+ShardChildConfigRecord Sample<ShardChildConfigRecord>() {
+  ShardChildConfigRecord r{SampleSpec()};
+  r.worker = 2;
+  r.crash_dir = "state/crashes";
+  r.start_epoch = 10;
+  r.snapshot_every = 5;
+  return r;
+}
+
+template <>
+ShardHelloRecord Sample<ShardHelloRecord>() {
+  ShardHelloRecord r;
+  r.worker = 5;
+  return r;
+}
+
+template <>
+CampaignManifestRecord Sample<CampaignManifestRecord>() {
+  CampaignManifestRecord r{SampleSpec()};
+  r.committed_epochs = 5;
+  r.snapshot_epochs = 4;
+  r.crash_artifacts = 2;
   return r;
 }
 
@@ -285,27 +276,27 @@ uint64_t FrameHash() {
   return Fnv1a64(wire::Encode(Sample<Record>()));
 }
 
-TEST(WireGoldenTest, FramesKeepTheVersion7Layout) {
-  // Pipes and state dirs written by any v7 build must keep decoding, so
+TEST(WireGoldenTest, FramesKeepTheVersion8Layout) {
+  // Pipes and state dirs written by any v8 build must keep decoding, so
   // these hashes of the sample frames are the byte layout itself: a
   // change here is a format change, which needs a kVersion bump.
-  EXPECT_EQ(wire::kVersion, 7);
-  EXPECT_EQ(FrameHash<ShardDelta>(), 0x3D2C3F8A2684D24FULL);
-  EXPECT_EQ(FrameHash<SampleEvent>(), 0xB09796BED9AF8DEBULL);
-  EXPECT_EQ(FrameHash<FindingEvent>(), 0xFFECF73DC4CE3F85ULL);
-  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0x96BA814DA5AE6056ULL);
-  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xB421B67008DE225DULL);
-  EXPECT_EQ(FrameHash<FinishEvent>(), 0xDCB5AF35CD753CBDULL);
-  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0xD7FD525078D1FC04ULL);
-  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0xD6C5DAA9EED42926ULL);
-  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0xEAF2F42C2269EF19ULL);
-  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x544BBD325FB2D72CULL);
-  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0xAE9C06E165E5B4C2ULL);
-  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0xE42E0E6EF1FED512ULL);
-  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0x5CAB2A9EE383B2C6ULL);
-  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0x30C2C70540646167ULL);
-  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xC7FF93B12A52ABFBULL);
-  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x50DC2734D05076C9ULL);
+  EXPECT_EQ(wire::kVersion, 8);
+  EXPECT_EQ(FrameHash<ShardDelta>(), 0x3FDDADACFA0C5DB8ULL);
+  EXPECT_EQ(FrameHash<SampleEvent>(), 0xF6ADCE2C43388B1AULL);
+  EXPECT_EQ(FrameHash<FindingEvent>(), 0x512DF9B93EFAFD30ULL);
+  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0xD12E50AE76184ECBULL);
+  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xDDE1E12CBEB9DC60ULL);
+  EXPECT_EQ(FrameHash<FinishEvent>(), 0x7D009CAFB5D0A610ULL);
+  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0x5EB16DFFD08C0545ULL);
+  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0x7BC6226E077A8933ULL);
+  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0x7885E3528F331D58ULL);
+  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x13B9A975F810B2A1ULL);
+  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x7C181B15BB9729CDULL);
+  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0x618836D3C5AE25ABULL);
+  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0x30D6F4812C2467E3ULL);
+  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0x8A622E85BE9D437AULL);
+  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xC49746A1FE233958ULL);
+  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x580B7553CA532F08ULL);
 
   // The zero-copy overload (queue entries read through corpus pointers,
   // record.queue_entries ignored) writes the same ShardDelta frame.
@@ -316,7 +307,7 @@ TEST(WireGoldenTest, FramesKeepTheVersion7Layout) {
   for (const FuzzInput& input : corpus) {
     entries.push_back(&input);
   }
-  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x3D2C3F8A2684D24FULL);
+  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x3FDDADACFA0C5DB8ULL);
 }
 
 // --- Generic checks, run on every record in wire::Records --------------------
@@ -538,6 +529,8 @@ TEST(WireInvalidTest, RecordInvariantViolationsAreRejected) {
                                         }),
       Broken<CampaignManifestRecord>("manifest arch 9",
                                      [](auto& r) { r.arch = 9; }),
+      Broken<CampaignManifestRecord>("manifest zero workers",
+                                     [](auto& r) { r.workers = 0; }),
       Broken<ShardChildConfigRecord>("child config arch 2",
                                      [](auto& r) { r.arch = 2; }),
       Broken<ShardChildConfigRecord>(
