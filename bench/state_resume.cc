@@ -122,14 +122,6 @@ uint64_t DirectoryBytes(const fs::path& dir) {
   return bytes;
 }
 
-// The determinism comparison the state tests pin, minus gtest: true when
-// the resumed campaign landed on the golden run's merged state bit for
-// bit (run-local journal/pipeline counters excluded by design).
-bool SameResult(const EngineResult& a, const EngineResult& b) {
-  return a.merged == b.merged && a.per_worker == b.per_worker &&
-         a.corpus_imports == b.corpus_imports && a.crashes == b.crashes;
-}
-
 int RunBench(bool smoke, const std::string& json_path) {
   const size_t epochs = smoke ? 20 : 200;
   const size_t cadence = 10;
@@ -208,17 +200,18 @@ int RunBench(bool smoke, const std::string& json_path) {
               (unsigned long long)snap_dir_bytes,
               (unsigned long long)replay_dir_bytes);
 
-  // Identity: the snapshot resume must land on the golden result in
-  // every shard mode.
-  int identical = SameResult(golden, snap_result) ? 1 : 0;
+  // Identity: the snapshot resume must land on the golden outcome in
+  // every shard mode (== leaves out the run-local journal and pipeline
+  // counters, which differ by design).
+  int identical = golden == snap_result ? 1 : 0;
   options.snapshot_every_epochs = cadence;
   options.shard_mode = ShardMode::kProcesses;
   options.state_dir = snap_proc.string();
-  identical += SameResult(golden, CampaignEngine("kvm", options).Run());
+  identical += golden == CampaignEngine("kvm", options).Run();
   options.shard_mode = ShardMode::kSockets;
   options.state_dir = snap_sock.string();
-  identical += SameResult(golden, CampaignEngine("kvm", options).Run());
-  const bool replay_matched = SameResult(golden, replay_result);
+  identical += golden == CampaignEngine("kvm", options).Run();
+  const bool replay_matched = golden == replay_result;
   std::printf("  bit-identical modes  %d/3%s\n", identical,
               replay_matched ? "" : "  (replay-only DIVERGED)");
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/core/agent.h"
+#include "src/core/wire.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/hv/hypervisor.h"
 
@@ -144,28 +145,6 @@ struct CampaignOptions {
   // post-rounding states (Section 5.6 / Table 5). Benches flip this on to
   // reproduce the "with coverage guidance" row.
   FuzzerOptions fuzzer{.seed = 1, .coverage_guidance = false};
-};
-
-struct CoverageSample {
-  uint64_t iteration;
-  double percent;
-
-  bool operator==(const CoverageSample&) const = default;
-};
-
-struct CampaignResult {
-  std::vector<CoverageSample> series;
-  double final_percent = 0.0;
-  size_t covered_points = 0;
-  size_t total_points = 0;
-  std::vector<size_t> covered_set;
-  std::vector<AnomalyReport> findings;
-  FuzzerStats fuzzer_stats;
-  uint64_t watchdog_restarts = 0;
-
-  // Every field is deterministic for a fixed campaign, so results compare
-  // whole, across shard modes and across a resume alike.
-  bool operator==(const CampaignResult&) const = default;
 };
 
 // The campaign's sampling cadence: `budget` iterations split into

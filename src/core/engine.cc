@@ -198,22 +198,17 @@ ShardResultRecord RecordFromContext(ShardContext& state, int w) {
   ShardResultRecord record;
   CoverageUnit& cov = state.hv->nested_coverage(state.arch);
   record.worker = w;
-  record.final_percent = cov.percent();
-  record.covered_points = cov.covered_points();
-  record.total_points = cov.total_points();
-  for (size_t point : cov.CoveredSet()) {
-    record.covered_set.push_back(static_cast<uint32_t>(point));
-  }
+  CampaignResult& result = record.result;
+  result.final_percent = cov.percent();
+  result.covered_points = cov.covered_points();
+  result.total_points = cov.total_points();
+  result.covered_set = cov.CoveredSet();
   for (const auto& [id, report] : state.agent->findings()) {
-    record.findings.push_back(report);
+    result.findings.push_back(report);
   }
-  const FuzzerStats stats = state.fuzzer->stats();
-  record.iterations = stats.iterations;
-  record.queue_size = stats.queue_size;
-  record.unique_anomalies = stats.unique_anomalies;
-  record.bitmap_edges = stats.bitmap_edges;
-  record.watchdog_restarts = state.agent->watchdog_restarts();
-  record.imports = state.imports;
+  result.fuzzer_stats = state.fuzzer->stats();
+  result.watchdog_restarts = state.agent->watchdog_restarts();
+  record.corpus_imports = state.imports;
   for (const auto& [id, input] : state.fuzzer->crashes()) {
     record.crash_ids.push_back(id);
     record.crash_inputs.push_back(input);
@@ -449,10 +444,7 @@ EngineResult AssembleResult(MergePipeline& pipeline,
   }
   out.merged.covered_points = out.merged.covered_set.size();
   out.merged.final_percent =
-      total_points == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(out.merged.covered_points) /
-                static_cast<double>(total_points);
+      CoveragePercent(out.merged.covered_points, total_points);
   for (const auto& [id, report] : pipeline.findings()) {
     out.merged.findings.push_back(report);
   }
@@ -465,18 +457,11 @@ EngineResult AssembleResult(MergePipeline& pipeline,
       throw std::runtime_error("CampaignEngine: shard " + std::to_string(w) +
                                " never delivered its result record");
     }
-    CampaignResult wr;
-    wr.final_percent = record->final_percent;
-    wr.covered_points = static_cast<size_t>(record->covered_points);
-    wr.total_points = static_cast<size_t>(record->total_points);
-    wr.covered_set.assign(record->covered_set.begin(),
-                          record->covered_set.end());
-    wr.findings = record->findings;
-    wr.fuzzer_stats = {record->iterations, record->queue_size,
-                       record->unique_anomalies, record->bitmap_edges};
-    wr.watchdog_restarts = record->watchdog_restarts;
-    out.merged.fuzzer_stats.iterations += wr.fuzzer_stats.iterations;
-    out.merged.fuzzer_stats.queue_size += wr.fuzzer_stats.queue_size;
+    const CampaignResult& shard = record->result;
+    out.merged.fuzzer_stats.iterations += shard.fuzzer_stats.iterations;
+    out.merged.fuzzer_stats.queue_size += shard.fuzzer_stats.queue_size;
+    out.merged.watchdog_restarts += shard.watchdog_restarts;
+    out.corpus_imports += record->corpus_imports;
     // Decode() guarantees the two crash arrays agree in length.
     std::vector<std::pair<std::string, FuzzInput>>& shard_crashes =
         out.crashes.emplace_back();
@@ -485,31 +470,13 @@ EngineResult AssembleResult(MergePipeline& pipeline,
       shard_crashes.emplace_back(record->crash_ids[i],
                                  record->crash_inputs[i]);
     }
-    out.merged.watchdog_restarts += wr.watchdog_restarts;
-    out.corpus_imports += record->imports;
-
-    const ShardDoneEvent event{w,
-                               wr.fuzzer_stats.iterations,
-                               wr.final_percent,
-                               wr.covered_points,
-                               wr.fuzzer_stats.queue_size,
-                               wr.findings.size(),
-                               record->imports,
-                               wr.watchdog_restarts};
-    pipeline.NotifyShardDone(event);
-    out.per_worker.push_back(std::move(wr));
+    pipeline.NotifyShardDone(*record);
+    out.per_worker.push_back(shard);
   }
   out.merged.fuzzer_stats.unique_anomalies = crash_ids.size();
 
-  const FinishEvent event{options.workers,
-                          options.epochs,
-                          out.merged.fuzzer_stats.iterations,
-                          out.merged.final_percent,
-                          out.merged.covered_points,
-                          out.merged.total_points,
-                          out.merged.findings.size(),
-                          out.corpus_imports};
-  pipeline.NotifyFinish(event);
+  pipeline.NotifyFinish(
+      {options.workers, options.epochs, out.merged, out.corpus_imports});
   if (std::exception_ptr error = pipeline.observer_error()) {
     std::rethrow_exception(error);
   }

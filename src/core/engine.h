@@ -45,7 +45,8 @@
 // Observers stream the campaign instead of waiting for the final blob.
 // Every event is a plain serializable wire record, and delivery is
 // deterministic and merge-ordered: two runs with identical (options,
-// target) produce identical event sequences.
+// target) produce identical event sequences. OnShardDone and OnFinish
+// carry the per-worker and the merged CampaignResult whole.
 // Events fire on the thread that called Run(), never concurrently.
 // Observer exceptions cannot strand or kill the campaign: every callback
 // is guarded, the first exception is recorded, and Run() rethrows it
@@ -90,7 +91,10 @@ class CampaignObserver {
 
 // --- Results -------------------------------------------------------------
 
-struct EngineResult {
+// What a campaign found: every member is deterministic for a fixed
+// (options, target), so outcomes compare with ==, across shard modes and
+// across a resume alike.
+struct CampaignOutcome {
   // The global merged view, shaped exactly like a serial CampaignResult.
   // With workers == 1 it reproduces the historical serial campaign bit
   // for bit.
@@ -105,6 +109,13 @@ struct EngineResult {
   // its ShardResultRecord — which is what makes a crash found on a remote
   // machine reproducible on the parent. Identical across shard modes.
   std::vector<std::vector<std::pair<std::string, FuzzInput>>> crashes;
+
+  bool operator==(const CampaignOutcome&) const = default;
+};
+
+// The outcome plus this run's own counters, which == leaves out: a
+// resumed run counts different work, and some counters are wall-clock.
+struct EngineResult : CampaignOutcome {
   // Merge-loop counters (flushes).
   MergePipelineStats pipeline;
   // Transport counters: bytes, queue depth and thread-shard waits through
@@ -113,8 +124,7 @@ struct EngineResult {
   TransportStats transport;
   // Durable-state counters (all zero without CampaignOptions::state_dir):
   // epochs committed and replayed, bytes fsync'd, crash artifacts
-  // persisted. Like the pipeline/transport stats, wall-clock fields are
-  // excluded from any determinism comparison.
+  // persisted.
   JournalStats journal;
 };
 

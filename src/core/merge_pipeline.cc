@@ -209,10 +209,7 @@ void MergePipeline::FoldReadyEpochs() {
         }
       }
       const double percent =
-          options_.total_points == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(covered_count_) /
-                    static_cast<double>(options_.total_points);
+          CoveragePercent(covered_count_, options_.total_points);
       series_.push_back({total_iterations_, percent});
       events.sample = {epoch, total_iterations_, percent, covered_count_};
       pool_end_ += epoch_pool_.size();

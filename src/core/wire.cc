@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <type_traits>
 
 #include "src/cpu/entry_check.h"
@@ -296,6 +297,29 @@ void Fields(Io& io, Rng::State& r) {
   io(r.s);
 }
 
+template <class Io>
+void Fields(Io& io, CoverageSample& r) {
+  io(r.iteration, r.percent);
+}
+
+template <class Io>
+void Fields(Io& io, FuzzerStats& r) {
+  io(r.iterations, r.queue_size, r.unique_anomalies, r.bitmap_edges);
+}
+
+// The result the two completion events and ShardResultRecord embed.
+template <class Io>
+void Fields(Io& io, CampaignResult& r) {
+  io(r.series, r.final_percent, r.covered_points, r.total_points,
+     r.covered_set, r.findings, r.fuzzer_stats, r.watchdog_restarts);
+  const std::vector<size_t>& set = r.covered_set;
+  io.Check(r.covered_points == set.size());
+  // Strictly ascending, and the last (largest) point inside the unit.
+  io.Check(std::adjacent_find(set.begin(), set.end(),
+                              std::greater_equal<>()) == set.end() &&
+           (set.empty() || set.back() < r.total_points));
+}
+
 // Crash reproduction pairs travel as two arrays that are parallel by
 // contract; a record whose arrays disagree is corrupt, not misaligned.
 template <class Io, class Record>
@@ -335,14 +359,12 @@ void Fields(Io& io, CorpusSyncEvent& r) {
 
 template <class Io>
 void Fields(Io& io, ShardDoneEvent& r) {
-  io(r.worker, r.iterations, r.final_percent, r.covered_points, r.queue_size,
-     r.findings, r.corpus_imports, r.watchdog_restarts);
+  io(r.worker, r.result, r.corpus_imports);
 }
 
 template <class Io>
 void Fields(Io& io, FinishEvent& r) {
-  io(r.workers, r.epochs, r.iterations, r.final_percent, r.covered_points,
-     r.total_points, r.findings, r.corpus_imports);
+  io(r.workers, r.epochs, r.result, r.corpus_imports);
 }
 
 template <class Io>
@@ -352,9 +374,7 @@ void Fields(Io& io, FeedbackRecord& r) {
 
 template <class Io>
 void Fields(Io& io, ShardResultRecord& r) {
-  io(r.worker, r.final_percent, r.covered_points, r.total_points,
-     r.covered_set, r.findings, r.iterations, r.queue_size,
-     r.unique_anomalies, r.bitmap_edges, r.watchdog_restarts, r.imports);
+  io(static_cast<ShardDoneEvent&>(r));
   CrashPairs(io, r);
 }
 

@@ -6,6 +6,8 @@
 //
 //  * The five observer event records (SampleEvent .. FinishEvent) — the
 //    streaming API of CampaignEngine (src/core/engine.h re-exports them).
+//    The two completion events carry a CampaignResult whole: a shard's
+//    own in ShardDoneEvent, the merged one in FinishEvent.
 //  * ShardDelta — everything one shard learned during one epoch, as a
 //    self-contained record: new virgin-map bits, newly covered line ids,
 //    new queue entries, new findings. Shards communicate with the merge
@@ -14,9 +16,9 @@
 //  * The shard-protocol records: FeedbackRecord (the per-epoch merged
 //    state a syncing shard absorbs — pool entries + the global-novelty
 //    BitmapDelta — pushed from the drainer to every shard),
-//    ShardResultRecord (a shard's final per-worker summary, shipped after
-//    its last delta — including the crash reproduction inputs, so nothing
-//    stays resident in a child that may live on another machine),
+//    ShardResultRecord (a shard's ShardDoneEvent plus its crash
+//    reproduction inputs, shipped after its last delta, so nothing stays
+//    resident in a child that may live on another machine),
 //    ShardChildConfigRecord (the CampaignSpec a shard is built from, plus
 //    its identity; exec'd and socket children read it at startup), and
 //    ShardHelloRecord (the socket-transport handshake: a dialing shard
@@ -52,11 +54,39 @@
 
 #include "src/fuzz/bitmap.h"
 #include "src/fuzz/corpus.h"
+#include "src/fuzz/fuzzer.h"
 #include "src/fuzz/mutator.h"
 #include "src/hv/sanitizer.h"
 #include "src/support/rng.h"
 
 namespace neco {
+
+// --- Campaign results ----------------------------------------------------
+
+struct CoverageSample {
+  uint64_t iteration;
+  double percent;
+
+  bool operator==(const CoverageSample&) const = default;
+};
+
+// A campaign's result, or one shard's: EngineResult::merged, each
+// per_worker entry, and the completion events' payload. Decode() rejects
+// a covered_set that is not strictly ascending below total_points, or
+// whose size is not covered_points.
+struct CampaignResult {
+  std::vector<CoverageSample> series;  // Empty for a shard.
+  double final_percent = 0.0;
+  size_t covered_points = 0;
+  size_t total_points = 0;
+  std::vector<size_t> covered_set;      // Covered point ids, ascending.
+  std::vector<AnomalyReport> findings;  // Bug-id order.
+  FuzzerStats fuzzer_stats;
+  uint64_t watchdog_restarts = 0;
+
+  // Every field is deterministic for a fixed campaign.
+  bool operator==(const CampaignResult&) const = default;
+};
 
 // --- Observer event records ----------------------------------------------
 
@@ -92,29 +122,21 @@ struct CorpusSyncEvent {
   bool operator==(const CorpusSyncEvent&) const = default;
 };
 
-// A shard finished its budget (fired per worker, in worker-id order).
+// A shard finished its budget (fired per worker, in worker-id order):
+// its EngineResult::per_worker entry and the pool entries it adopted.
 struct ShardDoneEvent {
   int worker = 0;
-  uint64_t iterations = 0;
-  double final_percent = 0.0;
-  size_t covered_points = 0;
-  uint64_t queue_size = 0;
-  size_t findings = 0;
+  CampaignResult result;
   uint64_t corpus_imports = 0;
-  uint64_t watchdog_restarts = 0;
 
   bool operator==(const ShardDoneEvent&) const = default;
 };
 
-// The campaign completed; the merged summary.
+// The campaign completed: EngineResult::merged and its corpus imports.
 struct FinishEvent {
   int workers = 1;
   size_t epochs = 0;
-  uint64_t iterations = 0;
-  double final_percent = 0.0;
-  size_t covered_points = 0;
-  size_t total_points = 0;
-  size_t findings = 0;
+  CampaignResult result;
   uint64_t corpus_imports = 0;
 
   bool operator==(const FinishEvent&) const = default;
@@ -196,24 +218,11 @@ struct FeedbackRecord {
   bool operator==(const FeedbackRecord&) const = default;
 };
 
-// A shard's final per-worker state, shipped after its last delta; the
-// engine assembles EngineResult::per_worker (and the ShardDoneEvent
-// stream) from these in every shard mode.
-struct ShardResultRecord {
-  int worker = 0;
-  double final_percent = 0.0;
-  uint64_t covered_points = 0;
-  uint64_t total_points = 0;
-  std::vector<uint32_t> covered_set;      // Covered line ids, ascending.
-  std::vector<AnomalyReport> findings;    // Bug-id order (agent map order).
-  uint64_t iterations = 0;
-  uint64_t queue_size = 0;
-  uint64_t unique_anomalies = 0;
-  uint64_t bitmap_edges = 0;
-  uint64_t watchdog_restarts = 0;
-  uint64_t imports = 0;                   // Pool entries adopted (post-dedup).
-  std::vector<std::string> crash_ids;     // Fuzzer crash bug ids, in
-                                          // discovery order.
+// A shard's final state, shipped after its last delta in every shard
+// mode: its ShardDoneEvent, plus the crash pairs of its
+// EngineResult::crashes entry.
+struct ShardResultRecord : ShardDoneEvent {
+  std::vector<std::string> crash_ids;  // In discovery order.
   // Parallel to crash_ids: the input that reproduces each crash. Shipping
   // them in the result record is what lets a process/socket campaign
   // collect reproduction inputs from children that exit (or live on
@@ -421,7 +430,7 @@ struct CampaignSnapshotRecord {
 
 namespace wire {
 
-inline constexpr uint8_t kVersion = 8;  // v2 added the process-sharding
+inline constexpr uint8_t kVersion = 9;  // v2 added the process-sharding
                                         // records (kFeedback..kChildConfig);
                                         // v3 the socket handshake
                                         // (kShardHello) and crash-input
@@ -445,7 +454,11 @@ inline constexpr uint8_t kVersion = 8;  // v2 added the process-sharding
                                         // WorkerStateRecord; v8 laid
                                         // ShardChildConfigRecord out as
                                         // the CampaignSpec it shares with
-                                        // the manifest.
+                                        // the manifest; v9 embedded a
+                                        // CampaignResult in both
+                                        // completion events and made
+                                        // ShardResultRecord a
+                                        // ShardDoneEvent plus crash pairs.
 
 enum class RecordType : uint8_t {
   kShardDelta = 1,

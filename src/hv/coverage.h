@@ -19,6 +19,14 @@
 
 namespace neco {
 
+// Line coverage in percent (0 for a unit without points): the one
+// expression shards, the merge fold and the merged result all share.
+inline double CoveragePercent(size_t covered, size_t total) {
+  return total == 0 ? 0.0
+                    : 100.0 * static_cast<double>(covered) /
+                          static_cast<double>(total);
+}
+
 class CoverageUnit {
  public:
   CoverageUnit(std::string name, size_t total_points)
@@ -52,11 +60,7 @@ class CoverageUnit {
   }
 
   double percent() const {
-    if (hits_.empty()) {
-      return 0.0;
-    }
-    return 100.0 * static_cast<double>(covered_points()) /
-           static_cast<double>(hits_.size());
+    return CoveragePercent(covered_points(), total_points());
   }
 
   bool IsCovered(size_t point) const {

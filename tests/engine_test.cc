@@ -24,11 +24,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/core/engine.h"
 #include "src/hv/factory.h"
 #include "src/hv/sim_kvm/kvm.h"
+#include "tests/event_recorder.h"
 
 namespace neco {
 namespace {
@@ -41,59 +43,6 @@ CampaignOptions SmallOptions(Arch arch, uint64_t iterations, int workers) {
   options.seed = 7;
   options.workers = workers;
   return options;
-}
-
-// Serializes every event into a text log; two identical runs must produce
-// identical logs.
-class RecordingObserver : public CampaignObserver {
- public:
-  void OnSample(const SampleEvent& event) override {
-    std::ostringstream line;
-    line << "sample epoch=" << event.epoch << " iter=" << event.iteration
-         << " pct=" << event.percent << " covered=" << event.covered_points;
-    log.push_back(line.str());
-  }
-  void OnFinding(const FindingEvent& event) override {
-    std::ostringstream line;
-    line << "finding epoch=" << event.epoch << " worker=" << event.worker
-         << " id=" << event.report.bug_id;
-    log.push_back(line.str());
-  }
-  void OnCorpusSync(const CorpusSyncEvent& event) override {
-    std::ostringstream line;
-    line << "sync epoch=" << event.epoch << " worker=" << event.worker
-         << " published=" << event.published
-         << " imported=" << event.imported;
-    log.push_back(line.str());
-  }
-  void OnShardDone(const ShardDoneEvent& event) override {
-    std::ostringstream line;
-    line << "shard worker=" << event.worker << " iters=" << event.iterations
-         << " covered=" << event.covered_points
-         << " queue=" << event.queue_size << " findings=" << event.findings
-         << " imports=" << event.corpus_imports;
-    log.push_back(line.str());
-  }
-  void OnFinish(const FinishEvent& event) override {
-    std::ostringstream line;
-    line << "finish workers=" << event.workers << " epochs=" << event.epochs
-         << " iters=" << event.iterations << " pct=" << event.final_percent
-         << " covered=" << event.covered_points << "/" << event.total_points
-         << " findings=" << event.findings
-         << " imports=" << event.corpus_imports;
-    log.push_back(line.str());
-  }
-
-  std::vector<std::string> log;
-};
-
-size_t CountPrefix(const std::vector<std::string>& log,
-                   const std::string& prefix) {
-  size_t n = 0;
-  for (const std::string& line : log) {
-    n += line.rfind(prefix, 0) == 0;
-  }
-  return n;
 }
 
 TEST(HypervisorRegistryTest, BuiltinsAreListed) {
@@ -151,30 +100,6 @@ TEST(HypervisorRegistryTest, UnknownTargetFailsLoudly) {
   }
 }
 
-TEST(CampaignEngineTest, FactoryWorkerMatchesBorrowedSerialSession) {
-  // A borrowed-target session is the historical serial campaign; a
-  // factory session at workers=1 must reproduce it bit for bit through
-  // the pipeline.
-  const CampaignOptions options = SmallOptions(Arch::kIntel, 800, 1);
-
-  SimKvm kvm;
-  const CampaignResult serial = CampaignEngine(kvm, options).Run().merged;
-  const EngineResult engine = CampaignEngine("kvm", options).Run();
-
-  EXPECT_EQ(engine.merged.final_percent, serial.final_percent);
-  EXPECT_EQ(engine.merged.covered_set, serial.covered_set);
-  EXPECT_EQ(engine.merged.findings.size(), serial.findings.size());
-  EXPECT_EQ(engine.merged.fuzzer_stats.iterations,
-            serial.fuzzer_stats.iterations);
-  EXPECT_EQ(engine.merged.fuzzer_stats.queue_size,
-            serial.fuzzer_stats.queue_size);
-  ASSERT_EQ(engine.merged.series.size(), serial.series.size());
-  for (size_t i = 0; i < serial.series.size(); ++i) {
-    EXPECT_DOUBLE_EQ(engine.merged.series[i].percent,
-                     serial.series[i].percent);
-  }
-}
-
 TEST(CampaignEngineTest, BorrowedTargetAlwaysRunsOneInlineShard) {
   // A borrowed instance cannot shard; options.workers is ignored (the
   // historical serial-campaign contract).
@@ -184,9 +109,7 @@ TEST(CampaignEngineTest, BorrowedTargetAlwaysRunsOneInlineShard) {
   EXPECT_EQ(borrowed.per_worker.size(), 1u);
 
   options.workers = 1;
-  const EngineResult serial = CampaignEngine("kvm", options).Run();
-  EXPECT_EQ(borrowed.merged.covered_set, serial.merged.covered_set);
-  EXPECT_EQ(borrowed.merged.final_percent, serial.merged.final_percent);
+  EXPECT_EQ(borrowed, CampaignEngine("kvm", options).Run());
 }
 
 TEST(CampaignObserverTest, EventStreamIsDeterministicAcrossRuns) {
@@ -196,19 +119,19 @@ TEST(CampaignObserverTest, EventStreamIsDeterministicAcrossRuns) {
   CampaignOptions options = SmallOptions(Arch::kAmd, 1200, 3);
   options.fuzzer.coverage_guidance = true;
 
-  RecordingObserver a;
+  EventRecorder a;
   CampaignEngine("kvm", options).AddObserver(&a).Run();
-  RecordingObserver b;
+  EventRecorder b;
   CampaignEngine("kvm", options).AddObserver(&b).Run();
 
-  ASSERT_FALSE(a.log.empty());
-  EXPECT_EQ(a.log, b.log);
-  EXPECT_GT(CountPrefix(a.log, "sample"), 0u);
-  EXPECT_GT(CountPrefix(a.log, "finding"), 0u);
-  EXPECT_GT(CountPrefix(a.log, "sync"), 0u);
-  EXPECT_EQ(CountPrefix(a.log, "shard"), 3u);
-  EXPECT_EQ(CountPrefix(a.log, "finish"), 1u);
-  EXPECT_EQ(a.log.back().rfind("finish", 0), 0u);
+  ASSERT_FALSE(a.events.empty());
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_GT(a.Count<SampleEvent>(), 0u);
+  EXPECT_GT(a.Count<FindingEvent>(), 0u);
+  EXPECT_GT(a.Count<CorpusSyncEvent>(), 0u);
+  EXPECT_EQ(a.Count<ShardDoneEvent>(), 3u);
+  EXPECT_EQ(a.Count<FinishEvent>(), 1u);
+  EXPECT_TRUE(std::holds_alternative<FinishEvent>(a.events.back()));
 }
 
 TEST(CampaignObserverTest, SampleEventsMirrorTheMergedSeries) {
@@ -236,14 +159,9 @@ TEST(CampaignObserverTest, SampleEventsMirrorTheMergedSeries) {
     EXPECT_DOUBLE_EQ(observer.samples[i].percent,
                      result.merged.series[i].percent);
   }
-  EXPECT_EQ(observer.finish.workers, 2);
-  EXPECT_EQ(observer.finish.iterations,
-            result.merged.fuzzer_stats.iterations);
-  EXPECT_DOUBLE_EQ(observer.finish.final_percent,
-                   result.merged.final_percent);
-  EXPECT_EQ(observer.finish.covered_points, result.merged.covered_points);
-  EXPECT_EQ(observer.finish.total_points, result.merged.total_points);
-  EXPECT_EQ(observer.finish.findings, result.merged.findings.size());
+  EXPECT_EQ(observer.finish, (FinishEvent{2, observer.samples.size(),
+                                          result.merged,
+                                          result.corpus_imports}));
 }
 
 // --- Delta pipeline vs the barrier era -----------------------------------
@@ -268,17 +186,19 @@ class GoldenObserver : public CampaignObserver {
          (unsigned long long)e.imported);
   }
   void OnShardDone(const ShardDoneEvent& e) override {
+    const CampaignResult& r = e.result;
     Line("shard worker=%d iters=%llu covered=%zu queue=%llu findings=%zu "
          "imports=%llu",
-         e.worker, (unsigned long long)e.iterations, e.covered_points,
-         (unsigned long long)e.queue_size, e.findings,
-         (unsigned long long)e.corpus_imports);
+         e.worker, (unsigned long long)r.fuzzer_stats.iterations,
+         r.covered_points, (unsigned long long)r.fuzzer_stats.queue_size,
+         r.findings.size(), (unsigned long long)e.corpus_imports);
   }
   void OnFinish(const FinishEvent& e) override {
+    const CampaignResult& r = e.result;
     Line("finish workers=%d epochs=%zu iters=%llu covered=%zu total=%zu "
          "findings=%zu imports=%llu",
-         e.workers, e.epochs, (unsigned long long)e.iterations,
-         e.covered_points, e.total_points, e.findings,
+         e.workers, e.epochs, (unsigned long long)r.fuzzer_stats.iterations,
+         r.covered_points, r.total_points, r.findings.size(),
          (unsigned long long)e.corpus_imports);
   }
 
@@ -382,15 +302,10 @@ TEST(MergePipelineStatsTest, PipelineAndTransportCountersAreReported) {
 }
 
 // --- Process shards vs thread shards -------------------------------------
-
-void ExpectSameEngineResult(const EngineResult& a, const EngineResult& b) {
-  EXPECT_EQ(a.merged, b.merged);
-  EXPECT_EQ(a.per_worker, b.per_worker);
-  EXPECT_EQ(a.corpus_imports, b.corpus_imports);
-  // Crash reproduction inputs ship home across any transport and must be
-  // byte-identical to what a thread shard keeps in memory.
-  EXPECT_EQ(a.crashes, b.crashes);
-}
+//
+// EngineResults compare on their outcome, crash reproduction inputs
+// included: what ships home over any transport must be byte-identical to
+// what a thread shard keeps in memory.
 
 TEST(ProcessShardTest, FourProcessShardsReproduceFourThreadShardsExactly) {
   // The acceptance bar for the transport layer: shard_mode=processes at
@@ -400,18 +315,18 @@ TEST(ProcessShardTest, FourProcessShardsReproduceFourThreadShardsExactly) {
   CampaignOptions options = SmallOptions(Arch::kAmd, 1600, 4);
   options.fuzzer.coverage_guidance = true;
 
-  RecordingObserver threads;
+  EventRecorder threads;
   const EngineResult thread_result =
       CampaignEngine("kvm", options).AddObserver(&threads).Run();
 
   options.shard_mode = ShardMode::kProcesses;
-  RecordingObserver processes;
+  EventRecorder processes;
   const EngineResult process_result =
       CampaignEngine("kvm", options).AddObserver(&processes).Run();
 
-  ASSERT_FALSE(threads.log.empty());
-  EXPECT_EQ(threads.log, processes.log);
-  ExpectSameEngineResult(thread_result, process_result);
+  ASSERT_FALSE(threads.events.empty());
+  EXPECT_EQ(threads.events, processes.events);
+  EXPECT_EQ(thread_result, process_result);
   // The deltas genuinely travelled pipes, and feedback flowed back.
   EXPECT_GT(process_result.transport.delta_bytes, 0u);
   EXPECT_GT(process_result.transport.feedback_records, 0u);
@@ -430,17 +345,17 @@ TEST(ProcessShardTest, BreadthFirstProcessShardsMatchThreadShards) {
   // feedback frames at all — results must still be identical.
   CampaignOptions options = SmallOptions(Arch::kIntel, 600, 2);
 
-  RecordingObserver threads;
+  EventRecorder threads;
   const EngineResult thread_result =
       CampaignEngine("kvm", options).AddObserver(&threads).Run();
 
   options.shard_mode = ShardMode::kProcesses;
-  RecordingObserver processes;
+  EventRecorder processes;
   const EngineResult process_result =
       CampaignEngine("kvm", options).AddObserver(&processes).Run();
 
-  EXPECT_EQ(threads.log, processes.log);
-  ExpectSameEngineResult(thread_result, process_result);
+  EXPECT_EQ(threads.events, processes.events);
+  EXPECT_EQ(thread_result, process_result);
   EXPECT_EQ(process_result.transport.feedback_records, 0u);
 }
 
@@ -478,18 +393,18 @@ TEST(SocketShardTest, FourSocketShardsReproduceFourThreadShardsExactly) {
   CampaignOptions options = SmallOptions(Arch::kAmd, 1600, 4);
   options.fuzzer.coverage_guidance = true;
 
-  RecordingObserver threads;
+  EventRecorder threads;
   const EngineResult thread_result =
       CampaignEngine("kvm", options).AddObserver(&threads).Run();
 
   options.shard_mode = ShardMode::kSockets;
-  RecordingObserver sockets;
+  EventRecorder sockets;
   const EngineResult socket_result =
       CampaignEngine("kvm", options).AddObserver(&sockets).Run();
 
-  ASSERT_FALSE(threads.log.empty());
-  EXPECT_EQ(threads.log, sockets.log);
-  ExpectSameEngineResult(thread_result, socket_result);
+  ASSERT_FALSE(threads.events.empty());
+  EXPECT_EQ(threads.events, sockets.events);
+  EXPECT_EQ(thread_result, socket_result);
   // The deltas genuinely travelled TCP, and feedback flowed back.
   EXPECT_GT(socket_result.transport.delta_bytes, 0u);
   EXPECT_GT(socket_result.transport.feedback_records, 0u);
@@ -512,18 +427,18 @@ TEST(SocketShardTest, ExecSocketShardsMatchThreadShards) {
   // loopback listener, and rebuild everything from the handshake config.
   CampaignOptions options = SmallOptions(Arch::kIntel, 600, 2);
 
-  RecordingObserver threads;
+  EventRecorder threads;
   const EngineResult thread_result =
       CampaignEngine("kvm", options).AddObserver(&threads).Run();
 
   options.shard_mode = ShardMode::kSockets;
   options.shard_exec_path = "/proc/self/exe";
-  RecordingObserver sockets;
+  EventRecorder sockets;
   const EngineResult socket_result =
       CampaignEngine("kvm", options).AddObserver(&sockets).Run();
 
-  EXPECT_EQ(threads.log, sockets.log);
-  ExpectSameEngineResult(thread_result, socket_result);
+  EXPECT_EQ(threads.events, sockets.events);
+  EXPECT_EQ(thread_result, socket_result);
 }
 
 TEST(ExecShardTest, ExecShardsBuiltFromANonDefaultSpecMatchThreadShards) {
@@ -541,21 +456,21 @@ TEST(ExecShardTest, ExecShardsBuiltFromANonDefaultSpecMatchThreadShards) {
   options.agent.use_configurator = false;
   options.agent.oracle_interval = 7;
 
-  RecordingObserver threads;
+  EventRecorder threads;
   const EngineResult thread_result =
       CampaignEngine("kvm", options).AddObserver(&threads).Run();
-  ASSERT_FALSE(threads.log.empty());
+  ASSERT_FALSE(threads.events.empty());
 
   options.shard_exec_path = "/proc/self/exe";
   for (ShardMode mode : {ShardMode::kProcesses, ShardMode::kSockets}) {
     SCOPED_TRACE(mode == ShardMode::kProcesses ? "exec'd pipe shards"
                                                : "exec'd socket shards");
     options.shard_mode = mode;
-    RecordingObserver exec;
+    EventRecorder exec;
     const EngineResult exec_result =
         CampaignEngine("kvm", options).AddObserver(&exec).Run();
-    EXPECT_EQ(threads.log, exec.log);
-    ExpectSameEngineResult(thread_result, exec_result);
+    EXPECT_EQ(threads.events, exec.events);
+    EXPECT_EQ(thread_result, exec_result);
   }
 }
 
@@ -682,9 +597,9 @@ TEST(CampaignObserverTest, ThrowingObserverIsRecordedAndRethrownAfterJoin) {
   CampaignOptions options = SmallOptions(Arch::kAmd, 1200, 3);
   options.fuzzer.coverage_guidance = true;
 
-  RecordingObserver reference;
+  EventRecorder reference;
   CampaignEngine("kvm", options).AddObserver(&reference).Run();
-  ASSERT_FALSE(reference.log.empty());
+  ASSERT_FALSE(reference.events.empty());
 
   class ThrowingObserver : public CampaignObserver {
    public:
@@ -695,7 +610,7 @@ TEST(CampaignObserverTest, ThrowingObserverIsRecordedAndRethrownAfterJoin) {
     int throws = 0;
   } thrower;
 
-  RecordingObserver bystander;
+  EventRecorder bystander;
   CampaignEngine engine("kvm", options);
   engine.AddObserver(&thrower).AddObserver(&bystander);
   try {
@@ -707,7 +622,7 @@ TEST(CampaignObserverTest, ThrowingObserverIsRecordedAndRethrownAfterJoin) {
   // The campaign was not cut short: every sample fired (and threw), and
   // the well-behaved observer saw the same stream as a clean run.
   EXPECT_GT(thrower.throws, 1);
-  EXPECT_EQ(bystander.log, reference.log);
+  EXPECT_EQ(bystander.events, reference.events);
 }
 
 }  // namespace

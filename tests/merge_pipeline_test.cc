@@ -383,16 +383,16 @@ TEST(MergePipelineTest, AbortUnblocksFeedbackWaiters) {
 
 TEST(InProcTransportTest, ResultRecordsFillSlotsNotTheDrainQueue) {
   InProcTransport transport(TwoWorkerTransportOptions());
-  ShardResultRecord result;
-  result.worker = 1;
-  result.iterations = 42;
-  ASSERT_TRUE(transport.Publish(wire::Encode(result)));
+  ShardResultRecord record;
+  record.worker = 1;
+  record.result.fuzzer_stats.iterations = 42;
+  ASSERT_TRUE(transport.Publish(wire::Encode(record)));
   EXPECT_EQ(transport.stats().deltas, 0u);
   ASSERT_NE(transport.shard_result(1), nullptr);
-  EXPECT_EQ(transport.shard_result(1)->iterations, 42u);
+  EXPECT_EQ(transport.shard_result(1)->result.fuzzer_stats.iterations, 42u);
   EXPECT_EQ(transport.shard_result(0), nullptr);
-  result.worker = 0;
-  ASSERT_TRUE(transport.Publish(wire::Encode(result)));
+  record.worker = 0;
+  ASSERT_TRUE(transport.Publish(wire::Encode(record)));
   EXPECT_TRUE(transport.CollectResults());
   EXPECT_TRUE(transport.error().empty());
 }

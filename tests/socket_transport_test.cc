@@ -39,7 +39,7 @@ ShardDelta MakeDelta(int worker, uint64_t epoch, uint64_t iterations) {
 ShardResultRecord MakeResult(int worker) {
   ShardResultRecord record;
   record.worker = worker;
-  record.iterations = 10;
+  record.result.fuzzer_stats.iterations = 10;
   record.crash_ids = {"sock-crash"};
   record.crash_inputs = {FuzzInput(kFuzzInputSize, 0x77)};
   return record;

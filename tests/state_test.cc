@@ -16,15 +16,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdarg>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -32,6 +30,7 @@
 #include "src/core/state/commit.h"
 #include "src/core/state/journal.h"
 #include "src/core/wire.h"
+#include "tests/event_recorder.h"
 
 namespace neco {
 namespace {
@@ -575,97 +574,47 @@ CampaignOptions StateOptions() {
   return options;
 }
 
-// Integer-only event log (stable across platforms); epoch-carrying lines
-// lead with "epoch=<N>" so ExpectedTail can split the stream at the
-// resume point.
-class EventObserver : public CampaignObserver {
- public:
-  void OnSample(const SampleEvent& e) override {
-    Line("sample epoch=%zu iter=%llu covered=%zu", e.epoch,
-         (unsigned long long)e.iteration, e.covered_points);
-  }
-  void OnFinding(const FindingEvent& e) override {
-    std::ostringstream s;
-    s << "finding epoch=" << e.epoch << " worker=" << e.worker
-      << " id=" << e.report.bug_id;
-    log.push_back(s.str());
-  }
-  void OnCorpusSync(const CorpusSyncEvent& e) override {
-    Line("sync epoch=%zu worker=%d published=%llu imported=%llu", e.epoch,
-         e.worker, (unsigned long long)e.published,
-         (unsigned long long)e.imported);
-  }
-  void OnShardDone(const ShardDoneEvent& e) override {
-    Line("shard worker=%d iters=%llu covered=%zu queue=%llu findings=%zu",
-         e.worker, (unsigned long long)e.iterations, e.covered_points,
-         (unsigned long long)e.queue_size, e.findings);
-  }
-  void OnFinish(const FinishEvent& e) override {
-    Line("finish workers=%d epochs=%zu iters=%llu covered=%zu findings=%zu",
-         e.workers, e.epochs, (unsigned long long)e.iterations,
-         e.covered_points, e.findings);
-  }
-
-  std::vector<std::string> log;
-
- private:
-  void Line(const char* fmt, ...) {
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    log.push_back(buf);
-  }
-};
-
 // The event stream a resumed campaign must produce: the uninterrupted
-// stream minus every per-epoch line for epochs before the resume point
-// (ShardDone/Finish lines carry no epoch and always fire at the end).
-std::vector<std::string> ExpectedTail(const std::vector<std::string>& golden,
-                                      size_t resume_epochs) {
-  std::vector<std::string> tail;
-  for (const std::string& line : golden) {
-    const size_t at = line.find(" epoch=");
-    if (at != std::string::npos) {
-      const size_t epoch = std::stoul(line.substr(at + 7));
-      if (epoch < resume_epochs) {
-        continue;
-      }
+// stream minus every per-epoch event for epochs before the resume point
+// (ShardDone and Finish carry no epoch and always fire at the end).
+std::vector<CampaignEvent> ExpectedTail(
+    const std::vector<CampaignEvent>& golden, size_t resume_epochs) {
+  std::vector<CampaignEvent> tail;
+  for (const CampaignEvent& event : golden) {
+    const bool replayed = std::visit(
+        [&](const auto& e) {
+          if constexpr (requires { e.epoch; }) {
+            return e.epoch < resume_epochs;
+          } else {
+            return false;
+          }
+        },
+        event);
+    if (!replayed) {
+      tail.push_back(event);
     }
-    tail.push_back(line);
   }
   return tail;
-}
-
-// Bit-exactness across an interruption, minus the run-local counters
-// (pipeline/transport/journal stats measure this incarnation's work, not
-// the campaign).
-void ExpectSameResult(const EngineResult& a, const EngineResult& b) {
-  EXPECT_EQ(a.merged, b.merged);
-  EXPECT_EQ(a.per_worker, b.per_worker);
-  EXPECT_EQ(a.corpus_imports, b.corpus_imports);
-  EXPECT_EQ(a.crashes, b.crashes);
 }
 
 TEST(DurableCampaignTest, JournalingChangesNothingAndCommitsEveryEpoch) {
   TempDir dir("engine-journal");
   CampaignOptions options = StateOptions();
 
-  EventObserver plain;
+  EventRecorder plain;
   const EngineResult golden =
       CampaignEngine("kvm", options).AddObserver(&plain).Run();
-  ASSERT_FALSE(plain.log.empty());
+  ASSERT_FALSE(plain.events.empty());
   EXPECT_EQ(golden.journal.commits, 0u);  // No state_dir, no journal.
 
   options.state_dir = (dir.path() / "state").string();
-  EventObserver journaled;
+  EventRecorder journaled;
   const EngineResult result =
       CampaignEngine("kvm", options).AddObserver(&journaled).Run();
 
   // Durability is invisible to the campaign itself.
-  EXPECT_EQ(journaled.log, plain.log);
-  ExpectSameResult(golden, result);
+  EXPECT_EQ(journaled.events, plain.events);
+  EXPECT_EQ(golden, result);
 
   // Every epoch committed, none replayed, and the artifacts are on disk.
   const size_t epochs = result.merged.series.size();
@@ -684,11 +633,11 @@ TEST(DurableCampaignTest, JournalingChangesNothingAndCommitsEveryEpoch) {
   // Re-running the completed campaign replays every epoch silently —
   // per-epoch events already fired in the first incarnation — and lands
   // on the identical result without recommitting anything.
-  EventObserver rerun;
+  EventRecorder rerun;
   const EngineResult replayed =
       CampaignEngine("kvm", options).AddObserver(&rerun).Run();
-  ExpectSameResult(golden, replayed);
-  EXPECT_EQ(rerun.log, ExpectedTail(plain.log, epochs));
+  EXPECT_EQ(golden, replayed);
+  EXPECT_EQ(rerun.events, ExpectedTail(plain.events, epochs));
   EXPECT_EQ(replayed.journal.commits, 0u);
   EXPECT_EQ(replayed.journal.replayed_epochs, epochs);
 }
@@ -727,7 +676,7 @@ TEST(DurableCampaignTest, TrimmedJournalResumesAcrossShardModes) {
   CampaignOptions options = StateOptions();
   options.state_dir = (dir.path() / "state").string();
 
-  EventObserver full;
+  EventRecorder full;
   const EngineResult golden =
       CampaignEngine("kvm", options).AddObserver(&full).Run();
 
@@ -736,12 +685,12 @@ TEST(DurableCampaignTest, TrimmedJournalResumesAcrossShardModes) {
   // invariant to it.
   TruncateCommitPoint(options.state_dir, 1);
   options.shard_mode = ShardMode::kProcesses;
-  EventObserver resumed;
+  EventRecorder resumed;
   const EngineResult result =
       CampaignEngine("kvm", options).AddObserver(&resumed).Run();
 
-  ExpectSameResult(golden, result);
-  EXPECT_EQ(resumed.log, ExpectedTail(full.log, 1));
+  EXPECT_EQ(golden, result);
+  EXPECT_EQ(resumed.events, ExpectedTail(full.events, 1));
   EXPECT_EQ(result.journal.replayed_epochs, 1u);
   EXPECT_EQ(result.journal.commits, golden.merged.series.size() - 1);
 }
@@ -756,7 +705,7 @@ void RunKillResumeTest(ShardMode mode, const std::string& tag) {
   CampaignOptions options = StateOptions();
   options.shard_mode = mode;
 
-  EventObserver plain;
+  EventRecorder plain;
   const EngineResult golden =
       CampaignEngine("kvm", options).AddObserver(&plain).Run();
 
@@ -790,14 +739,14 @@ void RunKillResumeTest(ShardMode mode, const std::string& tag) {
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
   // Resume in this process: replay the committed prefix, run the rest.
-  EventObserver resumed;
+  EventRecorder resumed;
   const EngineResult result =
       CampaignEngine("kvm", options).AddObserver(&resumed).Run();
 
-  ExpectSameResult(golden, result);
+  EXPECT_EQ(golden, result);
   // The event stream continues exactly where the dead incarnation's
   // commits stopped: interrupted prefix + this tail = the plain stream.
-  EXPECT_EQ(resumed.log, ExpectedTail(plain.log, kKillEpoch + 1));
+  EXPECT_EQ(resumed.events, ExpectedTail(plain.events, kKillEpoch + 1));
   EXPECT_EQ(result.journal.replayed_epochs, kKillEpoch + 1);
   EXPECT_EQ(result.journal.commits,
             golden.merged.series.size() - (kKillEpoch + 1));
@@ -825,7 +774,7 @@ void RunSnapshotKillResumeTest(ShardMode mode, size_t cadence,
   CampaignOptions options = StateOptions();
   options.shard_mode = mode;
 
-  EventObserver plain;
+  EventRecorder plain;
   const EngineResult golden =
       CampaignEngine("kvm", options).AddObserver(&plain).Run();
   const size_t epochs = golden.merged.series.size();
@@ -861,12 +810,12 @@ void RunSnapshotKillResumeTest(ShardMode mode, size_t cadence,
   const size_t committed = kKillEpoch + 1;
   const size_t horizon = cadence == 0 ? 0 : committed - committed % cadence;
 
-  EventObserver resumed;
+  EventRecorder resumed;
   const EngineResult result =
       CampaignEngine("kvm", options).AddObserver(&resumed).Run();
 
-  ExpectSameResult(golden, result);
-  EXPECT_EQ(resumed.log, ExpectedTail(plain.log, committed));
+  EXPECT_EQ(golden, result);
+  EXPECT_EQ(resumed.events, ExpectedTail(plain.events, committed));
   EXPECT_EQ(result.journal.replayed_epochs, committed - horizon);
   EXPECT_EQ(result.journal.commits, epochs - committed);
   EXPECT_EQ(result.journal.committed_epochs, epochs);
@@ -896,7 +845,7 @@ TEST(DurableCampaignTest, CadenceMayChangeBetweenIncarnations) {
   TempDir dir("engine-cadence");
   CampaignOptions options = StateOptions();
 
-  EventObserver plain;
+  EventRecorder plain;
   const EngineResult golden =
       CampaignEngine("kvm", options).AddObserver(&plain).Run();
   const size_t epochs = golden.merged.series.size();
@@ -904,7 +853,7 @@ TEST(DurableCampaignTest, CadenceMayChangeBetweenIncarnations) {
   options.state_dir = (dir.path() / "state").string();
   options.snapshot_every_epochs = 1;
   const EngineResult first = CampaignEngine("kvm", options).Run();
-  ExpectSameResult(golden, first);
+  EXPECT_EQ(golden, first);
   EXPECT_EQ(first.journal.snapshot_epochs, epochs);
   EXPECT_EQ(first.journal.snapshots, epochs);
 
@@ -913,11 +862,11 @@ TEST(DurableCampaignTest, CadenceMayChangeBetweenIncarnations) {
   // materialized, so the rerun deserializes the final snapshot and
   // replays nothing at all.
   options.snapshot_every_epochs = 0;
-  EventObserver rerun;
+  EventRecorder rerun;
   const EngineResult resumed =
       CampaignEngine("kvm", options).AddObserver(&rerun).Run();
-  ExpectSameResult(golden, resumed);
-  EXPECT_EQ(rerun.log, ExpectedTail(plain.log, epochs));
+  EXPECT_EQ(golden, resumed);
+  EXPECT_EQ(rerun.events, ExpectedTail(plain.events, epochs));
   EXPECT_EQ(resumed.journal.replayed_epochs, 0u);
   EXPECT_EQ(resumed.journal.commits, 0u);
 }
@@ -938,7 +887,7 @@ TEST(DurableCampaignTest, SnapshotFileBytesArePinned) {
   // its bytes — the merged pool slice and feedback novelty the fold keeps
   // for the last epoch included — in thread and process mode alike.
   const std::map<std::string, uint64_t> expected = {
-      {SnapshotFileName(2), 0xFFE4C4F112D212CCULL},
+      {SnapshotFileName(2), 0x6197C2C9DE63C37BULL},
   };
   for (ShardMode mode : {ShardMode::kThreads, ShardMode::kProcesses}) {
     const std::string tag = mode == ShardMode::kThreads ? "threads" : "procs";
@@ -964,7 +913,7 @@ TEST(DurableCampaignTest, CorruptNewestSnapshotFallsBackOneGeneration) {
   TempDir dir("engine-snapfall");
   CampaignOptions options = StateOptions();
 
-  EventObserver plain;
+  EventRecorder plain;
   const EngineResult golden =
       CampaignEngine("kvm", options).AddObserver(&plain).Run();
   const size_t epochs = golden.merged.series.size();
@@ -991,11 +940,11 @@ TEST(DurableCampaignTest, CorruptNewestSnapshotFallsBackOneGeneration) {
   bytes[bytes.size() / 2] ^= 0x20;
   WriteRaw(newest, bytes);
 
-  EventObserver rerun;
+  EventRecorder rerun;
   const EngineResult resumed =
       CampaignEngine("kvm", options).AddObserver(&rerun).Run();
-  ExpectSameResult(golden, resumed);
-  EXPECT_EQ(rerun.log, ExpectedTail(plain.log, epochs));
+  EXPECT_EQ(golden, resumed);
+  EXPECT_EQ(rerun.events, ExpectedTail(plain.events, epochs));
   EXPECT_EQ(resumed.journal.replayed_epochs, 1u);
   EXPECT_EQ(resumed.journal.commits, 0u);
 }

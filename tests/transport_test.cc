@@ -50,7 +50,7 @@ ShardDelta MakeDelta(int worker, uint64_t epoch, uint64_t iterations) {
 ShardResultRecord MakeResult(int worker) {
   ShardResultRecord record;
   record.worker = worker;
-  record.iterations = 10;
+  record.result.fuzzer_stats.iterations = 10;
   return record;
 }
 
@@ -201,7 +201,7 @@ TEST(PipeTransportTest, ForkChildrenDriveTheMergePipeline) {
   ASSERT_TRUE(transport.CollectResults());
   ASSERT_NE(transport.shard_result(0), nullptr);
   ASSERT_NE(transport.shard_result(1), nullptr);
-  EXPECT_EQ(transport.shard_result(1)->iterations, 10u);
+  EXPECT_EQ(transport.shard_result(1)->result.fuzzer_stats.iterations, 10u);
 
   for (const ShardExit& shard_exit : supervisor.WaitAll()) {
     EXPECT_TRUE(shard_exit.clean()) << shard_exit.Describe();

@@ -4,13 +4,14 @@
 // wire::Records: round trip with ==, exact sizing, every truncation, a
 // trailing byte, wrong type / version / length, random buffers, a flip of
 // every byte, and decoding into a reused out-param. A table pins the
-// record-specific rejections, golden hashes pin the v8 byte layout, and
+// record-specific rejections, golden hashes pin the v9 byte layout, and
 // the rest covers the zero-copy overload, stream framing and random
 // well-formed records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/wire.h"
@@ -33,7 +34,8 @@ AnomalyReport MakeReport(const std::string& id) {
 //
 // Every field holds a non-default value, so a field the codec drops or
 // swaps fails a round trip, and the golden hashes cover every section of
-// every layout.
+// every layout. Samples obey their records' invariants, so each row of
+// the rejection table below breaks exactly one.
 
 template <class Record>
 Record Sample();
@@ -71,14 +73,28 @@ CorpusSyncEvent Sample<CorpusSyncEvent>() {
   return {9, 2, 23, 58};
 }
 
+// The result the completion events and the result record embed.
+CampaignResult SampleResult() {
+  CampaignResult r;
+  r.series = {{300, 79.66101694915254}, {600, 80.50847457627118}};
+  r.final_percent = 3.389830508474576;
+  r.covered_points = 4;
+  r.total_points = 118;
+  r.covered_set = {0, 3, 94, 117};
+  r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
+  r.fuzzer_stats = {5000, 83, 2, 451};
+  r.watchdog_restarts = 1;
+  return r;
+}
+
 template <>
 ShardDoneEvent Sample<ShardDoneEvent>() {
-  return {3, 5000, 81.25, 96, 83, 4, 59, 2};
+  return {3, SampleResult(), 59};
 }
 
 template <>
 FinishEvent Sample<FinishEvent>() {
-  return {4, 24, 20000, 80.5, 95, 118, 6, 166};
+  return {4, 24, SampleResult(), 166};
 }
 
 template <>
@@ -94,22 +110,9 @@ FeedbackRecord Sample<FeedbackRecord>() {
 
 template <>
 ShardResultRecord Sample<ShardResultRecord>() {
-  ShardResultRecord r;
-  r.worker = 1;
-  r.final_percent = 80.50847457627118;
-  r.covered_points = 95;
-  r.total_points = 118;
-  r.covered_set = {0, 3, 94, 117};
-  r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
-  r.iterations = 5000;
-  r.queue_size = 83;
-  r.unique_anomalies = 2;
-  r.bitmap_edges = 451;
-  r.watchdog_restarts = 1;
-  r.imports = 59;
-  r.crash_ids = {"kvm-a", "kvm-b"};
-  r.crash_inputs = {MakeInput(0x61), MakeInput(0x62)};
-  return r;
+  return {Sample<ShardDoneEvent>(),
+          {"kvm-a", "kvm-b"},
+          {MakeInput(0x61), MakeInput(0x62)}};
 }
 
 // The spec both the child config and the manifest sample embed.
@@ -276,27 +279,27 @@ uint64_t FrameHash() {
   return Fnv1a64(wire::Encode(Sample<Record>()));
 }
 
-TEST(WireGoldenTest, FramesKeepTheVersion8Layout) {
-  // Pipes and state dirs written by any v8 build must keep decoding, so
+TEST(WireGoldenTest, FramesKeepTheVersion9Layout) {
+  // Pipes and state dirs written by any v9 build must keep decoding, so
   // these hashes of the sample frames are the byte layout itself: a
   // change here is a format change, which needs a kVersion bump.
-  EXPECT_EQ(wire::kVersion, 8);
-  EXPECT_EQ(FrameHash<ShardDelta>(), 0x3FDDADACFA0C5DB8ULL);
-  EXPECT_EQ(FrameHash<SampleEvent>(), 0xF6ADCE2C43388B1AULL);
-  EXPECT_EQ(FrameHash<FindingEvent>(), 0x512DF9B93EFAFD30ULL);
-  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0xD12E50AE76184ECBULL);
-  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xDDE1E12CBEB9DC60ULL);
-  EXPECT_EQ(FrameHash<FinishEvent>(), 0x7D009CAFB5D0A610ULL);
-  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0x5EB16DFFD08C0545ULL);
-  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0x7BC6226E077A8933ULL);
-  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0x7885E3528F331D58ULL);
-  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x13B9A975F810B2A1ULL);
-  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x7C181B15BB9729CDULL);
-  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0x618836D3C5AE25ABULL);
-  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0x30D6F4812C2467E3ULL);
-  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0x8A622E85BE9D437AULL);
-  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xC49746A1FE233958ULL);
-  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x580B7553CA532F08ULL);
+  EXPECT_EQ(wire::kVersion, 9);
+  EXPECT_EQ(FrameHash<ShardDelta>(), 0x5CAA1737AE9FFD81ULL);
+  EXPECT_EQ(FrameHash<SampleEvent>(), 0x5BC115BD6309EE85ULL);
+  EXPECT_EQ(FrameHash<FindingEvent>(), 0xE7FB3801B5A1D9B7ULL);
+  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0x8019BD22B759B524ULL);
+  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xF358B87B359EF1D5ULL);
+  EXPECT_EQ(FrameHash<FinishEvent>(), 0x177E77C1B2323A27ULL);
+  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0xCE587A9BE35C6CFAULL);
+  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0x994A13B60DFA25D1ULL);
+  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0x0D06B727F749E8EFULL);
+  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0xF0B4B587CE84560AULL);
+  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x60DEC494AA0E1008ULL);
+  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0xC234D6C33D5778D0ULL);
+  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0x4C38BC3DB95195F0ULL);
+  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0x109EF38D066A4B7DULL);
+  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xA47278B7794A02A9ULL);
+  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x98D3E72593C77397ULL);
 
   // The zero-copy overload (queue entries read through corpus pointers,
   // record.queue_entries ignored) writes the same ShardDelta frame.
@@ -307,7 +310,7 @@ TEST(WireGoldenTest, FramesKeepTheVersion8Layout) {
   for (const FuzzInput& input : corpus) {
     entries.push_back(&input);
   }
-  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x3FDDADACFA0C5DB8ULL);
+  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x5CAA1737AE9FFD81ULL);
 }
 
 // --- Generic checks, run on every record in wire::Records --------------------
@@ -497,6 +500,16 @@ TEST(WireInvalidTest, RecordInvariantViolationsAreRejected) {
                          [](auto& r) { r.crash_ids.pop_back(); }),
       Broken<ShardResultRecord>("result crash arrays disagree",
                                 [](auto& r) { r.crash_inputs.pop_back(); }),
+      Broken<ShardResultRecord>("result covered_points != covered_set size",
+                                [](auto& r) { r.result.covered_points = 95; }),
+      Broken<ShardDoneEvent>("shard covered_set repeats a point",
+                             [](auto& r) { r.result.covered_set[2] = 3; }),
+      Broken<FinishEvent>("merged covered_set descends", [](auto& r) {
+        std::swap(r.result.covered_set[1], r.result.covered_set[2]);
+      }),
+      Broken<ShardResultRecord>(
+          "result point at total_points",
+          [](auto& r) { r.result.covered_set.back() = r.result.total_points; }),
       Broken<WorkerStateRecord>("worker crash arrays disagree",
                                 [](auto& r) { r.crash_inputs.pop_back(); }),
       Broken<ShardHelloRecord>("hello magic",
