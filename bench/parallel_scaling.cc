@@ -4,17 +4,19 @@
 //
 // `--transport={inproc,process,socket}` picks the shard transport: thread
 // shards over the in-proc queue (default), fork/exec'd process shards
-// over pipes, or exec'd shard children dialing a loopback TCP listener —
-// this binary registers the hidden --necofuzz-shard-child entrypoint, so
-// process and socket modes spawn real exec'd children of this executable
-// (socket children bootstrap purely from the hello/config handshake, the
-// exact shape a remote launcher runs on another machine). Results are
+// over one socketpair each, or exec'd shard children dialing a loopback
+// TCP listener — this binary registers the hidden --necofuzz-shard-child
+// entrypoint, so process and socket modes spawn real exec'd children of
+// this executable (socket children bootstrap purely from a hello and
+// their start frames, the exact shape a remote launcher runs on another
+// machine). Results are
 // identical across transports by construction; the per-transport columns
 // (wire bytes moved, queue depth, wait time) show what the medium costs.
 //
 // Two sections:
 //  * NecoFuzz's default breadth-first mode (no corpus, so no cross-shard
-//    syncing and no feedback frames — shards only meet in the pipeline),
+//    syncing and no frames toward a shard beyond its config — shards
+//    only meet in the pipeline),
 //  * guided mode where shards exchange queue entries at every sample
 //    boundary (the "imports" column).
 // The idle_s column is worker idle time: publish backpressure plus
@@ -147,7 +149,7 @@ int main(int argc, char** argv) {
   }
   const char* medium =
       neco::g_shard_mode == neco::ShardMode::kProcesses
-          ? "process shards over pipes (fork/exec)"
+          ? "process shards over socketpairs (fork/exec)"
           : neco::g_shard_mode == neco::ShardMode::kSockets
                 ? "socket shards over loopback TCP (exec + dial)"
                 : "thread shards over the in-proc queue";

@@ -19,8 +19,8 @@ namespace neco {
 // How CampaignEngine runs its worker shards (src/core/transport/):
 //  * kThreads — worker threads in this process, the same frames over
 //    in-memory queues (InProcTransport);
-//  * kProcesses — fork/exec'd child processes, deltas and feedback over
-//    pipes (PipeTransport + ShardSupervisor);
+//  * kProcesses — fork/exec'd child processes, each exchanging the same
+//    frames over one socketpair (FrameStreamTransport + ShardSupervisor);
 //  * kSockets — shard children dial a TCP listener and speak the same
 //    wire frames over the connection (SocketTransport). The launcher is
 //    pluggable (CampaignOptions::remote_launcher), so the children can
@@ -41,7 +41,8 @@ enum class ShardMode {
 //   --necofuzz-shard-child --necofuzz-connect=<address:port>
 //   --necofuzz-worker=<worker>
 // The child dials the address, sends a ShardHelloRecord, receives its
-// ShardChildConfigRecord, and runs the shard over the socket.
+// start frames once every shard has checked in, and runs the shard over
+// the socket.
 struct ShardLaunch {
   int worker = 0;
   std::string address;  // The listen address the child must dial.
@@ -133,10 +134,10 @@ struct CampaignOptions {
   // journal fingerprint, so the cadence may change between incarnations
   // of the same campaign.
   size_t snapshot_every_epochs = 0;
-  // Test-only fault injection: when set, every fork-mode process shard
-  // calls this at the start of each epoch (in the child process). Lets
-  // tests kill a child mid-campaign and assert the parent surfaces a
-  // shard error instead of hanging.
+  // Test-only fault injection: when set, every fork'd shard child, process
+  // or socket, calls this at the start of each epoch (in the child
+  // process). Lets tests kill a child mid-campaign and assert the parent
+  // surfaces a shard error instead of hanging.
   std::function<void(int worker, size_t epoch)> shard_fault_for_test;
   AgentOptions agent;
   // NecoFuzz's default mode is the breadth-first boundary explorer: the

@@ -1,10 +1,11 @@
 #include "src/core/engine.h"
 
-#include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <functional>
@@ -18,8 +19,8 @@
 #include "src/arch/cpu_features.h"
 #include "src/core/agent.h"
 #include "src/core/transport/inproc.h"
-#include "src/core/transport/pipe.h"
 #include "src/core/transport/socket.h"
+#include "src/core/transport/stream.h"
 #include "src/core/transport/supervisor.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/support/errno_util.h"
@@ -98,13 +99,8 @@ CampaignSpec MakeSpec(const CampaignOptions& options,
   return spec;
 }
 
-// A shard's config: the campaign's, with the shard's worker id.
-ShardChildConfigRecord ShardConfig(ShardChildConfigRecord config, int w) {
-  config.worker = w;
-  return config;
-}
-
-// Builds a shard from its config, whichever medium delivered it.
+// Builds a shard from its config. An empty `factory` rebuilds the target
+// from the config's registry name (exec'd and remote children).
 void InitShard(ShardContext& state, Hypervisor* borrowed,
                const HypervisorFactory& factory,
                const ShardChildConfigRecord& config) {
@@ -112,7 +108,8 @@ void InitShard(ShardContext& state, Hypervisor* borrowed,
   if (borrowed != nullptr) {
     state.hv = borrowed;
   } else {
-    state.owned = factory();
+    state.owned =
+        factory ? factory() : ResolveHypervisorFactory(config.target)();
     state.hv = state.owned.get();
   }
   CoverageUnit& cov = state.hv->nested_coverage(state.arch);
@@ -216,27 +213,40 @@ ShardResultRecord RecordFromContext(ShardContext& state, int w) {
   return record;
 }
 
-// The shard run path, shared by thread workers and process/socket
-// children: build the shard from its config, seed it from its snapshot
-// record (`restore`, consumed; null for a fresh start), run the epoch
-// loop, and publish the ShardResultRecord. Each epoch absorbs the
-// previous epoch's FeedbackRecord (when syncing), fuzzes one step, and
-// publishes one wire-encoded ShardDelta. Every worker publishes one delta
-// per global epoch — empty ones past its own schedule — so the drainer
-// can finalize epochs without tracking per-shard schedules. With a
-// snapshot cadence it additionally publishes a WorkerStateRecord frame
+// The shard run path, the same for every shard in every mode. It first
+// reads the shard's start frames (see SendStartFrames; a negative
+// `worker` accepts whichever worker the config names), builds the shard
+// from its config, seeds it from its WorkerStateRecord on a resume, runs
+// the epoch loop, and publishes the ShardResultRecord. Each epoch absorbs
+// the previous epoch's FeedbackRecord (when syncing), fuzzes one step,
+// and publishes one wire-encoded ShardDelta. Every worker publishes one
+// delta per global epoch — empty ones past its own schedule — so the
+// drainer can finalize epochs without tracking per-shard schedules. With
+// a snapshot cadence it additionally publishes a WorkerStateRecord frame
 // right before each snapshot epoch's delta. Returns false when the
 // channel failed or handed over a frame that is not this shard's next
-// feedback.
+// start or feedback frame.
 bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
-              const ShardChildConfigRecord& config,
-              WorkerStateRecord* restore, const ShardChannel& channel,
+              int worker, const ShardChannel& channel,
               const std::function<void(int, size_t)>& fault_hook) {
+  wire::Buffer start;
+  ShardChildConfigRecord config;
+  if (!channel.receive(&start) || !wire::Decode(start, &config) ||
+      (worker >= 0 && config.worker != worker)) {
+    return false;
+  }
+  WorkerStateRecord restore;
+  if (config.start_epoch > 0 &&
+      (!channel.receive(&start) || !wire::Decode(start, &restore) ||
+       restore.worker != config.worker ||
+       restore.epochs_covered != config.start_epoch)) {
+    return false;
+  }
   const int w = config.worker;
   ShardContext state;
   InitShard(state, borrowed, factory, config);
-  if (restore != nullptr) {
-    ImportWorkerState(state, restore);
+  if (config.start_epoch > 0) {
+    ImportWorkerState(state, &restore);
   }
   for (size_t epoch = config.start_epoch; epoch < config.epochs; ++epoch) {
     if (fault_hook) {
@@ -315,23 +325,6 @@ bool RunShard(Hypervisor* borrowed, const HypervisorFactory& factory,
   return channel.publish(wire::Encode(RecordFromContext(state, w)));
 }
 
-// Closes every registered descriptor on destruction unless released;
-// keeps the process-shard setup's error paths from leaking 2 x workers
-// pipe ends however they unwind.
-class FdCloser {
- public:
-  ~FdCloser() {
-    for (int fd : fds_) {
-      ::close(fd);
-    }
-  }
-  void Add(int fd) { fds_.push_back(fd); }
-  void Release() { fds_.clear(); }
-
- private:
-  std::vector<int> fds_;
-};
-
 // The merge pipeline's options, the same for every shard mode. One probe
 // instance built by the factory — or the borrowed target — answers the
 // coverage-universe size and names the target for persisted crash
@@ -362,49 +355,55 @@ MergePipelineOptions MakePipelineOptions(const ShardChildConfigRecord& config,
   return pipeline;
 }
 
-// --- The shard child loop (process/socket mode, fork and exec flavors) ---
-
-// Runs the shard over the child's end of its byte stream. `delta_fd` and
-// `feedback_fd` are the same descriptor for a socket-mode child: the
-// frames are direction-tagged by type, so one full-duplex stream carries
-// both.
-int RunShardChildLoop(const HypervisorFactory& factory,
-                      const ShardChildConfigRecord& config,
-                      WorkerStateRecord* restore, int delta_fd,
-                      int feedback_fd,
-                      const std::function<void(int, size_t)>& fault_hook) {
-  // The parent may die or abort at any time; a write into the closed pipe
-  // must come back as an error code, not a process-killing SIGPIPE.
-  ::signal(SIGPIPE, SIG_IGN);
-  const ShardChannel channel{
-      [&](wire::Buffer frame) { return WritePipeFrame(delta_fd, frame); },
-      [&](wire::Buffer* frame) { return ReadPipeFrame(feedback_fd, frame); }};
-  if (!RunShard(nullptr, factory, config, restore, channel, fault_hook)) {
-    return 2;  // Parent gone or stream corrupt; it reports its own error.
+// Sends every shard its start frames through the transport, the same
+// frames through the same call in every shard mode: the shard's config
+// and, on a resume from `snapshot`, the WorkerStateRecord it continues
+// from. They are the first frames each shard reads (RunShard).
+void SendStartFrames(ShardTransport& transport,
+                     const ShardChildConfigRecord& config,
+                     const CampaignSnapshot* snapshot) {
+  for (int w = 0; w < config.workers; ++w) {
+    ShardChildConfigRecord shard = config;
+    shard.worker = w;
+    bool sent = transport.SendFeedback(w, wire::Encode(shard));
+    if (sent && snapshot != nullptr) {
+      sent = transport.SendFeedback(
+          w, wire::Encode(snapshot->workers[static_cast<size_t>(w)]));
+    }
+    if (!sent) {
+      throw std::runtime_error("CampaignEngine: " + transport.error());
+    }
   }
-  ::close(delta_fd);
-  if (feedback_fd != delta_fd) {
-    ::close(feedback_fd);
-  }
-  return 0;
 }
 
-// Reads a shard child's startup frames off `fd`: its config record and,
-// when the config resumes from a snapshot (start_epoch > 0), the
-// WorkerStateRecord framed right behind it. False when either is missing,
-// does not decode, or belongs to another worker (a negative `worker`
-// accepts whichever the config names).
-bool ReadChildConfig(int fd, int worker, ShardChildConfigRecord* config,
-                     WorkerStateRecord* restore) {
-  wire::Buffer frame;
-  if (!ReadPipeFrame(fd, &frame) || !wire::Decode(frame, config) ||
-      (worker >= 0 && config->worker != worker)) {
-    return false;
-  }
-  return config->start_epoch == 0 ||
-         (ReadPipeFrame(fd, &frame) && wire::Decode(frame, restore) &&
-          restore->worker == config->worker &&
-          restore->epochs_covered == config->start_epoch);
+// --- The shard child (process and socket mode, fork and exec flavors) ---
+
+// Says why a shard child could not start, before it exits 2: otherwise
+// the parent sees only a stream that closed or a shard that never dialed
+// in.
+int ShardChildCannotStart(int worker, const std::string& reason) {
+  const std::string who =
+      worker >= 0 ? "shard " + std::to_string(worker) : "shard child";
+  std::fprintf(stderr, "necofuzz: %s cannot start: %s\n", who.c_str(),
+               reason.c_str());
+  return 2;
+}
+
+// The entry of every shard child: runs the shard over its one
+// full-duplex stream `fd`, which it owns. An empty `factory` rebuilds the
+// target from the config's registry name. SIGPIPE must be ignored: a
+// fork'd child inherits the supervisor's SIG_IGN, and MaybeRunShardChild
+// sets it for an exec'd or remote one.
+int RunShardChild(const HypervisorFactory& factory, int fd, int worker,
+                  const std::function<void(int, size_t)>& fault_hook) {
+  const ShardChannel channel{
+      [fd](wire::Buffer frame) { return WritePipeFrame(fd, frame); },
+      [fd](wire::Buffer* frame) { return ReadPipeFrame(fd, frame); }};
+  const bool ran = RunShard(nullptr, factory, worker, channel, fault_hook);
+  ::close(fd);
+  // A failed run means the parent is gone or the stream is corrupt; the
+  // parent reports its own error.
+  return ran ? 0 : 2;
 }
 
 // Runs the merge loop through the last epoch, then waits for every shard's
@@ -514,7 +513,7 @@ EngineResult CampaignEngine::Run() {
   // campaign — throws here, before anything runs.
   std::unique_ptr<CampaignJournal> journal;
   CampaignSnapshot snapshot;
-  CampaignSnapshot* resume = nullptr;
+  const CampaignSnapshot* resume = nullptr;
   if (!options_.state_dir.empty()) {
     journal = std::make_unique<CampaignJournal>(options_.state_dir, config);
     // O(tail) resume: seed everything from the newest loadable snapshot
@@ -532,7 +531,7 @@ EngineResult CampaignEngine::Run() {
   const MergePipelineOptions pipeline_options = MakePipelineOptions(
       config, borrowed_, factory_, journal.get(), resume);
   if (borrowed_ == nullptr && options_.shard_mode != ShardMode::kThreads) {
-    // kProcesses and kSockets share the child loop and the stream
+    // kProcesses and kSockets share the child entry and the stream
     // transport engine; only the transport setup differs.
     return RunWithProcessShards(config, pipeline_options, resume);
   }
@@ -541,7 +540,8 @@ EngineResult CampaignEngine::Run() {
 
 EngineResult CampaignEngine::RunWithThreadShards(
     const ShardChildConfigRecord& config,
-    const MergePipelineOptions& pipeline_options, CampaignSnapshot* snapshot) {
+    const MergePipelineOptions& pipeline_options,
+    const CampaignSnapshot* snapshot) {
   InProcTransportOptions transport_options;
   transport_options.workers = config.workers;
   InProcTransport transport(transport_options);
@@ -573,11 +573,8 @@ EngineResult CampaignEngine::RunWithThreadShards(
           return transport.ReceiveFeedback(w, frame);
         }};
     try {
-      if (!RunShard(borrowed_, factory_, ShardConfig(config, w),
-                    snapshot != nullptr
-                        ? &snapshot->workers[static_cast<size_t>(w)]
-                        : nullptr,
-                    channel, /*fault_hook=*/nullptr)) {
+      if (!RunShard(borrowed_, factory_, w, channel,
+                    /*fault_hook=*/nullptr)) {
         // The campaign is already failing (that error was recorded first),
         // or the shard broke the protocol: fail rather than leave it hung.
         throw std::runtime_error("CampaignEngine: shard " +
@@ -590,9 +587,11 @@ EngineResult CampaignEngine::RunWithThreadShards(
   };
 
   // Every shard builds and runs on its own thread; the merge loop runs on
-  // this one.
+  // this one. The start frames are queued before any thread starts, so no
+  // shard waits for them.
   std::vector<std::thread> threads;
   try {
+    SendStartFrames(transport, config, snapshot);
     for (int w = 0; w < config.workers; ++w) {
       threads.emplace_back(worker_main, w);
     }
@@ -611,7 +610,8 @@ EngineResult CampaignEngine::RunWithThreadShards(
 
 EngineResult CampaignEngine::RunWithProcessShards(
     const ShardChildConfigRecord& config,
-    const MergePipelineOptions& pipeline_options, CampaignSnapshot* snapshot) {
+    const MergePipelineOptions& pipeline_options,
+    const CampaignSnapshot* snapshot) {
   const CampaignOptions& options = options_;
   const bool sockets = options.shard_mode == ShardMode::kSockets;
   const bool exec_mode = !options.shard_exec_path.empty();
@@ -622,21 +622,6 @@ EngineResult CampaignEngine::RunWithProcessShards(
         "target from the registry, so the session must be constructed by "
         "name");
   }
-
-  // The startup frames of a child that decodes its config off its stream
-  // (every socket child and exec'd pipe children).
-  auto child_config = [&](int w) {
-    wire::Buffer frame = wire::Encode(ShardConfig(config, w));
-    // Snapshot resume: the shard's materialized state rides the same
-    // stream, framed right behind the config (children read one frame at
-    // a time, so the concatenation demuxes itself).
-    if (snapshot != nullptr) {
-      const wire::Buffer state =
-          wire::Encode(snapshot->workers[static_cast<size_t>(w)]);
-      frame.insert(frame.end(), state.begin(), state.end());
-    }
-    return frame;
-  };
 
   // The supervisor also scopes SIGPIPE (see transport.h) for every
   // feedback write below — constructed before any child or socket exists.
@@ -669,33 +654,22 @@ EngineResult CampaignEngine::RunWithProcessShards(
             "--necofuzz-connect=" + options.listen_address + ":" +
                 std::to_string(port),
             "--necofuzz-worker=" + std::to_string(w)};
-        // No descriptors to keep: a socket child dials its own.
-        if (supervisor.SpawnExec(w, options.shard_exec_path, argv, {}) < 0) {
+        // No descriptor to keep: a socket child dials its own.
+        if (supervisor.SpawnExec(w, options.shard_exec_path, argv, -1) < 0) {
           throw std::runtime_error("CampaignEngine: fork() failed");
         }
       } else {
-        const HypervisorFactory factory = factory_;
-        const std::string address = options.listen_address;
         const int listen_fd = socket_transport->listen_fd();
         const pid_t pid = supervisor.SpawnFork(w, [&, w] {
           ::close(listen_fd);  // Do not keep the parent's port alive.
           std::string dial_error;
-          const int sock = DialShardSocket(address, port, w, &dial_error);
+          const int sock =
+              DialShardSocket(options.listen_address, port, w, &dial_error);
           if (sock < 0) {
-            return 2;
+            return ShardChildCannotStart(w, dial_error);
           }
-          // Only the target comes through memory (a factory session has
-          // no registry name to rebuild it from): the child runs from the
-          // config and state frames it decodes, like an exec'd child.
-          ShardChildConfigRecord decoded;
-          WorkerStateRecord restore;
-          if (!ReadChildConfig(sock, w, &decoded, &restore)) {
-            ::close(sock);
-            return 2;
-          }
-          return RunShardChildLoop(
-              factory, decoded, decoded.start_epoch > 0 ? &restore : nullptr,
-              sock, sock, options.shard_fault_for_test);
+          return RunShardChild(factory_, sock, w,
+                               options.shard_fault_for_test);
         });
         if (pid < 0) {
           throw std::runtime_error("CampaignEngine: fork() failed");
@@ -703,77 +677,52 @@ EngineResult CampaignEngine::RunWithProcessShards(
       }
     }
   } else {
-    // Pipe pairs are created per child, immediately before its fork, so a
-    // child never inherits a sibling's write end (which would keep that
-    // sibling's stream from ever reaching EOF when it dies). Parent-held
-    // ends are O_CLOEXEC from birth, so exec'd children shed them without
-    // any close sweep racing the exec.
-    std::vector<PipeShardChannel> channels;
-    FdCloser parent_ends;  // Until PipeTransport takes ownership.
+    // One socketpair per child, created immediately before its fork, so a
+    // child never inherits a sibling's child end (which would keep that
+    // sibling's stream from ever reaching EOF when it dies). The
+    // transport adopts the parent end at once; it is O_CLOEXEC, so exec'd
+    // children shed it without any close sweep racing the exec.
+    transport = std::make_unique<FrameStreamTransport>();
+    std::vector<int> parent_ends;
     for (int w = 0; w < config.workers; ++w) {
-      int delta[2] = {-1, -1};
-      int feedback[2] = {-1, -1};
-      if (::pipe2(delta, O_CLOEXEC) != 0) {
-        throw std::runtime_error("CampaignEngine: pipe2() failed: " +
+      int ends[2] = {-1, -1};
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+        throw std::runtime_error("CampaignEngine: socketpair() failed: " +
                                  SafeStrerror(errno));
       }
-      parent_ends.Add(delta[0]);
-      if (::pipe2(feedback, O_CLOEXEC) != 0) {
-        ::close(delta[1]);
-        throw std::runtime_error("CampaignEngine: pipe2() failed: " +
-                                 SafeStrerror(errno));
+      const int child_end = ends[1];
+      if (!transport->AdoptChannel(w, ends[0])) {
+        ::close(child_end);
+        throw std::runtime_error("CampaignEngine: " + transport->error());
       }
-      parent_ends.Add(feedback[1]);
-      channels.push_back({w, delta[0], feedback[1]});
-      const int delta_wr = delta[1];
-      const int feedback_rd = feedback[0];
+      parent_ends.push_back(ends[0]);
 
       pid_t pid = -1;
       if (exec_mode) {
         const std::vector<std::string> argv = {
             "--necofuzz-shard-child",
-            "--necofuzz-delta-fd=" + std::to_string(delta_wr),
-            "--necofuzz-feedback-fd=" + std::to_string(feedback_rd)};
-        // SpawnExec clears FD_CLOEXEC on the kept ends in the child.
+            "--necofuzz-fd=" + std::to_string(child_end)};
         pid = supervisor.SpawnExec(w, options.shard_exec_path, argv,
-                                   {delta_wr, feedback_rd});
+                                   child_end);
       } else {
-        // Fork mode: the child inherits everything it needs through
-        // memory. It drops the parent-held ends created so far (CLOEXEC
-        // cannot help a fork-only child); sibling child ends need no
-        // hand-closing anymore — they are already gone from this process
-        // by the time this fork happens.
-        const HypervisorFactory factory = factory_;
-        pid = supervisor.SpawnFork(w, [&, w, delta_wr, feedback_rd] {
-          for (const PipeShardChannel& ch : channels) {
-            ::close(ch.delta_fd);
-            ::close(ch.feedback_fd);
+        // A fork'd child drops the parent ends created so far, its own
+        // included (CLOEXEC cannot help a fork-only child); sibling child
+        // ends are already gone from this process by the time it forks.
+        pid = supervisor.SpawnFork(w, [&, w, child_end] {
+          for (const int fd : parent_ends) {
+            ::close(fd);
           }
-          // A fork child's snapshot state arrives through inherited
-          // memory, like its config (no config frame is sent on the
-          // pipe-fork path).
-          return RunShardChildLoop(
-              factory, ShardConfig(config, w),
-              snapshot != nullptr
-                  ? &snapshot->workers[static_cast<size_t>(w)]
-                  : nullptr,
-              delta_wr, feedback_rd, options.shard_fault_for_test);
+          return RunShardChild(factory_, child_end, w,
+                               options.shard_fault_for_test);
         });
       }
-      // Parent: the child-side ends live in the child now (or never will,
-      // on failure).
-      ::close(delta_wr);
-      ::close(feedback_rd);
+      // Parent: the child end lives in the child now (or never will, on
+      // failure); ~ShardSupervisor reaps whatever was already spawned.
+      ::close(child_end);
       if (pid < 0) {
-        // parent_ends releases every parent pipe end; ~ShardSupervisor
-        // reaps whatever was already spawned.
         throw std::runtime_error("CampaignEngine: fork() failed");
       }
     }
-    // PipeTransport owns the parent ends from here (closing them itself
-    // if its constructor fails).
-    parent_ends.Release();
-    transport = std::make_unique<PipeTransport>(std::move(channels));
   }
 
   MergePipeline pipeline(pipeline_options, transport.get(), observers_);
@@ -782,12 +731,9 @@ EngineResult CampaignEngine::RunWithProcessShards(
   // loop (corrupt delta, dead shard, failed handshake) lands here.
   try {
     if (sockets) {
-      // The handshake doubles as config delivery; with a local launcher a
-      // child that dies before saying hello fails the wait early instead
-      // of running out the accept timeout. A *clean* exit is not a death:
-      // a fast shard can legitimately finish its whole workload (frames
-      // parked in the socket buffers) and exit 0 while a slower sibling
-      // is still dialing.
+      // The handshake is the hello alone; with a local launcher a child
+      // that dies before saying hello fails the wait early instead of
+      // running out the accept timeout.
       auto children_alive = [&supervisor] {
         for (const ShardExit& shard_exit : supervisor.ReapExited()) {
           if (shard_exit.reaped && !shard_exit.clean()) {
@@ -797,19 +743,12 @@ EngineResult CampaignEngine::RunWithProcessShards(
         return true;
       };
       if (!socket_transport->AcceptShards(
-              child_config, remote ? std::function<bool()>()
-                                   : std::function<bool()>(children_alive))) {
+              remote ? std::function<bool()>()
+                     : std::function<bool()>(children_alive))) {
         throw std::runtime_error("CampaignEngine: " + transport->error());
       }
-    } else if (exec_mode) {
-      // Exec'd pipe children know nothing yet: ship each one its config
-      // record before expecting the first delta.
-      for (int w = 0; w < config.workers; ++w) {
-        if (!transport->SendFeedback(w, child_config(w))) {
-          throw std::runtime_error("CampaignEngine: " + transport->error());
-        }
-      }
     }
+    SendStartFrames(*transport, config, snapshot);
     MergeAndCollect(pipeline, *transport, config.epochs);
   } catch (const std::exception& e) {
     // Harvest whoever already died (the likely culprit) for the error
@@ -873,31 +812,30 @@ int ParseFdArg(const std::string& arg, const std::string& prefix) {
 
 int MaybeRunShardChild(int argc, char** argv) {
   bool is_child = false;
-  int delta_fd = -1;
-  int feedback_fd = -1;
-  int worker_arg = -1;
+  int fd = -1;
+  int worker = -1;
   std::string connect;
-  const std::string delta_prefix = "--necofuzz-delta-fd=";
-  const std::string feedback_prefix = "--necofuzz-feedback-fd=";
+  const std::string fd_prefix = "--necofuzz-fd=";
   const std::string connect_prefix = "--necofuzz-connect=";
   const std::string worker_prefix = "--necofuzz-worker=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--necofuzz-shard-child") {
       is_child = true;
-    } else if (arg.rfind(delta_prefix, 0) == 0) {
-      delta_fd = ParseFdArg(arg, delta_prefix);
-    } else if (arg.rfind(feedback_prefix, 0) == 0) {
-      feedback_fd = ParseFdArg(arg, feedback_prefix);
+    } else if (arg.rfind(fd_prefix, 0) == 0) {
+      fd = ParseFdArg(arg, fd_prefix);
     } else if (arg.rfind(connect_prefix, 0) == 0) {
       connect = arg.substr(connect_prefix.size());
     } else if (arg.rfind(worker_prefix, 0) == 0) {
-      worker_arg = ParseFdArg(arg, worker_prefix);
+      worker = ParseFdArg(arg, worker_prefix);
     }
   }
   if (!is_child) {
     return -1;
   }
+  // The parent may die or abort at any time; a write into the closed
+  // stream, the hello included, must come back as an error code, not a
+  // process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
 
   if (!connect.empty()) {
@@ -905,35 +843,27 @@ int MaybeRunShardChild(int argc, char** argv) {
     // run the shard over the connection. This is the exact invocation a
     // RemoteLauncher issues on another machine.
     const size_t colon = connect.rfind(':');
-    if (colon == std::string::npos || worker_arg < 0) {
-      return 2;
-    }
-    const std::string address = connect.substr(0, colon);
-    const int port = ParseFdArg(connect.substr(colon + 1), std::string());
-    if (port <= 0 || port > 65535) {
-      return 2;
+    const int port = colon == std::string::npos
+                         ? -1
+                         : ParseFdArg(connect.substr(colon + 1), std::string());
+    if (worker < 0 || port <= 0 || port > 65535) {
+      return ShardChildCannotStart(
+          worker, "needs --necofuzz-connect=<address:port> and "
+                  "--necofuzz-worker=<n>");
     }
     std::string dial_error;
-    const int sock = DialShardSocket(address, static_cast<uint16_t>(port),
-                                     worker_arg, &dial_error);
-    if (sock < 0) {
-      return 2;
+    fd = DialShardSocket(connect.substr(0, colon),
+                         static_cast<uint16_t>(port), worker, &dial_error);
+    if (fd < 0) {
+      return ShardChildCannotStart(worker, dial_error);
     }
-    delta_fd = sock;
-    feedback_fd = sock;
-  } else if (delta_fd < 0 || feedback_fd < 0) {
-    return 2;
-  }
-
-  ShardChildConfigRecord config;
-  WorkerStateRecord restore;
-  if (!ReadChildConfig(feedback_fd, worker_arg, &config, &restore)) {
-    return 2;
+  } else if (fd < 0) {
+    return ShardChildCannotStart(
+        worker, "needs --necofuzz-fd=<n> or --necofuzz-connect");
   }
   try {
-    return RunShardChildLoop(ResolveHypervisorFactory(config.target), config,
-                             config.start_epoch > 0 ? &restore : nullptr,
-                             delta_fd, feedback_fd, /*fault_hook=*/nullptr);
+    return RunShardChild(HypervisorFactory(), fd, worker,
+                         /*fault_hook=*/nullptr);
   } catch (...) {
     return 1;
   }

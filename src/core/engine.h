@@ -11,10 +11,12 @@
 //
 // Since PR 3 the merge path is a delta pipeline, not a lock-step barrier:
 // every shard owns a private Hypervisor/Agent/Fuzzer (coverage units are
-// not thread-safe) and runs one shard loop whatever carries its frames:
-// once per epoch it publishes a wire-encoded ShardDelta (src/core/wire.h)
-// into a ShardTransport (src/core/transport/), reads one FeedbackRecord
-// per epoch when shards sync, and ends with a ShardResultRecord. A single
+// not thread-safe) and runs one shard loop whatever carries its frames.
+// It starts from the start frames the engine sends it through its
+// ShardTransport (src/core/transport/) — its ShardChildConfigRecord and,
+// on a resume, its WorkerStateRecord — then once per epoch publishes a
+// wire-encoded ShardDelta (src/core/wire.h), reads one FeedbackRecord per
+// epoch when shards sync, and ends with a ShardResultRecord. A single
 // merge loop (src/core/merge_pipeline.h) on the thread that called Run()
 // drains the transport, folds deltas into the global view in
 // deterministic (epoch, worker) order, pushes each epoch's feedback, and
@@ -26,16 +28,15 @@
 //    frames over in-memory queues (InProcTransport; backpressure when the
 //    queue toward the merge loop is full);
 //  * processes — the engine fork(/exec)s one child process per shard
-//    (ShardSupervisor) and the children exchange the same frames over
-//    pipes (PipeTransport);
+//    (ShardSupervisor) and each child exchanges the same frames over one
+//    socketpair (FrameStreamTransport);
 //  * sockets — the engine listens on a TCP port (SocketTransport) and
-//    shard children dial in, handshake (hello -> config record), and
-//    stream the same frames over the connection. The launcher is
-//    pluggable: by default children are local subprocesses (fork, or exec
-//    when shard_exec_path is set), while options.remote_launcher starts
-//    them on other machines. Crash reproduction inputs come home in each
-//    shard's ShardResultRecord, so nothing stays resident on a remote
-//    box.
+//    shard children dial in, say hello, and stream the same frames over
+//    the connection. The launcher is pluggable: by default children are
+//    local subprocesses (fork, or exec when shard_exec_path is set),
+//    while options.remote_launcher starts them on other machines. Crash
+//    reproduction inputs come home in each shard's ShardResultRecord, so
+//    nothing stays resident on a remote box.
 // The merge math never changes, so process and socket campaigns produce
 // bit-identical EngineResults and observer event sequences to thread
 // campaigns at the same worker count (pinned in tests/engine_test.cc).
@@ -161,19 +162,21 @@ class CampaignEngine {
  private:
   // Run() resolves the campaign's CampaignSpec once, opens the journal
   // from it, and builds `config` and the pipeline options, the same for
-  // every shard mode; every shard is built from `config` with its worker
-  // id set, and each path only launches and tears down its shards.
-  // `snapshot` is the materialized resume point loaded from the journal
-  // (null for a fresh or snapshot-less campaign): shards seed their
-  // private state from snapshot->workers and start at the horizon, the
-  // pipeline seeds its merged state from snapshot->merged, and only the
-  // tail past the horizon is replayed.
+  // every shard mode. Each path only launches and tears down its shards:
+  // every shard receives `config` with its worker id set as its first
+  // frame, through the transport, in every mode. `snapshot` is the
+  // materialized resume point loaded from the journal (null for a fresh
+  // or snapshot-less campaign): each shard receives its
+  // snapshot->workers entry right behind its config and starts at the
+  // horizon, the pipeline seeds its merged state from snapshot->merged,
+  // and only the tail past the horizon is replayed.
   EngineResult RunWithThreadShards(const ShardChildConfigRecord& config,
                                    const MergePipelineOptions& pipeline_options,
-                                   CampaignSnapshot* snapshot);
+                                   const CampaignSnapshot* snapshot);
   EngineResult RunWithProcessShards(
       const ShardChildConfigRecord& config,
-      const MergePipelineOptions& pipeline_options, CampaignSnapshot* snapshot);
+      const MergePipelineOptions& pipeline_options,
+      const CampaignSnapshot* snapshot);
 
   HypervisorFactory factory_;
   Hypervisor* borrowed_ = nullptr;
@@ -186,18 +189,19 @@ class CampaignEngine {
 // --- Hidden process-shard entrypoint -------------------------------------
 
 // When argv carries --necofuzz-shard-child, the process is an exec'd shard
-// child of a shard_mode = processes or sockets campaign. Pipe children
-// (--necofuzz-delta-fd / --necofuzz-feedback-fd) read their
-// ShardChildConfigRecord off the inherited feedback pipe; socket children
-// (--necofuzz-connect=<address:port> --necofuzz-worker=<n>) dial the
-// parent's listener, send a ShardHelloRecord, and receive the config over
-// the connection — this is the invocation a RemoteLauncher issues on
-// another machine. Either way the shard is built from the decoded record
-// alone, runs (publishing ShardDelta frames, absorbing FeedbackRecords,
-// finishing with a ShardResultRecord), and this returns the process exit
-// code — the caller's main() must return it without doing anything else.
-// Returns -1 for a normal invocation (no flag), in which case main()
-// proceeds as usual.
+// child of a shard_mode = processes or sockets campaign. A process child
+// (--necofuzz-fd=<n>) runs over the stream end it inherited; a socket
+// child (--necofuzz-connect=<address:port> --necofuzz-worker=<n>) dials
+// the parent's listener and sends a ShardHelloRecord — this is the
+// invocation a RemoteLauncher issues on another machine. Either way the
+// child reads its start frames off the stream, rebuilds the target from
+// the config's registry name, runs (publishing ShardDelta frames,
+// absorbing FeedbackRecords, finishing with a ShardResultRecord), and
+// this returns the process exit code — the caller's main() must return
+// it without doing anything else. A child that cannot start (a bad
+// argument, a failed dial) prints one stderr line naming the worker and
+// the reason and returns 2. Returns -1 for a normal invocation (no flag),
+// in which case main() proceeds as usual.
 //
 //   int main(int argc, char** argv) {
 //     if (const int code = neco::MaybeRunShardChild(argc, argv); code >= 0)

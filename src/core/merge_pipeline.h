@@ -4,7 +4,7 @@
 // PR 4 split it from its medium. Workers publish self-contained,
 // wire-encoded ShardDeltas (src/core/wire.h) into a ShardTransport
 // (src/core/transport/) — an in-process bounded queue for thread shards,
-// pipes or sockets from child processes for process and socket shards —
+// one byte stream per child process for process and socket shards —
 // and the merge loop drains whichever transport it was given, decodes,
 // assigns deterministic epoch numbers, and folds into the global virgin
 // bitmap, covered set, finding-dedup map, and corpus pool in fixed

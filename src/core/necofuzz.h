@@ -16,7 +16,8 @@
 // whose records are wire-serializable (src/core/wire.h) and travel a
 // pluggable ShardTransport (src/core/transport/): thread shards over the
 // in-proc queue, or — options.shard_mode = ShardMode::kProcesses —
-// fork/exec'd child processes over pipes, with identical results. See
+// fork/exec'd child processes over one socketpair each, with identical
+// results. See
 // README.md for the architecture overview and examples/ for runnable
 // programs.
 #ifndef SRC_CORE_NECOFUZZ_H_
@@ -32,8 +33,8 @@
 #include "src/core/state/commit.h"               // IWYU pragma: export
 #include "src/core/state/journal.h"              // IWYU pragma: export
 #include "src/core/transport/inproc.h"           // IWYU pragma: export
-#include "src/core/transport/pipe.h"             // IWYU pragma: export
 #include "src/core/transport/socket.h"           // IWYU pragma: export
+#include "src/core/transport/stream.h"           // IWYU pragma: export
 #include "src/core/transport/supervisor.h"       // IWYU pragma: export
 #include "src/core/transport/transport.h"        // IWYU pragma: export
 #include "src/core/validator/oracle.h"           // IWYU pragma: export

@@ -287,44 +287,6 @@ size_t CampaignJournal::LoadLatestSnapshot(CampaignSnapshot* out) {
   return 0;
 }
 
-std::vector<wire::Buffer> CampaignJournal::LoadEpoch(size_t epoch) const {
-  const std::filesystem::path path = dir_ / EpochFileName(epoch);
-  std::vector<uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) {
-    throw std::runtime_error("CampaignJournal: cannot read " + path.string());
-  }
-  std::vector<wire::Buffer> frames;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    size_t frame_size = 0;
-    if (!wire::FrameSize(bytes.data() + pos, bytes.size() - pos,
-                         &frame_size) ||
-        frame_size > bytes.size() - pos) {
-      throw std::runtime_error("CampaignJournal: torn epoch file " +
-                               path.string());
-    }
-    frames.emplace_back(bytes.begin() + static_cast<ptrdiff_t>(pos),
-                        bytes.begin() + static_cast<ptrdiff_t>(pos) +
-                            static_cast<ptrdiff_t>(frame_size));
-    pos += frame_size;
-  }
-  EpochCommitRecord trailer;
-  if (frames.empty() ||
-      !wire::Decode(frames.back().data(), frames.back().size(), &trailer)) {
-    throw std::runtime_error(
-        "CampaignJournal: epoch file missing its commit record: " +
-        path.string());
-  }
-  frames.pop_back();
-  if (trailer.epoch != epoch ||
-      trailer.workers != static_cast<int>(frames.size()) ||
-      trailer.checksum != ChecksumFrames(frames)) {
-    throw std::runtime_error("CampaignJournal: corrupt epoch file " +
-                             path.string());
-  }
-  return frames;
-}
-
 void CampaignJournal::VerifyEpoch(size_t epoch,
                                   const std::vector<wire::Buffer>& frames) {
   const std::filesystem::path path = dir_ / EpochFileName(epoch);

@@ -125,11 +125,6 @@ class CampaignJournal {
   // generation, and a 0 return means full replay.
   size_t LoadLatestSnapshot(CampaignSnapshot* out);
 
-  // Loads a committed epoch's delta frames (worker order). Throws
-  // std::runtime_error when the file is missing, torn, fails its
-  // checksum, or trails anything but a matching EpochCommitRecord.
-  std::vector<wire::Buffer> LoadEpoch(size_t epoch) const;
-
   // Resume verification: checks that a replayed epoch's re-published
   // frames are byte-identical to the committed ones. Divergence throws —
   // it means the state dir was produced by a different campaign or

@@ -1,10 +1,10 @@
 // InProcTransport — the shard transport for thread shards. It gives a
-// worker thread what a pipe pair gives a process shard, so both run the
+// worker thread what a stream gives a process shard, so both run the
 // same shard loop over the same frames:
 //  * a bounded MPSC queue toward the drainer: a full queue blocks the
 //    publisher until the merge loop Drain()s it or the transport aborts;
-//  * a feedback queue per shard: SendFeedback() appends a FeedbackRecord
-//    frame, the worker takes it with ReceiveFeedback();
+//  * a feedback queue per shard: SendFeedback() appends a start or
+//    FeedbackRecord frame, the worker takes it with ReceiveFeedback();
 //  * a result slot per shard: a published ShardResultRecord is decoded
 //    into its worker's slot and never enters the drain queue.
 #ifndef SRC_CORE_TRANSPORT_INPROC_H_

@@ -61,7 +61,7 @@ uint16_t BoundPort(int fd) {
 }  // namespace
 
 SocketTransport::SocketTransport(SocketTransportOptions options)
-    : FrameStreamTransport({}), options_(std::move(options)) {
+    : options_(std::move(options)) {
   std::string resolve_error;
   addrinfo* info = ResolveAddress(options_.address, options_.port,
                                   /*passive=*/true, &resolve_error);
@@ -103,9 +103,7 @@ SocketTransport::~SocketTransport() {
   }
 }
 
-bool SocketTransport::AcceptShards(
-    const std::function<wire::Buffer(int worker)>& config_for_worker,
-    const std::function<bool()>& keep_waiting) {
+bool SocketTransport::AcceptShards(const std::function<bool()>& keep_waiting) {
   // A connection that said hello becomes a channel; one that has not yet
   // is parked here with whatever bytes arrived so far.
   struct PendingConn {
@@ -210,7 +208,7 @@ bool SocketTransport::AcceptShards(
         } else {
           ShardHelloRecord hello;
           // Exactly one hello frame and nothing else: a shard child
-          // blocks on its config before sending anything more, so
+          // blocks on its start frames before sending anything more, so
           // trailing bytes mean this is not a shard child.
           reject = conn.buffer.size() != frame_size ||
                    !wire::Decode(conn.buffer.data(), frame_size, &hello) ||
@@ -227,14 +225,9 @@ bool SocketTransport::AcceptShards(
         pending.erase(pending.begin() + static_cast<long>(i));
         continue;
       }
-      if (!WritePipeFrame(conn.fd, config_for_worker(worker))) {
-        ::close(conn.fd);
-        pending.erase(pending.begin() + static_cast<long>(i));
-        continue;  // The launcher may dial again.
-      }
       const int fd = conn.fd;
       pending.erase(pending.begin() + static_cast<long>(i));
-      if (!AdoptChannel({worker, fd, fd})) {
+      if (!AdoptChannel(worker, fd)) {
         close_pending();
         return false;
       }

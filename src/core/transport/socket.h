@@ -1,23 +1,24 @@
 // SocketTransport — multi-machine shard transport over TCP.
 //
 // The parent listens; shard children dial in. A fresh connection must
-// open with exactly one ShardHelloRecord frame naming its worker; the
-// parent replies with that worker's ShardChildConfigRecord and from then
-// on the connection is an ordinary byte-stream channel of the shared
-// engine (FrameStreamTransport, src/core/transport/stream.h): ShardDelta
-// frames stream up, FeedbackRecord frames stream down, one
-// ShardResultRecord — now carrying the shard's crash reproduction inputs
-// — closes the campaign, exactly as over pipes.
+// open with exactly one ShardHelloRecord frame naming its worker, and
+// that hello is the whole handshake: the connection becomes an ordinary
+// byte-stream channel of the shared engine (FrameStreamTransport,
+// src/core/transport/stream.h). Once every shard has checked in, the
+// engine sends each its start frames like any other shard's; then
+// ShardDelta frames stream up, FeedbackRecord frames stream down, and one
+// ShardResultRecord — carrying the shard's crash reproduction inputs —
+// closes the campaign.
 //
-// Handshake policy is reconnect-or-fail: a connection that handshakes
-// badly (stray dialer, garbage bytes, unknown or duplicate worker, wrong
-// magic) is dropped and the listener keeps accepting, so a launcher may
-// retry a failed dial; when the accept deadline passes with shards still
-// missing, the campaign fails with an error naming how many checked in.
-// After the handshake the policy hardens to fail-fast: an abruptly closed
-// socket (child SIGKILLed before EOF, connection reset) is the existing
-// dead-shard error, attributed to the worker via dead_worker() — never a
-// hung drainer.
+// Handshake policy is reconnect-or-fail, and it covers everything up to
+// the hello: a connection that handshakes badly (stray dialer, garbage
+// bytes, unknown or duplicate worker, wrong magic) is dropped and the
+// listener keeps accepting, so a launcher may retry a failed dial; when
+// the accept deadline passes with shards still missing, the campaign
+// fails with an error naming how many checked in. After the hello the
+// policy hardens to fail-fast: an abruptly closed socket (child SIGKILLed
+// before EOF, connection reset) is the dead-shard error, attributed to
+// the worker via dead_worker() — never a hung drainer.
 //
 // Who dials is pluggable (CampaignOptions::remote_launcher): the default
 // local launcher forks or execs subprocesses of this process, so tests
@@ -63,18 +64,15 @@ class SocketTransport : public FrameStreamTransport {
   int listen_fd() const { return listen_fd_; }
 
   // Runs the handshake loop until every worker in [0, workers) has dialed
-  // in, sent a valid ShardHelloRecord, and been answered with
-  // `config_for_worker(worker)` — or the accept deadline passed, or
-  // Abort() was called, or `keep_waiting` (when set, polled between
+  // in and sent a valid ShardHelloRecord — or the accept deadline passed,
+  // or Abort() was called, or `keep_waiting` (when set, polled between
   // accept rounds) returned false (the engine uses it to fail fast when a
   // local child died before completing its handshake). Bad connections
   // are dropped and accepting continues (reconnect-or-fail). On success
   // the listener is closed and every connection is an adopted channel;
   // on failure error() names what went wrong. Call exactly once, before
-  // the first Drain().
-  bool AcceptShards(
-      const std::function<wire::Buffer(int worker)>& config_for_worker,
-      const std::function<bool()>& keep_waiting = nullptr);
+  // the first frame is sent or drained.
+  bool AcceptShards(const std::function<bool()>& keep_waiting = nullptr);
 
  private:
   // Single-threaded: written in the constructor and AcceptShards(), both
@@ -89,8 +87,9 @@ class SocketTransport : public FrameStreamTransport {
 // Child side of the handshake: dials `address:port` (retrying briefly on
 // a refused connection, in case the listener's accept queue is briefly
 // full) and sends the ShardHelloRecord for `worker`. Returns the
-// connected descriptor — the caller reads its ShardChildConfigRecord
-// frame next — or -1 with a human-readable reason in `*error`.
+// connected descriptor — the caller reads its start frames next, which
+// the parent sends once every shard has checked in — or -1 with a
+// human-readable reason in `*error`.
 int DialShardSocket(const std::string& address, uint16_t port, int worker,
                     std::string* error);
 

@@ -90,89 +90,41 @@ bool FrameStreamTransport::SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-void FrameStreamTransport::CloseChannelFds(Channel& channel) {
-  if (channel.read_fd >= 0) {
-    ::close(channel.read_fd);
-  }
-  if (channel.write_fd >= 0 && channel.write_fd != channel.read_fd) {
-    ::close(channel.write_fd);
-  }
-  channel.read_fd = -1;
-  channel.write_fd = -1;
-}
-
-FrameStreamTransport::FrameStreamTransport(
-    std::vector<StreamShardChannel> channels) {
-  for (const StreamShardChannel& ch : channels) {
-    Channel channel;
-    channel.worker = ch.worker;
-    channel.read_fd = ch.read_fd;
-    channel.write_fd = ch.write_fd;
-    channels_.push_back(std::move(channel));
-  }
-  // The constructor owns every descriptor it was handed from here on: any
-  // failure below must close them all before throwing (the destructor
-  // will not run for a half-constructed object).
-  auto fail = [&](const std::string& message) {
-    for (Channel& channel : channels_) {
-      CloseChannelFds(channel);
-    }
-    if (abort_rd_ >= 0) {
-      ::close(abort_rd_);
-    }
-    if (abort_wr_ >= 0) {
-      ::close(abort_wr_);
-    }
-    throw std::runtime_error("FrameStreamTransport: " + message + ": " +
-                             SafeStrerror(errno));
-  };
-
+FrameStreamTransport::FrameStreamTransport() {
   int fds[2] = {-1, -1};
-  // Without the self-pipe a cross-thread Abort() could not wake a drainer
-  // blocked in poll(); fail construction instead of risking a hang later.
   // O_CLOEXEC: an exec'd shard child must not inherit the parent's wake-up
   // channel.
   if (::pipe2(fds, O_CLOEXEC) != 0) {
-    fail("abort pipe creation failed");
+    throw std::runtime_error(
+        "FrameStreamTransport: abort pipe creation failed: " +
+        SafeStrerror(errno));
   }
   abort_rd_ = fds[0];
   abort_wr_ = fds[1];
-
-  for (Channel& channel : channels_) {
-    // Delta reads are driven by poll(); non-blocking reads let ReadChannel
-    // drain exactly what arrived without ever stalling the drainer. (On a
-    // socket, read_fd == write_fd shares the flag — WritePipeFrame handles
-    // the resulting EAGAIN by polling for writability.)
-    if (!SetNonBlocking(channel.read_fd)) {
-      fail("fcntl(O_NONBLOCK) failed for shard " +
-           std::to_string(channel.worker));
-    }
-  }
 }
 
 FrameStreamTransport::~FrameStreamTransport() {
-  for (Channel& channel : channels_) {
-    CloseChannelFds(channel);
+  for (const Channel& channel : channels_) {
+    ::close(channel.fd);
   }
-  if (abort_rd_ >= 0) {
-    ::close(abort_rd_);
-  }
-  if (abort_wr_ >= 0) {
-    ::close(abort_wr_);
-  }
+  ::close(abort_rd_);
+  ::close(abort_wr_);
 }
 
-bool FrameStreamTransport::AdoptChannel(const StreamShardChannel& ch) {
-  Channel channel;
-  channel.worker = ch.worker;
-  channel.read_fd = ch.read_fd;
-  channel.write_fd = ch.write_fd;
-  if (!SetNonBlocking(channel.read_fd)) {
-    SetError("fcntl(O_NONBLOCK) failed for shard " +
-             std::to_string(channel.worker) + ": " + SafeStrerror(errno));
-    CloseChannelFds(channel);
+bool FrameStreamTransport::AdoptChannel(int worker, int fd) {
+  // Reads are driven by poll(); non-blocking reads let ReadChannel drain
+  // exactly what arrived without ever stalling the drainer. Writes share
+  // the flag — WritePipeFrame handles the resulting EAGAIN by polling for
+  // writability.
+  if (!SetNonBlocking(fd)) {
+    SetError("fcntl(O_NONBLOCK) failed for shard " + std::to_string(worker) +
+             ": " + SafeStrerror(errno));
+    ::close(fd);
     return false;
   }
+  Channel channel;
+  channel.worker = worker;
+  channel.fd = fd;
   channels_.push_back(std::move(channel));
   return true;
 }
@@ -247,7 +199,7 @@ void FrameStreamTransport::ExtractFrames(Channel& channel) {
 void FrameStreamTransport::ReadChannel(Channel& channel) {
   uint8_t chunk[65536];
   while (true) {
-    const ssize_t n = ::read(channel.read_fd, chunk, sizeof(chunk));
+    const ssize_t n = ::read(channel.fd, chunk, sizeof(chunk));
     if (n > 0) {
       channel.buffer.insert(channel.buffer.end(), chunk, chunk + n);
       ExtractFrames(channel);
@@ -263,7 +215,7 @@ void FrameStreamTransport::ReadChannel(Channel& channel) {
       if (channel.result == nullptr || !channel.buffer.empty()) {
         MarkDead(channel.worker);
         SetError("shard " + std::to_string(channel.worker) +
-                 " closed its delta stream mid-campaign");
+                 " closed its stream mid-campaign");
       }
       return;
     }
@@ -285,7 +237,7 @@ void FrameStreamTransport::ReadChannel(Channel& channel) {
       return;
     }
     SetError("shard " + std::to_string(channel.worker) +
-             " delta stream read failed: " + SafeStrerror(errno));
+             " stream read failed: " + SafeStrerror(errno));
     return;
   }
 }
@@ -301,18 +253,15 @@ bool FrameStreamTransport::PumpOnce() {
   std::vector<Channel*> polled;
   for (Channel& channel : channels_) {
     if (channel.open) {
-      fds.push_back({channel.read_fd, POLLIN, 0});
+      fds.push_back({channel.fd, POLLIN, 0});
       polled.push_back(&channel);
     }
   }
   if (polled.empty()) {
-    SetError("every shard closed its delta stream before the campaign "
-             "completed");
+    SetError("every shard closed its stream before the campaign completed");
     return false;
   }
-  if (abort_rd_ >= 0) {
-    fds.push_back({abort_rd_, POLLIN, 0});
-  }
+  fds.push_back({abort_rd_, POLLIN, 0});
   int r;
   do {
     r = ::poll(fds.data(), fds.size(), -1);
@@ -356,20 +305,18 @@ bool FrameStreamTransport::SendFeedback(int worker,
     if (channel.worker != worker) {
       continue;
     }
-    if (channel.write_fd < 0 || !WritePipeFrame(channel.write_fd, frame)) {
+    if (!WritePipeFrame(channel.fd, frame)) {
       // WritePipeFrame already absorbed EAGAIN (a slow-but-alive peer is
       // backpressure, not a failure), so reaching here means a real
       // error; EPIPE/ECONNRESET specifically mean the peer is gone.
       const int err = errno;
-      if (channel.write_fd >= 0 &&
-          (err == EPIPE || err == ECONNRESET)) {
+      if (err == EPIPE || err == ECONNRESET) {
         MarkDead(worker);
         SetError("feedback write to shard " + std::to_string(worker) +
                  " failed: shard dead (" + SafeStrerror(err) + ")");
       } else {
         SetError("feedback write to shard " + std::to_string(worker) +
-                 " failed: " +
-                 (channel.write_fd < 0 ? "no stream" : SafeStrerror(err)));
+                 " failed: " + SafeStrerror(err));
       }
       return false;
     }
@@ -411,11 +358,9 @@ const ShardResultRecord* FrameStreamTransport::shard_result(
 
 void FrameStreamTransport::Abort() {
   aborted_ = true;
-  if (abort_wr_ >= 0) {
-    const uint8_t byte = 1;
-    // Best-effort wake-up; the atomic flag is the source of truth.
-    [[maybe_unused]] const ssize_t n = ::write(abort_wr_, &byte, 1);
-  }
+  const uint8_t byte = 1;
+  // Best-effort wake-up; the atomic flag is the source of truth.
+  [[maybe_unused]] const ssize_t n = ::write(abort_wr_, &byte, 1);
 }
 
 TransportStats FrameStreamTransport::stats() const {

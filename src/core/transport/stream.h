@@ -1,25 +1,40 @@
-// FrameStreamTransport — the shared poll/demux engine behind every
-// byte-stream ShardTransport backend.
-//
-// PR 4's PipeTransport already treated its descriptors as plain byte
-// streams carrying length-prefixed wire frames; this base class is that
-// engine hoisted out of pipe.cc so a TCP socket (src/core/transport/
-// socket.h) and a pipe pair (src/core/transport/pipe.h) share one
-// implementation of:
+// FrameStreamTransport — the ShardTransport over byte streams, one
+// full-duplex descriptor per shard: a socketpair end for a local process
+// shard (CampaignEngine creates one per child) or an accepted TCP
+// connection for a socket shard (SocketTransport, src/core/transport/
+// socket.h). Frames are direction-tagged by type, so one stream carries
+// both directions. The transport implements:
 //
 //  * poll(2)-driven reassembly of wire frames from N shard streams,
 //  * ShardDelta / ShardResultRecord demultiplexing,
-//  * FeedbackRecord writes back toward shards (slow-peer aware: a full
-//    buffer polls for writability and retries; only a real error is a
-//    failure),
-//  * the fail-fast dead-shard model (EOF or connection reset before the
-//    shard's result record arrived fails Drain() and names the worker in
-//    dead_worker(), so the engine can attribute an exit status), and
+//  * start and FeedbackRecord frame writes back toward shards
+//    (slow-peer aware: a full buffer polls for writability and retries;
+//    only a real error is a failure),
+//  * the fail-fast dead-shard model, and
 //  * the self-pipe that lets Abort() wake a drainer blocked in poll().
 //
-// A channel is a (read fd, write fd) pair; the two may be the same
-// descriptor (a socket) — the transport closes it exactly once. Every
-// descriptor the transport creates for itself carries O_CLOEXEC, so
+// A shard child reads its start frames first (its config, then on a
+// resume its WorkerStateRecord), then writes length-prefixed frames
+// (src/core/wire.h) in a fixed sequence — one ShardDelta per epoch, then
+// one ShardResultRecord — and, when corpus syncing is on, blocks reading
+// one FeedbackRecord frame before every epoch after the first.
+//
+// Failure model: a shard that dies (crash, kill -9, clean-but-early exit)
+// closes its stream; EOF or a connection reset before the shard's
+// ShardResultRecord arrived is recorded as a transport error naming the
+// worker in dead_worker(), and Drain() fails fast — the drainer never
+// hangs waiting for an epoch that cannot complete. Writing feedback to a
+// dead shard surfaces the same way (EPIPE; SIGPIPE is scoped by
+// ShardSupervisor, see transport.h). The engine turns transport errors
+// plus the supervisor's exit reports into one thrown shard error.
+//
+// Deadlock freedom with syncing on: feedback for epoch E is only sent
+// after every shard's epoch-E delta was *decoded*, at which point each
+// shard's next blocking operation is reading that feedback — so the
+// parent's feedback write always has a reader, no matter how small the
+// stream buffer is.
+//
+// Every descriptor the transport creates for itself carries O_CLOEXEC, so
 // exec'd shard children cannot inherit it.
 #ifndef SRC_CORE_TRANSPORT_STREAM_H_
 #define SRC_CORE_TRANSPORT_STREAM_H_
@@ -52,20 +67,22 @@ bool ReadPipeFrame(int fd, wire::Buffer* out);
 
 // --- Parent side ---------------------------------------------------------
 
-// The parent-side descriptors of one shard's byte stream. The transport
-// takes ownership; read_fd and write_fd may be the same descriptor.
-struct StreamShardChannel {
-  int worker = 0;
-  int read_fd = -1;   // ShardDelta / ShardResultRecord frames arrive here.
-  int write_fd = -1;  // Config + FeedbackRecord frames leave here.
-};
-
 class FrameStreamTransport : public ShardTransport {
  public:
+  // Creates the abort self-pipe (O_CLOEXEC). Throws std::runtime_error
+  // when it cannot: without it a cross-thread Abort() could not wake a
+  // drainer blocked in poll().
+  FrameStreamTransport();
   ~FrameStreamTransport() override;
 
   FrameStreamTransport(const FrameStreamTransport&) = delete;
   FrameStreamTransport& operator=(const FrameStreamTransport&) = delete;
+
+  // Registers worker `worker`'s stream `fd`, which the transport owns and
+  // closes from here on, and sets it non-blocking. On failure (a bad
+  // descriptor fails fcntl) closes `fd`, records the error, and returns
+  // false. Must not race Drain()/CollectResults().
+  bool AdoptChannel(int worker, int fd);
 
   // ShardTransport:
   bool Drain(std::vector<wire::Buffer>* out) override;
@@ -78,27 +95,14 @@ class FrameStreamTransport : public ShardTransport {
   TransportStats stats() const override NECO_EXCLUDES(mu_);
 
   // The first worker observed dead (mid-campaign EOF / connection reset
-  // on its delta stream, or EPIPE writing its feedback), or -1. "Dead" is
-  // a kernel-level fact — those conditions only arise once the child's
-  // descriptors closed — so the engine can reap this specific child for
+  // on its stream, or EPIPE writing toward it), or -1. "Dead" is a
+  // kernel-level fact — those conditions only arise once the child's
+  // descriptor closed — so the engine can reap this specific child for
   // its exit status when composing the shard error. (A corrupt frame
   // does NOT set this: the sender of garbage may well still be running.)
   int dead_worker() const { return dead_worker_; }
 
  protected:
-  // Creates the abort self-pipe (O_CLOEXEC) and adopts `channels`,
-  // setting every read descriptor non-blocking. Throws std::runtime_error
-  // — closing everything it was handed — when the self-pipe cannot be
-  // created or an fcntl fails (a channel built on a bad descriptor must
-  // fail construction, not silently hand F_SETFL garbage).
-  explicit FrameStreamTransport(std::vector<StreamShardChannel> channels);
-
-  // Registers one more channel after construction (the socket transport
-  // adopts connections as their handshakes complete). Sets the read
-  // descriptor non-blocking; on failure closes the descriptor, records
-  // the error, and returns false. Must not race Drain()/CollectResults().
-  bool AdoptChannel(const StreamShardChannel& channel);
-
   void SetError(const std::string& message) NECO_EXCLUDES(mu_);
   bool aborted() const { return aborted_; }
   int abort_rd() const { return abort_rd_; }
@@ -106,8 +110,7 @@ class FrameStreamTransport : public ShardTransport {
  private:
   struct Channel {
     int worker = 0;
-    int read_fd = -1;
-    int write_fd = -1;
+    int fd = -1;
     bool open = true;
     std::vector<uint8_t> buffer;  // Partial-frame bytes read so far.
     std::unique_ptr<ShardResultRecord> result;
@@ -115,9 +118,8 @@ class FrameStreamTransport : public ShardTransport {
 
   // Sets `fd` non-blocking; false (with errno set) when fcntl fails.
   static bool SetNonBlocking(int fd);
-  static void CloseChannelFds(Channel& channel);
 
-  // Blocks in poll() until a delta stream made progress, then reads and
+  // Blocks in poll() until a shard stream made progress, then reads and
   // demultiplexes. Returns false on abort or transport error.
   bool PumpOnce();
   // Drains `channel`'s readable bytes and cuts complete frames.
@@ -128,8 +130,8 @@ class FrameStreamTransport : public ShardTransport {
   // Drainer-thread-only state: channels, reassembly buffers, and the
   // decoded-order frame queue are touched exclusively by Drain()/
   // CollectResults()/SendFeedback() callers on the merge thread (the
-  // engine sequences AcceptShards/AdoptChannel before the first Drain),
-  // hence unguarded. Cross-thread communication happens via aborted_ /
+  // engine adopts every channel before the first Drain), hence
+  // unguarded. Cross-thread communication happens via aborted_ /
   // dead_worker_ (atomics) and the mu_-guarded error/stats below.
   std::vector<Channel> channels_;
   std::deque<wire::Buffer> pending_;  // Decoded-order ShardDelta frames.

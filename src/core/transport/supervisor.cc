@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <span>
 
 namespace neco {
 
@@ -24,7 +23,7 @@ std::string ShardExit::Describe() const {
 
 ShardSupervisor::ShardSupervisor() {
   // A shard child can die at any moment, turning the parent's next
-  // feedback write (pipe or socket) into an EPIPE. The default SIGPIPE
+  // feedback write over its stream into an EPIPE. The default SIGPIPE
   // disposition would kill the whole campaign process instead; ignoring
   // it keeps the failure a recoverable error code (the transport turns it
   // into a recorded shard error). The disposition is scoped, not
@@ -67,31 +66,23 @@ pid_t ShardSupervisor::SpawnFork(int worker,
 
 namespace {
 
-// Closes every descriptor above stderr except the sorted `keep` list, with
-// one close_range per gap and no allocation, since it runs in a forked
-// child. close_range also reaches descriptors at or above the soft
+// Closes every descriptor above stderr except `keep` (-1 for none), with
+// at most two close_range calls and no allocation, since it runs in a
+// forked child. close_range also reaches descriptors at or above the soft
 // RLIMIT_NOFILE, which the per-descriptor loop (kept only for kernels
 // without close_range, before 5.9) never does.
-void CloseAllExcept(std::span<const int> keep) {
-  int next = 3;
+void CloseAllExcept(int keep) {
   bool swept = true;
-  for (const int k : keep) {
-    if (k < next) {
-      continue;  // Stdio or a duplicate.
-    }
-    if (k > next && ::close_range(static_cast<unsigned>(next),
-                                  static_cast<unsigned>(k - 1), 0) != 0) {
-      swept = false;
-      break;
-    }
-    next = k + 1;
+  if (keep > 3) {
+    swept = ::close_range(3, static_cast<unsigned>(keep - 1), 0) == 0;
   }
-  if (swept && ::close_range(static_cast<unsigned>(next), ~0U, 0) == 0) {
+  const unsigned above = static_cast<unsigned>(std::max(keep + 1, 3));
+  if (swept && ::close_range(above, ~0U, 0) == 0) {
     return;
   }
   const long max_fd = ::sysconf(_SC_OPEN_MAX);
   for (int fd = 3; fd < (max_fd > 0 ? max_fd : 1024); ++fd) {
-    if (!std::binary_search(keep.begin(), keep.end(), fd)) {
+    if (fd != keep) {
       ::close(fd);
     }
   }
@@ -101,11 +92,9 @@ void CloseAllExcept(std::span<const int> keep) {
 
 pid_t ShardSupervisor::SpawnExec(int worker, const std::string& exec_path,
                                  const std::vector<std::string>& argv,
-                                 const std::vector<int>& keep_fds) {
+                                 int keep_fd) {
   // Everything the child needs is built here, before fork: allocating in
   // the child of a multithreaded parent can deadlock on a malloc lock.
-  std::vector<int> keep(keep_fds);
-  std::sort(keep.begin(), keep.end());
   std::vector<char*> args;
   args.push_back(const_cast<char*>(exec_path.c_str()));
   for (const std::string& arg : argv) {
@@ -119,16 +108,16 @@ pid_t ShardSupervisor::SpawnExec(int worker, const std::string& exec_path,
   }
   if (pid == 0) {
     // The engine creates every campaign descriptor O_CLOEXEC, so the exec
-    // below sheds them automatically; the child's own channel ends are
-    // the exception and get the flag cleared here. The close sweep stays
-    // as a second line of defense so a non-CLOEXEC descriptor leaked by
-    // the embedding process cannot reach the child either — between the
-    // two, an exec'd shard starts with stdio plus exactly its keep_fds
+    // below sheds them automatically; the child's own stream end is the
+    // exception and gets the flag cleared here. The close sweep stays as
+    // a second line of defense so a non-CLOEXEC descriptor leaked by the
+    // embedding process cannot reach the child either — between the two,
+    // an exec'd shard starts with stdio plus exactly its keep_fd
     // (asserted via /proc/self/fd in tests/transport_test.cc).
-    for (const int k : keep) {
-      ::fcntl(k, F_SETFD, 0);
+    if (keep_fd >= 0) {
+      ::fcntl(keep_fd, F_SETFD, 0);
     }
-    CloseAllExcept(keep);
+    CloseAllExcept(keep_fd);
     ::execv(exec_path.c_str(), args.data());
     ::_exit(127);  // Exec failed; surfaces at WaitAll().
   }

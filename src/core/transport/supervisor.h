@@ -1,5 +1,5 @@
 // ShardSupervisor — spawns, monitors, and reaps process-level shard
-// children (the process half of PipeTransport).
+// children (the process half of a process or socket campaign).
 //
 // Two spawn modes, one per process-sharding flavor:
 //
@@ -11,8 +11,8 @@
 //  * SpawnExec: fork() + execv() a binary with the hidden
 //    --necofuzz-shard-child arguments (see MaybeRunShardChild in
 //    src/core/engine.h). The child is a fresh process that reads its
-//    ShardChildConfigRecord off an inherited pipe; this is the shape that
-//    generalizes to remote machines.
+//    start frames off its one inherited stream (or the socket it dials);
+//    this is the shape that generalizes to remote machines.
 //
 // The supervisor's job is to make a crashed shard a *recorded error*, not
 // a hang: WaitAll() reaps every child and reports how each one ended
@@ -62,21 +62,20 @@ class ShardSupervisor {
   // Forks a child that runs `body` and _exit()s with its return value (the
   // body never returns into the parent's stack). Returns the child pid, or
   // -1 when fork failed. `body` is responsible for closing the parent-side
-  // pipe ends it inherited.
+  // stream ends it inherited.
   pid_t SpawnFork(int worker, const std::function<int()>& body);
 
   // Forks and execs `exec_path` with `argv` (argv[0] is supplied by the
-  // supervisor). `keep_fds` are inherited descriptors the child must keep
-  // (its pipe ends) — they get FD_CLOEXEC cleared, since the engine now
-  // creates every campaign descriptor close-on-exec; every other
-  // descriptor above stderr is closed before exec (close_range over the
-  // gaps between keep_fds) as a second line of defense against
+  // supervisor). `keep_fd` is the one inherited descriptor the child must
+  // keep (its stream end), or -1 for none: it gets FD_CLOEXEC cleared,
+  // since the engine creates every campaign descriptor close-on-exec, and
+  // every other descriptor above stderr is closed before exec
+  // (close_range around keep_fd) as a second line of defense against
   // non-CLOEXEC descriptors the embedding process holds.
   // Returns the child pid, or -1 when fork failed; exec failure surfaces
   // as exit code 127 at WaitAll().
   pid_t SpawnExec(int worker, const std::string& exec_path,
-                  const std::vector<std::string>& argv,
-                  const std::vector<int>& keep_fds);
+                  const std::vector<std::string>& argv, int keep_fd);
 
   size_t spawned() const { return children_.size(); }
 
@@ -89,7 +88,7 @@ class ShardSupervisor {
   // turns every survivor into "killed by signal 9".
   std::vector<ShardExit> ReapExited();
 
-  // Reaps `worker`'s child, polling briefly (a known-dead child's pipe
+  // Reaps `worker`'s child, polling briefly (a known-dead child's stream
   // EOF can be observable microseconds before the zombie is waitable —
   // process teardown closes descriptors first). Gives up after ~1s so a
   // misjudged caller degrades to the ReapExited answer instead of

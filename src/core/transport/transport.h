@@ -9,24 +9,23 @@
 //
 //  * InProcTransport (src/core/transport/inproc.h): a bounded in-memory
 //    MPSC deque toward the drainer plus per-worker feedback queues and
-//    result slots, for thread shards inside one process,
-//  * PipeTransport (src/core/transport/pipe.h): length-prefixed frames
-//    from fork/exec'd child-shard processes over pipes, with per-epoch
-//    FeedbackRecord frames flowing back, for campaigns that scale past
-//    one process, and
-//  * SocketTransport (src/core/transport/socket.h): the same frames over
-//    TCP connections shard children dial into, for campaigns that scale
-//    past one machine (both stream backends share the poll/demux engine
-//    in src/core/transport/stream.h).
+//    result slots, for thread shards inside one process, and
+//  * FrameStreamTransport (src/core/transport/stream.h): length-prefixed
+//    frames over one full-duplex byte stream per shard — a socketpair to
+//    each fork/exec'd child process for campaigns that scale past one
+//    process, or, as SocketTransport (src/core/transport/socket.h), a TCP
+//    connection each shard child dials in on, for campaigns that scale
+//    past one machine.
 //
-// Every backend carries the same frames: from each shard its ShardDeltas
-// (plus WorkerStateRecords at snapshot epochs) and one final
-// ShardResultRecord, back to each syncing shard one FeedbackRecord per
-// epoch. The contract is deterministic content: a transport moves opaque
-// encoded frames without reordering records from the same shard, so the
-// fold — and therefore merged results and observer event sequences — is
-// identical whichever backend carried the bytes (pinned in
-// tests/engine_test.cc).
+// Every backend carries the same frames: toward each shard its start
+// frames (its ShardChildConfigRecord, then on a resume its
+// WorkerStateRecord) and, when syncing, one FeedbackRecord per epoch;
+// from each shard its ShardDeltas (plus WorkerStateRecords at snapshot
+// epochs) and one final ShardResultRecord. The contract is deterministic
+// content: a transport moves opaque encoded frames without reordering
+// records from the same shard, so the fold — and therefore merged results
+// and observer event sequences — is identical whichever backend carried
+// the bytes (pinned in tests/engine_test.cc).
 //
 // SIGPIPE constraint: the stream backends write to descriptors whose peer
 // can die at any moment, which must surface as an error code (EPIPE), not
@@ -52,15 +51,18 @@ namespace neco {
 // Byte / wait counters a transport reports into EngineResult::transport
 // (the per-transport columns of bench/parallel_scaling).
 struct TransportStats {
-  uint64_t deltas = 0;           // ShardDelta frames delivered to the drainer.
-  uint64_t delta_bytes = 0;      // Encoded delta bytes through the transport.
-  uint64_t feedback_records = 0; // Feedback/config frames sent toward shards.
+  // ShardDelta and WorkerStateRecord frames delivered to the drainer.
+  uint64_t deltas = 0;
+  uint64_t delta_bytes = 0;      // Their encoded bytes.
+  // Frames sent toward shards through SendFeedback: every shard's start
+  // frames plus the per-epoch FeedbackRecords. The same in every mode.
+  uint64_t feedback_records = 0;
   uint64_t feedback_bytes = 0;
   size_t max_queue_depth = 0;    // Frames buffered drainer-side.
   double avg_queue_depth = 0.0;  // Sampled once per enqueued frame.
   uint64_t publish_blocks = 0;   // Producer-side backpressure events (in-proc
-                                 // only: a child process blocks in the pipe
-                                 // buffer, invisible to the parent).
+                                 // only: a child process blocks in its
+                                 // stream buffer, invisible to the parent).
   double publish_wait_seconds = 0.0;
   // Thread shards blocked on their next feedback frame (in-proc only, like
   // the publish wait).
@@ -78,8 +80,8 @@ class ShardTransport {
   // was aborted, or a producer failed (see error()).
   virtual bool Drain(std::vector<wire::Buffer>* out) = 0;
 
-  // Ships one encoded frame (a FeedbackRecord, or a ShardChildConfigRecord
-  // at startup) toward shard `worker`, which reads it as its next frame.
+  // Ships one encoded frame (a start frame or a FeedbackRecord) toward
+  // shard `worker`, which reads it as its next frame.
   // Returns false when the shard can no longer receive (dead child /
   // aborted transport); the failure is also recorded in error().
   virtual bool SendFeedback(int worker, const wire::Buffer& frame) = 0;
@@ -98,7 +100,7 @@ class ShardTransport {
   virtual void Abort() = 0;
 
   // Non-empty after a transport-level failure (producer died mid-stream,
-  // corrupt frame header, broken pipe). Drain() returns false once set.
+  // corrupt frame header, failed write). Drain() returns false once set.
   virtual std::string error() const = 0;
 
   virtual TransportStats stats() const = 0;

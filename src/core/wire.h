@@ -38,7 +38,7 @@
 // Decode() is strict: a wrong type, unknown version, bad length, truncated
 // buffer, or out-of-range enum/count is rejected (returns false) without
 // reading out of bounds. This is the exact payload a process-level shard
-// ships over a pipe, so robustness against corrupt input is part of the
+// ships over its stream, so robustness against corrupt input is part of the
 // contract; tests/wire_test.cc checks it for every record in
 // wire::Records.
 //
@@ -204,8 +204,8 @@ struct CampaignSpec {
 // --- Process-sharding records --------------------------------------------
 
 // The merged state a syncing shard absorbs at an epoch boundary, as the
-// drainer pushes it to every shard (over an in-proc queue, a pipe, or a
-// socket) right after folding the epoch.
+// drainer pushes it to every shard (over an in-proc queue, a socketpair,
+// or a TCP socket) right after folding the epoch.
 struct FeedbackRecord {
   uint64_t epoch = 0;  // The folded epoch this feedback comes from.
   int worker = 0;      // Target shard (lets the shard validate routing).
@@ -249,9 +249,8 @@ struct ShardHelloRecord {
 };
 
 // Everything one shard is built from: the campaign's spec, the shard's
-// identity, and knobs results do not depend on. Thread shards and
-// pipe-fork children get it in memory; exec'd pipe children and every
-// socket child decode it off their stream at startup.
+// identity, and knobs results do not depend on. Every shard, in every
+// shard mode, receives it as its first frame and decodes it at startup.
 struct ShardChildConfigRecord : CampaignSpec {
   int worker = 0;
   std::string crash_dir;  // AgentOptions::crash_dir.
@@ -272,7 +271,7 @@ struct ShardChildConfigRecord : CampaignSpec {
 //
 // The wire format doubles as the storage format: a CampaignJournal's
 // on-disk files are framed records from this header, so the same strict
-// codecs that reject a corrupt pipe frame reject a torn or damaged state
+// codecs that reject a corrupt stream frame reject a torn or damaged state
 // file on reopen.
 
 // The journal's versioned manifest (file MANIFEST under the state dir).
@@ -499,11 +498,11 @@ static_assert(Records::kSize + 1 == static_cast<size_t>(RecordType::kEnd),
 
 using Buffer = std::vector<uint8_t>;
 
-// [u8 type][u8 version][u32 payload length] — what PipeTransport needs to
-// cut frames out of a byte stream.
+// [u8 type][u8 version][u32 payload length] — what FrameStreamTransport
+// needs to cut frames out of a byte stream.
 inline constexpr size_t kFrameHeaderSize = 1 + 1 + 4;
 
-// Sanity bound on a single frame travelling a pipe: a real delta is a few
+// Sanity bound on a single frame travelling a stream: a real delta is a few
 // KiB, so anything this large is a corrupt length field, and rejecting it
 // beats letting four attacker-controlled bytes trigger a 4 GiB allocation.
 inline constexpr size_t kMaxFramePayload = size_t{1} << 30;

@@ -13,8 +13,9 @@ namespace {
 // message pointer — which is `buf` only when the message was actually
 // copied there.
 
-// XSI: int strerror_r(int, char*, size_t).
-const char* ResolveStrerrorResult(int rc, const char* buf) {
+// XSI: int strerror_r(int, char*, size_t). Unused where the C library
+// provides the GNU variant (glibc), hence [[maybe_unused]].
+[[maybe_unused]] const char* ResolveStrerrorResult(int rc, const char* buf) {
   return rc == 0 ? buf : nullptr;
 }
 

@@ -5,16 +5,22 @@
 // process/socket-shard equivalence (shard_mode=processes and
 // shard_mode=sockets both reproduce the thread-mode EngineResult —
 // including the shipped-home crash reproduction inputs — and event
-// sequence exactly, over the same frames), dead-shard error reporting
-// (kill -9 over a pipe and an abruptly cut socket alike), a failing
+// sequence exactly, over the same frames, start frames included),
+// dead-shard error reporting (kill -9 over a socketpair and an abruptly
+// cut socket alike), a shard child that cannot dial saying why, a failing
 // thread shard releasing its siblings, and the observer exception guard.
 //
 // This suite defines its own main() (calling MaybeRunShardChild before
 // gtest) so exec-mode campaigns can re-exec this binary as real shard
 // children — the same invocation a RemoteLauncher would issue on another
 // machine.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -296,8 +302,9 @@ TEST(MergePipelineStatsTest, PipelineAndTransportCountersAreReported) {
   EXPECT_GE(result.transport.max_queue_depth, 1u);
   EXPECT_GE(result.transport.avg_queue_depth, 0.0);
   // Breadth-first mode has no corpus to exchange, so shards are fully
-  // decoupled: no feedback frame is sent and none is waited for.
-  EXPECT_EQ(result.transport.feedback_records, 0u);
+  // decoupled: the only frame sent toward a shard is its config, queued
+  // before the shard starts, so none is waited for.
+  EXPECT_EQ(result.transport.feedback_records, 2u);
   EXPECT_EQ(result.transport.feedback_wait_seconds, 0.0);
 }
 
@@ -330,8 +337,8 @@ TEST(ProcessShardTest, FourProcessShardsReproduceFourThreadShardsExactly) {
   // The deltas genuinely travelled pipes, and feedback flowed back.
   EXPECT_GT(process_result.transport.delta_bytes, 0u);
   EXPECT_GT(process_result.transport.feedback_records, 0u);
-  // Thread shards exchange the very same frames over their in-proc queues
-  // (fork children get no config frame, so the counts match exactly).
+  // Thread shards exchange the very same frames over their in-proc queues,
+  // start frames included, so the counts match exactly.
   EXPECT_EQ(thread_result.transport.delta_bytes,
             process_result.transport.delta_bytes);
   EXPECT_EQ(thread_result.transport.feedback_records,
@@ -342,7 +349,8 @@ TEST(ProcessShardTest, FourProcessShardsReproduceFourThreadShardsExactly) {
 
 TEST(ProcessShardTest, BreadthFirstProcessShardsMatchThreadShards) {
   // The paper's default mode: no corpus, shards fully decoupled, no
-  // feedback frames at all — results must still be identical.
+  // feedback frames beyond one config frame per shard — results must
+  // still be identical.
   CampaignOptions options = SmallOptions(Arch::kIntel, 600, 2);
 
   EventRecorder threads;
@@ -356,7 +364,7 @@ TEST(ProcessShardTest, BreadthFirstProcessShardsMatchThreadShards) {
 
   EXPECT_EQ(threads.events, processes.events);
   EXPECT_EQ(thread_result, process_result);
-  EXPECT_EQ(process_result.transport.feedback_records, 0u);
+  EXPECT_EQ(process_result.transport.feedback_records, 2u);
 }
 
 TEST(ProcessShardTest, KilledChildShardIsARecordedErrorNotAHang) {
@@ -387,7 +395,7 @@ TEST(ProcessShardTest, KilledChildShardIsARecordedErrorNotAHang) {
 TEST(SocketShardTest, FourSocketShardsReproduceFourThreadShardsExactly) {
   // The acceptance bar for the socket transport: shard_mode=sockets at
   // N=4 over loopback (guided, corpus-syncing — every record type in
-  // play, hello/config handshake included) produces a bit-identical
+  // play, hello handshake included) produces a bit-identical
   // EngineResult and merge-ordered observer event sequence to workers=4
   // threads.
   CampaignOptions options = SmallOptions(Arch::kAmd, 1600, 4);
@@ -424,7 +432,7 @@ TEST(SocketShardTest, FourSocketShardsReproduceFourThreadShardsExactly) {
 TEST(SocketShardTest, ExecSocketShardsMatchThreadShards) {
   // The remote-launcher shape end to end on one machine: children are
   // fresh exec'd processes of this binary that know nothing, dial the
-  // loopback listener, and rebuild everything from the handshake config.
+  // loopback listener, and rebuild everything from their config frame.
   CampaignOptions options = SmallOptions(Arch::kIntel, 600, 2);
 
   EventRecorder threads;
@@ -444,8 +452,9 @@ TEST(SocketShardTest, ExecSocketShardsMatchThreadShards) {
 TEST(ExecShardTest, ExecShardsBuiltFromANonDefaultSpecMatchThreadShards) {
   // An exec'd child knows only the config record it decodes, so every
   // spec field must reach it: fuzzer and agent options away from their
-  // defaults must give the same campaign over exec'd pipes and exec'd
-  // sockets as on threads.
+  // defaults must give the same campaign in every launch shape. Every
+  // shard starts the same way — its config frame through the transport —
+  // so the transport counters agree as well.
   CampaignOptions options = SmallOptions(Arch::kAmd, 900, 3);
   options.samples = 5;
   options.seed = 11;
@@ -461,16 +470,32 @@ TEST(ExecShardTest, ExecShardsBuiltFromANonDefaultSpecMatchThreadShards) {
       CampaignEngine("kvm", options).AddObserver(&threads).Run();
   ASSERT_FALSE(threads.events.empty());
 
-  options.shard_exec_path = "/proc/self/exe";
-  for (ShardMode mode : {ShardMode::kProcesses, ShardMode::kSockets}) {
-    SCOPED_TRACE(mode == ShardMode::kProcesses ? "exec'd pipe shards"
-                                               : "exec'd socket shards");
-    options.shard_mode = mode;
-    EventRecorder exec;
-    const EngineResult exec_result =
-        CampaignEngine("kvm", options).AddObserver(&exec).Run();
-    EXPECT_EQ(threads.events, exec.events);
-    EXPECT_EQ(thread_result, exec_result);
+  struct Shape {
+    const char* name;
+    ShardMode mode;
+    const char* exec_path;
+  };
+  const Shape shapes[] = {
+      {"fork'd process shards", ShardMode::kProcesses, ""},
+      {"exec'd process shards", ShardMode::kProcesses, "/proc/self/exe"},
+      {"fork'd socket shards", ShardMode::kSockets, ""},
+      {"exec'd socket shards", ShardMode::kSockets, "/proc/self/exe"},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    options.shard_mode = shape.mode;
+    options.shard_exec_path = shape.exec_path;
+    EventRecorder shards;
+    const EngineResult result =
+        CampaignEngine("kvm", options).AddObserver(&shards).Run();
+    EXPECT_EQ(threads.events, shards.events);
+    EXPECT_EQ(thread_result, result);
+    EXPECT_EQ(thread_result.transport.delta_bytes,
+              result.transport.delta_bytes);
+    EXPECT_EQ(thread_result.transport.feedback_records,
+              result.transport.feedback_records);
+    EXPECT_EQ(thread_result.transport.feedback_bytes,
+              result.transport.feedback_bytes);
   }
 }
 
@@ -542,6 +567,51 @@ TEST(ProcessShardTest, ExecModeRequiresARegistryName) {
   CampaignEngine engine(
       HypervisorFactory([] { return std::make_unique<SimKvm>(); }), options);
   EXPECT_THROW(engine.Run(), std::invalid_argument);
+}
+
+TEST(ShardChildTest, AChildThatCannotDialSaysWhy) {
+  // A loopback port nobody listens on: bind an ephemeral one, then close
+  // it. The exec'd child must fail its dial, say so on stderr naming its
+  // worker, and exit 2 — a remote launch that cannot reach the parent
+  // must not surface only as a timeout on the parent's side.
+  const int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+  ::close(probe);
+  const std::string connect =
+      "--necofuzz-connect=127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+
+  int err[2];
+  ASSERT_EQ(::pipe2(err, O_CLOEXEC), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(err[1], STDERR_FILENO);
+    ::execl("/proc/self/exe", "/proc/self/exe", "--necofuzz-shard-child",
+            connect.c_str(), "--necofuzz-worker=3", nullptr);
+    ::_exit(127);
+  }
+  ::close(err[1]);
+  std::string output;
+  char buffer[256];
+  ssize_t n;
+  while ((n = ::read(err[0], buffer, sizeof(buffer))) > 0) {
+    output.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(err[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(output.find("connect failed"), std::string::npos) << output;
+  EXPECT_NE(output.find("shard 3"), std::string::npos) << output;
 }
 
 // --- Failing thread shards -----------------------------------------------
@@ -630,7 +700,7 @@ TEST(CampaignObserverTest, ThrowingObserverIsRecordedAndRethrownAfterJoin) {
 
 int main(int argc, char** argv) {
   // Exec-mode campaigns in this suite re-exec this binary as shard
-  // children (pipe-fd and socket-dial flavors alike); the hidden
+  // children (stream-fd and socket-dial flavors alike); the hidden
   // entrypoint must run before gtest does.
   if (const int code = neco::MaybeRunShardChild(argc, argv); code >= 0) {
     return code;

@@ -76,10 +76,10 @@ TEST(NecolintTest, DetectsRawStrerror) {
 
 TEST(NecolintTest, DetectsMissingCloexec) {
   ExpectDetects("missing_cloexec", "fd-cloexec", "src/fds.cc");
-  // All four seeded shapes (::pipe, bare ::open, bare ::socket, ::dup)
-  // fire; the two compliant calls do not.
+  // All five seeded shapes (::pipe, bare ::open, bare ::socket, bare
+  // ::socketpair, ::dup) fire; the three compliant calls do not.
   const LintResult result = RunLint(Fixture("missing_cloexec"));
-  EXPECT_NE(result.output.find("4 violations"), std::string::npos)
+  EXPECT_NE(result.output.find("5 violations"), std::string::npos)
       << result.output;
 }
 

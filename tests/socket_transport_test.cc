@@ -1,11 +1,12 @@
 // Tests for SocketTransport (src/core/transport/socket.h): the
-// listener/dialer handshake (hello -> config) driven by real fork'd
-// children, the reconnect-or-fail accept policy (garbage dialers and
-// out-of-range hellos are dropped while real shards still check in; a
-// missing shard runs out the deadline with a counted error), delta/
-// feedback streaming over loopback through the shared merge pipeline,
-// and the fail-fast dead-shard model when a connection is cut abruptly
-// (child SIGKILL before EOF).
+// listener/dialer handshake (hello only, the start frames following once
+// every shard checked in) driven by real fork'd children, the
+// reconnect-or-fail accept policy (garbage dialers and out-of-range
+// hellos are dropped while real shards still check in; a missing shard
+// runs out the deadline with a counted error), delta/feedback streaming
+// over loopback through the shared merge pipeline, and the fail-fast
+// dead-shard model when a connection is cut abruptly (child SIGKILL
+// before EOF).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <signal.h>
@@ -45,13 +46,22 @@ ShardResultRecord MakeResult(int worker) {
   return record;
 }
 
-wire::Buffer ConfigFor(int worker) {
-  ShardChildConfigRecord config;
-  config.target = "sock-test";
-  config.worker = worker;
-  config.workers = 2;  // The widest campaign here; the record needs
-                       // worker < workers to decode.
-  return wire::Encode(config);
+// Completes the handshake the way the engine does: accept every hello,
+// then send each shard its config as its first frame.
+bool AcceptAndStart(SocketTransport& transport, int workers) {
+  if (!transport.AcceptShards()) {
+    return false;
+  }
+  for (int w = 0; w < workers; ++w) {
+    ShardChildConfigRecord config;
+    config.target = "sock-test";
+    config.worker = w;
+    config.workers = workers;
+    if (!transport.SendFeedback(w, wire::Encode(config))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // A full shard-child protocol round over one dialed connection: hello is
@@ -106,7 +116,7 @@ TEST(SocketTransportTest, HandshakeAndDrainOverLoopback) {
       return RunProtocolChild(kLoopback, port, w, 2);
     });
   }
-  ASSERT_TRUE(transport.AcceptShards(ConfigFor)) << transport.error();
+  ASSERT_TRUE(AcceptAndStart(transport, 2)) << transport.error();
 
   MergePipelineOptions options;
   options.workers = 2;
@@ -171,7 +181,7 @@ TEST(SocketTransportTest, StrayAndInvalidDialersAreRejectedNotFatal) {
     return RunProtocolChild(kLoopback, port, 0, 1);
   });
 
-  ASSERT_TRUE(transport.AcceptShards(ConfigFor)) << transport.error();
+  ASSERT_TRUE(AcceptAndStart(transport, 1)) << transport.error();
   ::close(garbage);
   ::close(impostor);
 
@@ -198,7 +208,7 @@ TEST(SocketTransportTest, MissingShardRunsOutTheDeadlineWithACountedError) {
   });
 
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(transport.AcceptShards(ConfigFor));
+  EXPECT_FALSE(transport.AcceptShards());
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -218,7 +228,7 @@ TEST(SocketTransportTest, AbortUnblocksTheHandshake) {
     transport.Abort();
   });
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(transport.AcceptShards(ConfigFor));
+  EXPECT_FALSE(transport.AcceptShards());
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -248,7 +258,7 @@ TEST(SocketTransportTest, AbruptlyClosedSocketFailsTheDrainFast) {
     ::raise(SIGKILL);
     return 0;
   });
-  ASSERT_TRUE(transport.AcceptShards(ConfigFor)) << transport.error();
+  ASSERT_TRUE(AcceptAndStart(transport, 1)) << transport.error();
 
   MergePipelineOptions options;
   options.workers = 1;

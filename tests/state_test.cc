@@ -167,8 +167,6 @@ TEST(CampaignJournalTest, CommitReopenLoadRoundTrip) {
     EXPECT_EQ(stats.replayed_epochs, 0u);
     EXPECT_EQ(stats.committed_epochs, 2u);
     EXPECT_GT(stats.bytes_written, 0u);
-    EXPECT_EQ(journal.LoadEpoch(0), epoch0);
-    EXPECT_EQ(journal.LoadEpoch(1), epoch1);
     // The next commit must be the commit point, nothing else.
     EXPECT_THROW(journal.CommitEpoch(0, epoch0, EpochCommitRecord{}),
                  std::logic_error);
@@ -178,10 +176,8 @@ TEST(CampaignJournalTest, CommitReopenLoadRoundTrip) {
   // Reopen: the commit point and every committed epoch survive.
   CampaignJournal journal(dir.path(), TestFingerprint());
   EXPECT_EQ(journal.committed_epochs(), 2u);
-  EXPECT_EQ(journal.LoadEpoch(0), epoch0);
-  EXPECT_EQ(journal.LoadEpoch(1), epoch1);
-  journal.VerifyEpoch(0, epoch0);
-  journal.VerifyEpoch(1, epoch1);
+  EXPECT_NO_THROW(journal.VerifyEpoch(0, epoch0));
+  EXPECT_NO_THROW(journal.VerifyEpoch(1, epoch1));
   EXPECT_EQ(journal.stats().replayed_epochs, 2u);
 
   // Divergent replay (different campaign state reaching this dir) throws.
@@ -293,10 +289,10 @@ TEST(CampaignJournalTest, UncommittedEpochFilesAreInvisibleAndRecommitted) {
 
   CampaignJournal journal(dir.path(), TestFingerprint());
   EXPECT_EQ(journal.committed_epochs(), 1u);  // Epoch 1 never committed.
-  EXPECT_THROW(journal.LoadEpoch(1), std::runtime_error);
+  EXPECT_THROW(journal.VerifyEpoch(1, epoch1), std::runtime_error);
   // Recommitting the epoch overwrites the stale file and temp alike.
   journal.CommitEpoch(1, epoch1, EpochCommitRecord{});
-  EXPECT_EQ(journal.LoadEpoch(1), epoch1);
+  EXPECT_NO_THROW(journal.VerifyEpoch(1, epoch1));
   EXPECT_FALSE(
       fs::exists(dir.path() / (CampaignJournal::EpochFileName(1) + ".tmp")));
 }
@@ -315,17 +311,17 @@ TEST(CampaignJournalTest, DamagedCommittedEpochFailsLoudlyOnLoad) {
   std::vector<uint8_t> flipped = bytes;
   flipped[flipped.size() / 2] ^= 0x20;
   WriteRaw(path, flipped);
-  EXPECT_THROW(journal.LoadEpoch(0), std::runtime_error);
+  EXPECT_THROW(journal.VerifyEpoch(0, epoch0), std::runtime_error);
 
   // A truncated file is torn, not silently short.
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 2);
   WriteRaw(path, truncated);
-  EXPECT_THROW(journal.LoadEpoch(0), std::runtime_error);
+  EXPECT_THROW(journal.VerifyEpoch(0, epoch0), std::runtime_error);
 
   // Restoring the original bytes restores the epoch.
   WriteRaw(path, bytes);
-  EXPECT_EQ(journal.LoadEpoch(0), epoch0);
+  EXPECT_NO_THROW(journal.VerifyEpoch(0, epoch0));
 }
 
 TEST(CampaignJournalTest, DeletedManifestStartsTheJournalFresh) {
@@ -342,7 +338,8 @@ TEST(CampaignJournalTest, DeletedManifestStartsTheJournalFresh) {
   const std::vector<wire::Buffer> replacement = {DeltaFrame(0, 0, 50),
                                                  DeltaFrame(1, 0, 51)};
   journal.CommitEpoch(0, replacement, EpochCommitRecord{});
-  EXPECT_EQ(journal.LoadEpoch(0), replacement);
+  EXPECT_NO_THROW(journal.VerifyEpoch(0, replacement));
+  EXPECT_THROW(journal.VerifyEpoch(0, EpochFrames(0)), std::runtime_error);
 }
 
 // --- Materialized snapshots (journal level) ------------------------------

@@ -1,16 +1,16 @@
-// Tests for the ShardTransport layer (src/core/transport/): pipe frame
-// I/O round-trips, slow-reader (EAGAIN) writes that must not be mistaken
-// for a dead peer, PipeTransport drain/demux driven by real fork'd
-// children, construction failing loudly on a bad descriptor, feedback
+// Tests for the ShardTransport layer (src/core/transport/): frame I/O
+// round-trips, slow-reader (EAGAIN) writes that must not be mistaken for
+// a dead peer, FrameStreamTransport drain/demux over socketpairs driven
+// by real fork'd children, a bad descriptor refused loudly, feedback
 // frames flowing parent -> child, the dead-shard failure model (premature
 // EOF, kill -9) failing the drain loop fast instead of hanging it, and
 // ShardSupervisor spawn/reap/kill semantics including the CLOEXEC
 // descriptor discipline (an exec'd child inherits stdio plus exactly its
-// own channel fds, even past the soft fd limit, asserted via
-// /proc/self/fd — this suite has its own main() so the re-exec'd binary
-// can run the audit probe before gtest starts). (InProcTransport's queue
-// semantics live in merge_pipeline_test.cc, next to the drain loop they
-// serve; the socket backend's tests live in socket_transport_test.cc.)
+// own stream fd, even past the soft fd limit, asserted via /proc/self/fd
+// — this suite has its own main() so the re-exec'd binary can run the
+// audit probe before gtest starts). (InProcTransport's queue semantics
+// live in merge_pipeline_test.cc, next to the drain loop they serve; the
+// socket backend's tests live in socket_transport_test.cc.)
 #include <dirent.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@
 
 #include "src/core/engine.h"
 #include "src/core/merge_pipeline.h"
-#include "src/core/transport/pipe.h"
+#include "src/core/transport/stream.h"
 #include "src/core/transport/supervisor.h"
 #include "src/core/wire.h"
 #include "src/fuzz/mutator.h"
@@ -54,20 +54,17 @@ ShardResultRecord MakeResult(int worker) {
   return record;
 }
 
-// One shard's pipe pair, parent perspective.
-struct Pipes {
-  int delta_rd = -1;
-  int delta_wr = -1;
-  int feedback_rd = -1;
-  int feedback_wr = -1;
+// One shard's stream as the engine builds it: a socketpair whose parent
+// end a FrameStreamTransport adopts and whose child end the child keeps.
+struct Stream {
+  int parent = -1;
+  int child = -1;
 };
 
-Pipes MakePipes() {
-  int delta[2];
-  int feedback[2];
-  EXPECT_EQ(::pipe(delta), 0);
-  EXPECT_EQ(::pipe(feedback), 0);
-  return {delta[0], delta[1], feedback[0], feedback[1]};
+Stream MakeStream() {
+  int ends[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends), 0);
+  return {ends[0], ends[1]};
 }
 
 TEST(PipeFrameTest, FramesRoundTripThroughARealPipe) {
@@ -129,64 +126,51 @@ TEST(PipeFrameTest, SlowReaderIsBackpressureNotADeadPeer) {
   ::close(fds[1]);
 }
 
-TEST(PipeTransportTest, BadDescriptorFailsConstructionLoudly) {
-  // A channel built on a dead descriptor (fcntl(F_GETFL) fails) must fail
-  // construction like the abort-pipe path does — never hand F_SETFL
-  // garbage and limp into the drain loop. The bogus number is far above
-  // anything allocated (a freshly *closed* fd would just be recycled by
-  // the transport's own abort pipe), so fcntl reliably sees EBADF.
-  Pipes pipes = MakePipes();
+TEST(StreamTransportTest, BadDescriptorIsRefusedLoudly) {
+  // A channel built on a dead descriptor (fcntl(F_GETFL) fails) must be
+  // refused with a recorded error — never hand F_SETFL garbage and limp
+  // into the drain loop. The bogus number is far above anything
+  // allocated, so fcntl reliably sees EBADF.
+  FrameStreamTransport transport;
   const int bogus = 1 << 19;
-  try {
-    PipeTransport transport({{0, bogus, pipes.feedback_wr}});
-    FAIL() << "expected construction to throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("fcntl"), std::string::npos)
-        << e.what();
-  }
-  // The failed constructor owned and closed feedback_wr; the rest is ours.
-  ::close(pipes.delta_rd);
-  ::close(pipes.delta_wr);
-  ::close(pipes.feedback_rd);
+  EXPECT_FALSE(transport.AdoptChannel(0, bogus));
+  const std::string error = transport.error();
+  EXPECT_NE(error.find("fcntl"), std::string::npos) << error;
+  std::vector<wire::Buffer> batch;
+  EXPECT_FALSE(transport.Drain(&batch));
 }
 
-TEST(PipeTransportTest, ForkChildrenDriveTheMergePipeline) {
-  // Two real child processes publish two epochs each over pipes; the
-  // parent's pipeline folds them exactly as if they were thread shards.
-  Pipes p0 = MakePipes();
-  Pipes p1 = MakePipes();
-
+TEST(StreamTransportTest, ForkChildrenDriveTheMergePipeline) {
+  // Two real child processes publish two epochs each over their streams;
+  // the parent's pipeline folds them exactly as if they were thread
+  // shards. As in the engine, each child closes the parent ends created
+  // before it, its own included.
+  FrameStreamTransport transport;
   ShardSupervisor supervisor;
+  std::vector<int> parent_ends;
   for (int w = 0; w < 2; ++w) {
-    const Pipes& own = w == 0 ? p0 : p1;
-    const Pipes& other = w == 0 ? p1 : p0;
+    const Stream stream = MakeStream();
+    ASSERT_TRUE(transport.AdoptChannel(w, stream.parent));
+    parent_ends.push_back(stream.parent);
     supervisor.SpawnFork(w, [&, w] {
-      ::close(other.delta_rd);
-      ::close(other.delta_wr);
-      ::close(other.feedback_rd);
-      ::close(other.feedback_wr);
-      ::close(own.delta_rd);
-      ::close(own.feedback_wr);
+      for (const int fd : parent_ends) {
+        ::close(fd);
+      }
       for (uint64_t epoch = 0; epoch < 2; ++epoch) {
         ShardDelta delta = MakeDelta(w, epoch, 10);
         delta.covered_points = {static_cast<uint32_t>(w)};
-        if (!WritePipeFrame(own.delta_wr, wire::Encode(delta))) {
+        if (!WritePipeFrame(stream.child, wire::Encode(delta))) {
           return 2;
         }
       }
-      if (!WritePipeFrame(own.delta_wr, wire::Encode(MakeResult(w)))) {
+      if (!WritePipeFrame(stream.child, wire::Encode(MakeResult(w)))) {
         return 2;
       }
       return 0;
     });
+    ::close(stream.child);
   }
-  ::close(p0.delta_wr);
-  ::close(p0.feedback_rd);
-  ::close(p1.delta_wr);
-  ::close(p1.feedback_rd);
 
-  PipeTransport transport(
-      {{0, p0.delta_rd, p0.feedback_wr}, {1, p1.delta_rd, p1.feedback_wr}});
   MergePipelineOptions options;
   options.workers = 2;
   options.epochs = 2;
@@ -211,32 +195,31 @@ TEST(PipeTransportTest, ForkChildrenDriveTheMergePipeline) {
   EXPECT_GT(stats.delta_bytes, 0u);
 }
 
-TEST(PipeTransportTest, FeedbackFramesReachTheChild) {
+TEST(StreamTransportTest, FeedbackFramesReachTheChild) {
   // The child blocks on a FeedbackRecord and echoes its pool payload back
   // inside its delta — proving the parent -> child direction end to end.
-  Pipes pipes = MakePipes();
+  FrameStreamTransport transport;
+  const Stream stream = MakeStream();
+  ASSERT_TRUE(transport.AdoptChannel(0, stream.parent));
   ShardSupervisor supervisor;
   supervisor.SpawnFork(0, [&] {
-    ::close(pipes.delta_rd);
-    ::close(pipes.feedback_wr);
+    ::close(stream.parent);
     wire::Buffer frame;
     FeedbackRecord feedback;
-    if (!ReadPipeFrame(pipes.feedback_rd, &frame) ||
+    if (!ReadPipeFrame(stream.child, &frame) ||
         !wire::Decode(frame, &feedback) || feedback.pool_entries.size() != 1) {
       return 3;
     }
     ShardDelta delta = MakeDelta(0, 0, feedback.epoch + 41);
     delta.queue_entries = feedback.pool_entries;
-    if (!WritePipeFrame(pipes.delta_wr, wire::Encode(delta)) ||
-        !WritePipeFrame(pipes.delta_wr, wire::Encode(MakeResult(0)))) {
+    if (!WritePipeFrame(stream.child, wire::Encode(delta)) ||
+        !WritePipeFrame(stream.child, wire::Encode(MakeResult(0)))) {
       return 2;
     }
     return 0;
   });
-  ::close(pipes.delta_wr);
-  ::close(pipes.feedback_rd);
+  ::close(stream.child);
 
-  PipeTransport transport({{0, pipes.delta_rd, pipes.feedback_wr}});
   FeedbackRecord feedback;
   feedback.epoch = 1;
   feedback.worker = 0;
@@ -260,23 +243,21 @@ TEST(PipeTransportTest, FeedbackFramesReachTheChild) {
   EXPECT_GT(transport.stats().feedback_bytes, 0u);
 }
 
-TEST(PipeTransportTest, PrematureEofIsARecordedErrorNotAHang) {
+TEST(StreamTransportTest, PrematureEofIsARecordedErrorNotAHang) {
   // A child that exits without its result record (simulating a crash)
   // must fail the drain loop with an error naming the shard.
-  Pipes pipes = MakePipes();
+  FrameStreamTransport transport;
+  const Stream stream = MakeStream();
+  ASSERT_TRUE(transport.AdoptChannel(0, stream.parent));
   ShardSupervisor supervisor;
   supervisor.SpawnFork(0, [&] {
-    ::close(pipes.delta_rd);
-    ::close(pipes.feedback_wr);
-    ::close(pipes.feedback_rd);
-    WritePipeFrame(pipes.delta_wr, wire::Encode(MakeDelta(0, 0, 5)));
-    ::close(pipes.delta_wr);
+    ::close(stream.parent);
+    WritePipeFrame(stream.child, wire::Encode(MakeDelta(0, 0, 5)));
+    ::close(stream.child);
     return 0;  // "Clean" exit, but the stream is short: still an error.
   });
-  ::close(pipes.delta_wr);
-  ::close(pipes.feedback_rd);
+  ::close(stream.child);
 
-  PipeTransport transport({{0, pipes.delta_rd, pipes.feedback_wr}});
   MergePipelineOptions options;
   options.workers = 1;
   options.epochs = 2;  // Expects two deltas; only one will come.
@@ -288,30 +269,30 @@ TEST(PipeTransportTest, PrematureEofIsARecordedErrorNotAHang) {
     const std::string message = e.what();
     EXPECT_NE(message.find("shard 0"), std::string::npos) << message;
   }
+  EXPECT_EQ(transport.dead_worker(), 0);
   supervisor.WaitAll();
 }
 
-TEST(PipeTransportTest, KillNineChildFailsTheDrainFast) {
-  Pipes pipes = MakePipes();
+TEST(StreamTransportTest, KillNineChildFailsTheDrainFast) {
+  FrameStreamTransport transport;
+  const Stream stream = MakeStream();
+  ASSERT_TRUE(transport.AdoptChannel(0, stream.parent));
   ShardSupervisor supervisor;
   supervisor.SpawnFork(0, [&] {
-    ::close(pipes.delta_rd);
-    ::close(pipes.feedback_wr);
-    ::close(pipes.feedback_rd);
-    WritePipeFrame(pipes.delta_wr, wire::Encode(MakeDelta(0, 0, 5)));
+    ::close(stream.parent);
+    WritePipeFrame(stream.child, wire::Encode(MakeDelta(0, 0, 5)));
     ::raise(SIGKILL);  // Dies with epoch 1 still owed.
     return 0;
   });
-  ::close(pipes.delta_wr);
-  ::close(pipes.feedback_rd);
+  ::close(stream.child);
 
-  PipeTransport transport({{0, pipes.delta_rd, pipes.feedback_wr}});
   MergePipelineOptions options;
   options.workers = 1;
   options.epochs = 2;
   MergePipeline pipeline(options, &transport, {});
   EXPECT_THROW(pipeline.RunMergeLoop(), std::runtime_error);
   EXPECT_FALSE(transport.error().empty());
+  EXPECT_EQ(transport.dead_worker(), 0);
 
   const std::vector<ShardExit> exits = supervisor.WaitAll();
   ASSERT_EQ(exits.size(), 1u);
@@ -320,22 +301,21 @@ TEST(PipeTransportTest, KillNineChildFailsTheDrainFast) {
   EXPECT_EQ(exits[0].Describe(), "killed by signal 9");
 }
 
-TEST(PipeTransportTest, AbortUnblocksTheDrain) {
-  Pipes pipes = MakePipes();
-  ::close(pipes.delta_wr);     // No writer yet — Drain would block...
-  ::close(pipes.feedback_rd);  // (EOF arrives immediately: error path)
+TEST(StreamTransportTest, AbortUnblocksTheDrain) {
+  // The child end stays open, so without the abort the drain would block.
+  FrameStreamTransport transport;
+  const Stream stream = MakeStream();
+  ASSERT_TRUE(transport.AdoptChannel(0, stream.parent));
 
-  // Use a pair with a held-open writer so the drain genuinely blocks.
-  int held[2];
-  ASSERT_EQ(::pipe(held), 0);
-  PipeTransport transport({{0, held[0], pipes.feedback_wr}});
-  ::close(pipes.delta_rd);
-
+  std::thread aborter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    transport.Abort();
+  });
   std::vector<wire::Buffer> batch;
-  transport.Abort();
   EXPECT_FALSE(transport.Drain(&batch));
+  aborter.join();
   EXPECT_FALSE(transport.SendFeedback(0, wire::Encode(FeedbackRecord{})));
-  ::close(held[1]);
+  ::close(stream.child);
 }
 
 TEST(ShardSupervisorTest, ReapsExitCodesAndSignals) {
@@ -362,7 +342,7 @@ TEST(ShardSupervisorTest, ReapsExitCodesAndSignals) {
 
 TEST(ShardSupervisorTest, ExecFailureSurfacesAsExitCode127) {
   ShardSupervisor supervisor;
-  supervisor.SpawnExec(0, "/nonexistent/necofuzz-shard", {"--whatever"}, {});
+  supervisor.SpawnExec(0, "/nonexistent/necofuzz-shard", {"--whatever"}, -1);
   const std::vector<ShardExit> exits = supervisor.WaitAll();
   ASSERT_EQ(exits.size(), 1u);
   EXPECT_TRUE(exits[0].reaped);
@@ -371,7 +351,7 @@ TEST(ShardSupervisorTest, ExecFailureSurfacesAsExitCode127) {
 }
 
 // What an exec'd fd-audit child reported: its open descriptors, against
-// the stdio-plus-keep_fds set it should have inherited.
+// the stdio-plus-keep_fd set it should have inherited.
 struct FdAudit {
   std::set<int> child_fds;
   std::set<int> expected;
@@ -380,40 +360,33 @@ struct FdAudit {
 };
 
 // Spawns this binary re-exec'd in fd-audit mode (see main() below) with
-// two channel descriptors as its keep_fds: it lists /proc/self/fd and
-// ships the listing back over its audit channel.
+// its stream end as its keep_fd: it lists /proc/self/fd and ships the
+// listing back over that stream.
 FdAudit RunFdAuditChild() {
   FdAudit result;
-  int audit[2];  // The child's "delta" end: carries the fd listing back.
-  int keep[2];   // The child's "feedback" end: kept but unused.
-  if (::pipe2(audit, O_CLOEXEC) != 0 || ::pipe2(keep, O_CLOEXEC) != 0) {
-    ADD_FAILURE() << "pipe2 failed";
-    return result;
-  }
+  const Stream stream = MakeStream();
   ShardSupervisor supervisor;
   const pid_t pid = supervisor.SpawnExec(
       0, "/proc/self/exe",
-      {"--necofuzz-fd-audit", "--necofuzz-audit-out=" + std::to_string(audit[1]),
-       "--necofuzz-audit-keep=" + std::to_string(keep[0])},
-      {audit[1], keep[0]});
+      {"--necofuzz-fd-audit",
+       "--necofuzz-audit-out=" + std::to_string(stream.child)},
+      stream.child);
   EXPECT_GT(pid, 0);
-  ::close(audit[1]);
-  ::close(keep[0]);
+  ::close(stream.child);
 
   char buffer[256];
   ssize_t n;
-  while ((n = ::read(audit[0], buffer, sizeof(buffer))) > 0) {
+  while ((n = ::read(stream.parent, buffer, sizeof(buffer))) > 0) {
     result.listing.append(buffer, static_cast<size_t>(n));
   }
-  ::close(audit[0]);
-  ::close(keep[1]);
+  ::close(stream.parent);
 
-  std::istringstream stream(result.listing);
+  std::istringstream listing(result.listing);
   int fd;
-  while (stream >> fd) {
+  while (listing >> fd) {
     result.child_fds.insert(fd);
   }
-  result.expected = {0, 1, 2, audit[1], keep[0]};
+  result.expected = {0, 1, 2, stream.child};
   const std::vector<ShardExit> exits = supervisor.WaitAll();
   EXPECT_EQ(exits.size(), 1u);
   if (!exits.empty()) {
@@ -424,14 +397,13 @@ FdAudit RunFdAuditChild() {
 
 TEST(ShardSupervisorTest, ExecChildInheritsOnlyItsOwnChannelFds) {
   // The engine creates every campaign descriptor O_CLOEXEC and SpawnExec
-  // clears the flag only on the child's own keep_fds — so an exec'd shard
-  // must start with stdio plus exactly its two channel descriptors, even
-  // while the parent is holding other shards' channels.
-  int sibling[2];  // A sibling channel that must NOT leak into the child.
-  ASSERT_EQ(::pipe2(sibling, O_CLOEXEC), 0);
+  // clears the flag only on the child's own keep_fd — so an exec'd shard
+  // must start with stdio plus exactly its stream descriptor, even while
+  // the parent is holding other shards' streams.
+  const Stream sibling = MakeStream();  // Must NOT leak into the child.
   const FdAudit audit = RunFdAuditChild();
-  ::close(sibling[0]);
-  ::close(sibling[1]);
+  ::close(sibling.parent);
+  ::close(sibling.child);
 
   EXPECT_EQ(audit.child_fds, audit.expected)
       << "child fd listing: " << audit.listing;
@@ -471,7 +443,8 @@ namespace {
 
 // Hidden probe mode for ExecChildInheritsOnlyItsOwnChannelFds: list every
 // open descriptor (via /proc/self/fd, excluding the directory fd doing
-// the listing), write the listing to the audit descriptor, exit 0.
+// the listing), write the listing to the audit descriptor (the child's
+// stream end), exit 0.
 // Returns -1 for a normal test run.
 int MaybeRunFdAudit(int argc, char** argv) {
   bool audit = false;

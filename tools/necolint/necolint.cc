@@ -19,9 +19,9 @@
 //                        descriptor created without close-on-exec leaks
 //                        into them. ::pipe/::accept/::dup/::creat are
 //                        banned outright (pipe2/accept4/fcntl-based
-//                        alternatives exist); ::socket and ::open calls
-//                        must name SOCK_CLOEXEC / O_CLOEXEC in the same
-//                        statement.
+//                        alternatives exist); ::socket, ::socketpair and
+//                        ::open calls must name SOCK_CLOEXEC / O_CLOEXEC
+//                        in the same statement.
 //   fsync-outside-commit fsync placement IS the crash-consistency
 //                        argument (see src/core/state/commit.cc). A
 //                        stray fsync elsewhere means durable-state logic
@@ -276,6 +276,9 @@ void CheckCloexec(const std::vector<SourceFile>& files,
   const FlagCall flagged[] = {
       {"::socket(", "SOCK_CLOEXEC",
        "::socket without SOCK_CLOEXEC leaks into exec'd shard children"},
+      {"::socketpair(", "SOCK_CLOEXEC",
+       "::socketpair without SOCK_CLOEXEC leaks a shard's stream into "
+       "exec'd sibling children"},
       {"::open(", "O_CLOEXEC",
        "::open without O_CLOEXEC leaks into exec'd shard children"},
   };

@@ -1,6 +1,6 @@
-// Fixture: descriptor creation without close-on-exec. Four seeded
-// fd-cloexec violations (::pipe, bare ::open, bare ::socket, ::dup) and
-// two compliant calls that must NOT fire.
+// Fixture: descriptor creation without close-on-exec. Five seeded
+// fd-cloexec violations (::pipe, bare ::open, bare ::socket, bare
+// ::socketpair, ::dup) and three compliant calls that must NOT fire.
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,10 +14,15 @@ int MakeFds() {
   const int sock =
       ::socket(AF_INET, SOCK_STREAM, 0);  // Seeded violation.
   const int copy = ::dup(plain);          // Seeded violation.
+  int pair[2];
+  ::socketpair(AF_UNIX, SOCK_STREAM, 0, pair);  // Seeded violation.
 
   // Compliant: flag named in the same statement, even across lines.
   const int good_open = ::open("/dev/null",
                                O_RDONLY | O_CLOEXEC);
   const int good_sock = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  return fds[0] + plain + sock + copy + good_open + good_sock;
+  int good_pair[2];
+  ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, good_pair);
+  return fds[0] + plain + sock + copy + pair[0] + good_open + good_sock +
+         good_pair[0];
 }
