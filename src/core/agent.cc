@@ -34,8 +34,7 @@ Agent::Agent(Hypervisor& target, AgentOptions options)
           DefaultFeatureSet(Arch::kIntel).RestrictedTo(Arch::kIntel))),
       svm_validator_(SvmCaps{}),
       vmx_oracle_(oracle_vmx_cpu_, vmx_validator_),
-      svm_oracle_(oracle_svm_cpu_, svm_validator_),
-      crash_store_(options.crash_dir) {}
+      svm_oracle_(oracle_svm_cpu_, svm_validator_) {}
 
 void Agent::PlantGuestMemory(const HarnessProgram& prog, const Vmcs* vmcs12,
                              ByteReader& msr_bytes) {
@@ -248,21 +247,7 @@ ExecFeedback Agent::ExecuteOne(const FuzzInput& input) {
       feedback.anomaly = true;
       feedback.anomaly_id = report.bug_id;
     }
-    auto [it, inserted] = findings_.try_emplace(report.bug_id);
-    if (inserted) {
-      CrashRecord record;
-      record.report = report;
-      record.input = input;
-      record.hypervisor = std::string(target_.name());
-      record.arch = std::string(ArchName(options_.arch));
-      record.iteration = executions_;
-      // Save() throws when persisting fails (ENOSPC, EACCES, ...); the
-      // exception propagates through the executor to the engine, which
-      // fails the campaign — a crash artifact that cannot be made durable
-      // must not be silently dropped.
-      crash_store_.Save(record);
-      it->second = std::move(report);
-    }
+    findings_.try_emplace(report.bug_id, report);
   }
   return feedback;
 }

@@ -14,6 +14,10 @@
 //  5. collects sanitizer reports and watches for host crashes,
 //     restarting the hypervisor when the watchdog fires.
 //
+// The agent keeps each new finding's report; the fuzzer keeps the input
+// that produced it. A campaign persists crashes in one place, the
+// CrashStore under its state dir (src/core/state/journal.h).
+//
 // The three VM-generator components can be disabled independently for the
 // Table 3 / Figure 4 ablations.
 #ifndef SRC_CORE_AGENT_H_
@@ -26,7 +30,6 @@
 #include "src/core/config/configurator.h"
 #include "src/core/harness/harness.h"
 #include "src/core/partition.h"
-#include "src/core/repro/crash_store.h"
 #include "src/core/validator/oracle.h"
 #include "src/core/validator/vmcb_validator.h"
 #include "src/core/validator/vmcs_validator.h"
@@ -44,9 +47,6 @@ struct AgentOptions {
   // Verify the validator against the physical CPU every N executions
   // (0 disables oracle self-correction).
   uint32_t oracle_interval = 64;
-  // Directory for persisted crash reports and inputs (Section 4.5's
-  // "designated directory"); empty keeps findings in memory only.
-  std::string crash_dir;
 };
 
 class Agent {
@@ -69,9 +69,6 @@ class Agent {
   const std::map<std::string, AnomalyReport>& findings() const {
     return findings_;
   }
-
-  // Persisted crash records (inputs + metadata) for reproduction.
-  const CrashStore& crash_store() const { return crash_store_; }
 
   uint64_t executions() const { return executions_; }
   uint64_t watchdog_restarts() const { return watchdog_restarts_; }
@@ -110,7 +107,6 @@ class Agent {
   SvmHardwareOracle svm_oracle_;
 
   std::map<std::string, AnomalyReport> findings_;
-  CrashStore crash_store_;
   uint64_t executions_ = 0;
   uint64_t watchdog_restarts_ = 0;
 };

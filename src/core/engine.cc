@@ -121,8 +121,7 @@ void InitShard(ShardContext& state, Hypervisor* borrowed,
       .use_harness = config.use_harness != 0,
       .use_validator = config.use_validator != 0,
       .use_configurator = config.use_configurator != 0,
-      .oracle_interval = config.oracle_interval,
-      .crash_dir = config.crash_dir};
+      .oracle_interval = config.oracle_interval};
   state.agent = std::make_unique<Agent>(*state.hv, agent_options);
 
   const FuzzerOptions fuzzer_options{
@@ -378,28 +377,37 @@ void SendStartFrames(ShardTransport& transport,
 
 // --- The shard child (process and socket mode, fork and exec flavors) ---
 
-// Says why a shard child could not start, before it exits 2: otherwise
-// the parent sees only a stream that closed or a shard that never dialed
-// in.
-int ShardChildCannotStart(int worker, const std::string& reason) {
+// Says on stderr why a shard child exits with `code`: otherwise the
+// parent sees only a stream that closed or a shard that never dialed in.
+int ShardChildExit(int worker, int code, const std::string& why) {
   const std::string who =
       worker >= 0 ? "shard " + std::to_string(worker) : "shard child";
-  std::fprintf(stderr, "necofuzz: %s cannot start: %s\n", who.c_str(),
-               reason.c_str());
-  return 2;
+  std::fprintf(stderr, "necofuzz: %s %s\n", who.c_str(), why.c_str());
+  return code;
+}
+
+int ShardChildCannotStart(int worker, const std::string& reason) {
+  return ShardChildExit(worker, 2, "cannot start: " + reason);
 }
 
 // The entry of every shard child: runs the shard over its one
 // full-duplex stream `fd`, which it owns. An empty `factory` rebuilds the
 // target from the config's registry name. SIGPIPE must be ignored: a
 // fork'd child inherits the supervisor's SIG_IGN, and MaybeRunShardChild
-// sets it for an exec'd or remote one.
+// sets it for an exec'd or remote one. A shard that throws (an unknown
+// target, a failing hypervisor) says why and exits 1.
 int RunShardChild(const HypervisorFactory& factory, int fd, int worker,
                   const std::function<void(int, size_t)>& fault_hook) {
   const ShardChannel channel{
       [fd](wire::Buffer frame) { return WritePipeFrame(fd, frame); },
       [fd](wire::Buffer* frame) { return ReadPipeFrame(fd, frame); }};
-  const bool ran = RunShard(nullptr, factory, worker, channel, fault_hook);
+  bool ran = false;
+  try {
+    ran = RunShard(nullptr, factory, worker, channel, fault_hook);
+  } catch (const std::exception& e) {
+    ::close(fd);
+    return ShardChildExit(worker, 1, std::string("failed: ") + e.what());
+  }
   ::close(fd);
   // A failed run means the parent is gone or the stream is corrupt; the
   // parent reports its own error.
@@ -507,7 +515,6 @@ CampaignEngine& CampaignEngine::AddObserver(CampaignObserver* observer) {
 EngineResult CampaignEngine::Run() {
   ShardChildConfigRecord config{
       MakeSpec(options_, target_name_, borrowed_ != nullptr)};
-  config.crash_dir = options_.agent.crash_dir;
   // Durable state: open (or create) the journal before any shard starts.
   // A fingerprint mismatch — the directory belongs to a different
   // campaign — throws here, before anything runs.
@@ -701,7 +708,8 @@ EngineResult CampaignEngine::RunWithProcessShards(
       if (exec_mode) {
         const std::vector<std::string> argv = {
             "--necofuzz-shard-child",
-            "--necofuzz-fd=" + std::to_string(child_end)};
+            "--necofuzz-fd=" + std::to_string(child_end),
+            "--necofuzz-worker=" + std::to_string(w)};
         pid = supervisor.SpawnExec(w, options.shard_exec_path, argv,
                                    child_end);
       } else {
@@ -861,12 +869,8 @@ int MaybeRunShardChild(int argc, char** argv) {
     return ShardChildCannotStart(
         worker, "needs --necofuzz-fd=<n> or --necofuzz-connect");
   }
-  try {
-    return RunShardChild(HypervisorFactory(), fd, worker,
-                         /*fault_hook=*/nullptr);
-  } catch (...) {
-    return 1;
-  }
+  return RunShardChild(HypervisorFactory(), fd, worker,
+                       /*fault_hook=*/nullptr);
 }
 
 }  // namespace neco

@@ -190,8 +190,9 @@ class CampaignEngine {
 
 // When argv carries --necofuzz-shard-child, the process is an exec'd shard
 // child of a shard_mode = processes or sockets campaign. A process child
-// (--necofuzz-fd=<n>) runs over the stream end it inherited; a socket
-// child (--necofuzz-connect=<address:port> --necofuzz-worker=<n>) dials
+// (--necofuzz-fd=<n> --necofuzz-worker=<n>) runs over the stream end it
+// inherited; a socket child (--necofuzz-connect=<address:port>
+// --necofuzz-worker=<n>) dials
 // the parent's listener and sends a ShardHelloRecord — this is the
 // invocation a RemoteLauncher issues on another machine. Either way the
 // child reads its start frames off the stream, rebuilds the target from
@@ -200,8 +201,11 @@ class CampaignEngine {
 // this returns the process exit code — the caller's main() must return
 // it without doing anything else. A child that cannot start (a bad
 // argument, a failed dial) prints one stderr line naming the worker and
-// the reason and returns 2. Returns -1 for a normal invocation (no flag),
-// in which case main() proceeds as usual.
+// the reason and returns 2; one whose shard throws (an unknown target,
+// say) prints "necofuzz: shard <n> failed: <what>" and returns 1. A
+// config for another worker than --necofuzz-worker is refused. Returns
+// -1 for a normal invocation (no flag), in which case main() proceeds as
+// usual.
 //
 //   int main(int argc, char** argv) {
 //     if (const int code = neco::MaybeRunShardChild(argc, argv); code >= 0)

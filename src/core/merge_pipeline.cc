@@ -53,17 +53,10 @@ MergePipeline::MergePipeline(MergePipelineOptions options,
   for (const AnomalyReport& report : restore.findings) {
     global_findings_.emplace(report.bug_id, report);
   }
-  for (size_t i = 0; i < restore.pool_inputs.size(); ++i) {
-    epoch_pool_.push_back({restore.pool_origins[i], restore.pool_inputs[i]});
-  }
+  epoch_pool_ = restore.pool;
   epoch_virgin_ = restore.feedback_virgin;
   pool_end_ = restore.pool_end;
-  const size_t samples = std::min(restore.series_iterations.size(),
-                                  restore.series_percents.size());
-  for (size_t i = 0; i < samples; ++i) {
-    series_.push_back(
-        {restore.series_iterations[i], restore.series_percents[i]});
-  }
+  series_ = restore.series;
   total_iterations_ = restore.total_iterations;
 }
 
@@ -137,12 +130,10 @@ void MergePipeline::FoldReadyEpochs() {
     const bool replay = epoch < options_.resume_epochs;
 
     PendingEvents events;
-    // Journal mode: the epoch's new crash artifacts, in fold order, and
-    // the commit trailer's merged-state summary — both assembled under
-    // the lock, persisted after it (and after the feedback push, so no
-    // shard waits on an fsync).
-    std::vector<CrashRecord> crashes;
-    EpochCommitRecord summary;
+    // Journal mode: the epoch's new crash artifacts, in fold order,
+    // assembled under the lock and persisted after it (and after the
+    // feedback push, so no shard waits on an fsync).
+    std::vector<CrashArtifactRecord> crashes;
     const bool snapshot_now =
         options_.journal != nullptr && !replay && SnapshotEpoch(epoch);
     CampaignSnapshot snapshot;
@@ -194,7 +185,7 @@ void MergePipeline::FoldReadyEpochs() {
             if (options_.journal->crash_store().Known(id)) {
               continue;  // Persisted by an earlier epoch (or incarnation).
             }
-            CrashRecord record;
+            CrashArtifactRecord record;
             const auto found = global_findings_.find(id);
             record.report = found != global_findings_.end()
                                 ? found->second
@@ -213,11 +204,6 @@ void MergePipeline::FoldReadyEpochs() {
       series_.push_back({total_iterations_, percent});
       events.sample = {epoch, total_iterations_, percent, covered_count_};
       pool_end_ += epoch_pool_.size();
-      summary.iterations = total_iterations_;
-      summary.covered_points = covered_count_;
-      summary.pool_end = pool_end_;
-      summary.findings = global_findings_.size();
-      summary.percent = percent;
       finalized_ = epoch + 1;
       if (snapshot_now) {
         // Materialize the merged half of the snapshot exactly as the fold
@@ -238,14 +224,8 @@ void MergePipeline::FoldReadyEpochs() {
         }
         merged.prior_pool_end = pool_end_ - epoch_pool_.size();
         merged.pool_end = pool_end_;
-        for (const PoolEntry& entry : epoch_pool_) {
-          merged.pool_origins.push_back(entry.origin);
-          merged.pool_inputs.push_back(entry.input);
-        }
-        for (const CoverageSample& sample : series_) {
-          merged.series_iterations.push_back(sample.iteration);
-          merged.series_percents.push_back(sample.percent);
-        }
+        merged.pool = epoch_pool_;
+        merged.series = series_;
         merged.total_iterations = total_iterations_;
         merged.feedback_virgin = epoch_virgin_;
       }
@@ -269,14 +249,12 @@ void MergePipeline::FoldReadyEpochs() {
       // (dedup by bug id), so a kill between a crash and its epoch
       // recommits the epoch — and re-saves nothing — on resume. During
       // replay the saves self-heal a store the artifacts never reached.
-      for (const CrashRecord& record : crashes) {
-        options_.journal->SaveCrashArtifact(record);
+      for (CrashArtifactRecord& record : crashes) {
+        options_.journal->SaveCrashArtifact(std::move(record));
       }
       if (replay) {
         options_.journal->VerifyEpoch(epoch, frames);
       } else {
-        summary.crash_artifacts =
-            options_.journal->crash_store().records().size();
         if (snapshot_now) {
           // Per-worker FIFO framing guarantees each worker's state frame
           // preceded its delta, so a foldable snapshot epoch has every
@@ -300,7 +278,7 @@ void MergePipeline::FoldReadyEpochs() {
         // of its events fire, so everything an observer ever saw survives
         // kill -9 — the resumed stream continues exactly where this one
         // stopped.
-        options_.journal->CommitEpoch(epoch, frames, summary,
+        options_.journal->CommitEpoch(epoch, frames, EpochCommitRecord{},
                                       snapshot_now ? &snapshot : nullptr);
       }
     }

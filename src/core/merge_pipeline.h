@@ -135,11 +135,6 @@ class MergePipeline {
   MergePipelineStats stats() const NECO_EXCLUDES(state_mu_);
 
  private:
-  struct PoolEntry {
-    int origin = 0;
-    FuzzInput input;
-  };
-
   // A decoded delta plus (journal mode only) the exact frame bytes it
   // arrived as — what CommitEpoch persists and VerifyEpoch compares.
   struct StagedDelta {

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/state/commit.h"
-#include "src/core/wire.h"
 
 namespace neco {
 namespace {
@@ -25,7 +22,7 @@ std::string SanitizeId(const std::string& id) {
   return out.empty() ? "unknown" : out;
 }
 
-std::string RenderReport(const CrashRecord& record) {
+std::string RenderReport(const CrashArtifactRecord& record) {
   std::ostringstream text;
   text << "bug_id:     " << record.report.bug_id << "\n"
        << "detection:  " << AnomalyKindName(record.report.kind) << "\n"
@@ -38,35 +35,17 @@ std::string RenderReport(const CrashRecord& record) {
 
 }  // namespace
 
-CrashStore::CrashStore(std::filesystem::path directory,
-                       std::optional<uint64_t> expected_records)
+CrashStore::CrashStore(std::filesystem::path directory)
     : directory_(std::move(directory)) {
   if (!directory_.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(directory_, ec);
-    // A manifest-backed caller knows the committed artifact count; zero
-    // means the scan would find nothing load-bearing, so skip it instead
-    // of walking the directory on every fresh-campaign open.
-    if (!expected_records.has_value() || *expected_records != 0) {
-      const auto start = std::chrono::steady_clock::now();
-      Reload(expected_records);
-      reload_ns_ = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-    }
+    Reload();
   }
 }
 
-void CrashStore::Reload(std::optional<uint64_t> expected_records) {
-  struct Loaded {
-    uint64_t seq;
-    CrashRecord record;
-  };
-  std::vector<Loaded> loaded;
-  if (expected_records.has_value()) {
-    loaded.reserve(static_cast<size_t>(*expected_records));
-  }
+void CrashStore::Reload() {
+  std::vector<CrashArtifactRecord> loaded;
   std::error_code ec;
   for (std::filesystem::directory_iterator it(directory_, ec), end;
        !ec && it != end; it.increment(ec)) {
@@ -77,95 +56,67 @@ void CrashStore::Reload(std::optional<uint64_t> expected_records) {
     // rejects anything truncated or damaged, and the atomic-rename
     // protocol means a half-written record never carries this name.
     std::vector<uint8_t> bytes;
-    CrashArtifactRecord artifact;
-    if (!ReadFileBytes(it->path(), &bytes) ||
-        !wire::Decode(bytes.data(), bytes.size(), &artifact)) {
-      continue;
+    CrashArtifactRecord record;
+    if (ReadFileBytes(it->path(), &bytes) &&
+        wire::Decode(bytes.data(), bytes.size(), &record)) {
+      loaded.push_back(std::move(record));
     }
-    CrashRecord record;
-    record.report = artifact.report;
-    record.input = std::move(artifact.input);
-    record.hypervisor = std::move(artifact.hypervisor);
-    record.arch = std::move(artifact.arch);
-    record.iteration = artifact.iteration;
-    loaded.push_back({artifact.seq, std::move(record)});
   }
   std::sort(loaded.begin(), loaded.end(),
-            [](const Loaded& a, const Loaded& b) { return a.seq < b.seq; });
-  records_.reserve(loaded.size());
-  seqs_.reserve(loaded.size());
-  known_ids_.reserve(loaded.size());
-  for (Loaded& entry : loaded) {
-    if (!known_ids_.insert(entry.record.report.bug_id).second) {
+            [](const CrashArtifactRecord& a, const CrashArtifactRecord& b) {
+              return a.seq < b.seq;
+            });
+  for (CrashArtifactRecord& record : loaded) {
+    if (!known_ids_.insert(record.report.bug_id).second) {
       continue;  // A duplicate id can only be operator-planted; first wins.
     }
-    next_seq_ = std::max(next_seq_, entry.seq + 1);
-    seqs_.push_back(entry.seq);
-    records_.push_back(std::move(entry.record));
+    next_seq_ = std::max(next_seq_, record.seq + 1);
+    records_.push_back(std::move(record));
   }
 }
 
-std::filesystem::path CrashStore::PathFor(uint64_t seq, const std::string& id,
+std::filesystem::path CrashStore::PathFor(const CrashArtifactRecord& record,
                                           const char* extension) const {
-  return directory_ /
-         (std::to_string(seq) + "-" + SanitizeId(id) + extension);
+  return directory_ / (std::to_string(record.seq) + "-" +
+                       SanitizeId(record.report.bug_id) + extension);
 }
 
-bool CrashStore::Save(const CrashRecord& record) {
+bool CrashStore::Save(CrashArtifactRecord record) {
   if (Known(record.report.bug_id)) {
     return false;
   }
-  const uint64_t seq = next_seq_;
+  record.seq = next_seq_;
   if (!directory_.empty()) {
     std::string error;
     // Derived files first, the authoritative .record last: its rename is
     // the commit point, so a kill between any two writes leaves orphans
     // that the next Reload() ignores — never a torn pair behind a
     // committed marker.
-    const std::string& id = record.report.bug_id;
-    if (!AtomicWriteFile(PathFor(seq, id, ".input"), record.input.data(),
-                         record.input.size(), &error)) {
-      throw std::runtime_error("CrashStore: " + error);
-    }
     const std::string report = RenderReport(record);
-    if (!AtomicWriteFile(PathFor(seq, id, ".report"),
+    const wire::Buffer frame = wire::Encode(record);
+    if (!AtomicWriteFile(PathFor(record, ".input"), record.input.data(),
+                         record.input.size(), &error) ||
+        !AtomicWriteFile(PathFor(record, ".report"),
                          reinterpret_cast<const uint8_t*>(report.data()),
-                         report.size(), &error)) {
-      throw std::runtime_error("CrashStore: " + error);
-    }
-    CrashArtifactRecord artifact;
-    artifact.seq = seq;
-    artifact.report = record.report;
-    artifact.hypervisor = record.hypervisor;
-    artifact.arch = record.arch;
-    artifact.iteration = record.iteration;
-    artifact.input = record.input;
-    const wire::Buffer frame = wire::Encode(artifact);
-    if (!AtomicWriteFile(PathFor(seq, id, ".record"), frame.data(),
+                         report.size(), &error) ||
+        !AtomicWriteFile(PathFor(record, ".record"), frame.data(),
                          frame.size(), &error)) {
       throw std::runtime_error("CrashStore: " + error);
     }
   }
   ++next_seq_;
-  seqs_.push_back(seq);
-  records_.push_back(record);
   known_ids_.insert(record.report.bug_id);
+  records_.push_back(std::move(record));
   return true;
 }
 
 std::optional<FuzzInput> CrashStore::LoadInput(size_t index) const {
-  if (index >= records_.size() || directory_.empty()) {
+  std::vector<uint8_t> bytes;
+  if (index >= records_.size() || directory_.empty() ||
+      !ReadFileBytes(PathFor(records_[index], ".input"), &bytes)) {
     return std::nullopt;
   }
-  std::ifstream input(
-      PathFor(seqs_[index], records_[index].report.bug_id, ".input"),
-      std::ios::binary);
-  if (!input) {
-    return std::nullopt;
-  }
-  FuzzInput data((std::istreambuf_iterator<char>(input)),
-                 std::istreambuf_iterator<char>());
-  return data;
+  return bytes;
 }
 
 }  // namespace neco

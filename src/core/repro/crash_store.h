@@ -17,7 +17,9 @@
 //
 // A store pointed at an existing directory reloads every committed
 // .record at construction, so deduplication and sequence numbering
-// survive a restart.
+// survive a restart. A campaign keeps one store, under its state dir
+// (src/core/state/journal.h): the merge loop saves each new crash there,
+// whichever shard found it.
 #ifndef SRC_CORE_REPRO_CRASH_STORE_H_
 #define SRC_CORE_REPRO_CRASH_STORE_H_
 
@@ -28,18 +30,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/fuzz/mutator.h"
-#include "src/hv/sanitizer.h"
+#include "src/core/wire.h"
 
 namespace neco {
-
-struct CrashRecord {
-  AnomalyReport report;
-  FuzzInput input;
-  std::string hypervisor;
-  std::string arch;
-  uint64_t iteration = 0;
-};
 
 class CrashStore {
  public:
@@ -48,26 +41,18 @@ class CrashStore {
   // (restart continues where the last run stopped: same dedup set, fresh
   // sequence numbers after the highest committed one). Unreadable or
   // torn files are skipped, never trusted.
-  //
-  // `expected_records` is the manifest-recorded artifact count, when the
-  // caller has one: 0 skips the directory scan outright (a fresh campaign
-  // pays nothing for its empty store — any orphan record a kill left
-  // behind is re-saved byte-identically by the replay), and a positive
-  // count pre-sizes the reload instead of growth-doubling through it.
-  // The scan itself still reads whatever is on disk — the count is a
-  // hint, never a truncation.
-  explicit CrashStore(std::filesystem::path directory = {},
-                      std::optional<uint64_t> expected_records = std::nullopt);
+  explicit CrashStore(std::filesystem::path directory = {});
 
-  // Records a finding; returns false if the bug id is already known
+  // Records a finding under the next sequence number (the record's own
+  // `seq` is ignored); returns false if the bug id is already known
   // (deduplication), true if this is a new finding. Throws
   // std::runtime_error when persisting fails (ENOSPC, EACCES, a torn
   // write, ...): a crash artifact that cannot be made durable is an
   // error, not a silent success.
-  bool Save(const CrashRecord& record);
+  bool Save(CrashArtifactRecord record);
 
   // Committed crashes in sequence order (reloaded ones first).
-  const std::vector<CrashRecord>& records() const { return records_; }
+  const std::vector<CrashArtifactRecord>& records() const { return records_; }
   bool Known(const std::string& bug_id) const {
     return known_ids_.count(bug_id) != 0;
   }
@@ -77,25 +62,18 @@ class CrashStore {
 
   const std::filesystem::path& directory() const { return directory_; }
 
-  // Wall-clock nanoseconds the constructor spent reloading committed
-  // records (0 when the scan was skipped); feeds JournalStats::reload_ns.
-  uint64_t reload_ns() const { return reload_ns_; }
-
  private:
-  std::filesystem::path PathFor(uint64_t seq, const std::string& id,
+  std::filesystem::path PathFor(const CrashArtifactRecord& record,
                                 const char* extension) const;
-  void Reload(std::optional<uint64_t> expected_records);
+  void Reload();
 
   // Single-threaded by contract (hence no mutex / NECO_GUARDED_BY): every
-  // Save() happens on the merge/drain thread — findings reach the store
-  // only through the journal observer, which MergePipeline invokes from
-  // the (single) merge loop — and reads happen after the campaign joined.
+  // Save() happens on the merge loop's thread, and reads happen after
+  // the campaign joined.
   std::filesystem::path directory_;
-  std::vector<CrashRecord> records_;
-  std::vector<uint64_t> seqs_;  // Parallel to records_: on-disk sequence.
+  std::vector<CrashArtifactRecord> records_;
   std::unordered_set<std::string> known_ids_;
   uint64_t next_seq_ = 0;
-  uint64_t reload_ns_ = 0;
 };
 
 }  // namespace neco

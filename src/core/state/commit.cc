@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <utility>
 
 #include "src/support/errno_util.h"
 
@@ -16,6 +17,18 @@ using Clock = std::chrono::steady_clock;
 std::string ErrnoText(const std::string& what,
                       const std::filesystem::path& path, int err) {
   return what + " " + path.string() + ": " + SafeStrerror(err);
+}
+
+// FNV-1a 64: cheap, endian-free and deterministic across hosts, which is
+// all a seal over strictly decoded frames needs.
+constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
+
+uint64_t Fnv1a(uint64_t hash, const uint8_t* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= data[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
 }
 
 // Fsync under timing; EINTR-retried like the write loop below.
@@ -115,8 +128,10 @@ bool ReadFileBytes(const std::filesystem::path& path,
       if (errno == EINTR) {
         continue;
       }
+      const int err = errno;
       ::close(fd);
       out->clear();
+      errno = err;
       return false;
     }
     if (n == 0) {
@@ -125,6 +140,62 @@ bool ReadFileBytes(const std::filesystem::path& path,
     out->insert(out->end(), chunk, chunk + n);
   }
   ::close(fd);
+  return true;
+}
+
+wire::Buffer SealFrames(uint64_t epoch,
+                        const std::vector<wire::Buffer>& frames) {
+  EpochCommitRecord trailer;
+  trailer.epoch = epoch;
+  trailer.frames = static_cast<uint32_t>(frames.size());
+  trailer.checksum = kFnvOffset;
+  size_t total = 0;
+  for (const wire::Buffer& frame : frames) {
+    trailer.checksum = Fnv1a(trailer.checksum, frame.data(), frame.size());
+    total += frame.size();
+  }
+  const wire::Buffer seal = wire::Encode(trailer);
+  wire::Buffer file;
+  file.reserve(total + seal.size());
+  for (const wire::Buffer& frame : frames) {
+    file.insert(file.end(), frame.begin(), frame.end());
+  }
+  file.insert(file.end(), seal.begin(), seal.end());
+  return file;
+}
+
+bool OpenSealedFile(const uint8_t* data, size_t size, SealedFile* out) {
+  // Cut frames by their headers alone: a header that does not fit, a
+  // length past the end of the file, or trailing garbage rejects it.
+  std::vector<std::span<const uint8_t>> frames;
+  size_t pos = 0;
+  while (pos < size) {
+    size_t frame_size = 0;
+    if (!wire::FrameSize(data + pos, size - pos, &frame_size) ||
+        frame_size > size - pos) {
+      return false;
+    }
+    frames.emplace_back(data + pos, frame_size);
+    pos += frame_size;
+  }
+  EpochCommitRecord trailer;
+  if (frames.empty() ||
+      !wire::Decode(frames.back().data(), frames.back().size(), &trailer)) {
+    return false;
+  }
+  frames.pop_back();
+  // The seal must account for exactly the frames present, and their bytes
+  // must hash to it: a truncated-then-repadded or spliced file fails here
+  // even when each surviving frame decodes cleanly.
+  uint64_t checksum = kFnvOffset;
+  for (const std::span<const uint8_t> frame : frames) {
+    checksum = Fnv1a(checksum, frame.data(), frame.size());
+  }
+  if (trailer.frames != frames.size() || trailer.checksum != checksum) {
+    return false;
+  }
+  out->epoch = trailer.epoch;
+  out->frames = std::move(frames);
   return true;
 }
 

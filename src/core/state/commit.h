@@ -8,16 +8,28 @@
 // bytes were lost.
 //
 // CampaignJournal (journal.h) and CrashStore (src/core/repro) build every
-// on-disk mutation out of AtomicWriteFile; nothing in the state layer
-// writes a file any other way.
+// on-disk mutation out of AtomicWriteFile and read every file through
+// ReadFileBytes; this is the one file of the state layer that opens one.
+//
+// The journal's epoch files and snapshot files share one format, the
+// sealed frame list:
+//
+//   frame 0 .. N-1   wire frames (src/core/wire.h)
+//   trailer          EpochCommitRecord: the last epoch the file covers,
+//                    N, and an FNV-1a 64 checksum over frames 0 .. N-1
+//
+// SealFrames writes it and OpenSealedFile reads it, for both kinds.
 #ifndef SRC_CORE_STATE_COMMIT_H_
 #define SRC_CORE_STATE_COMMIT_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "src/core/wire.h"
 
 namespace neco {
 
@@ -38,10 +50,26 @@ bool AtomicWriteFile(const std::filesystem::path& path, const uint8_t* data,
                      size_t size, std::string* error,
                      CommitStats* stats = nullptr);
 
-// Reads a whole file; returns false (and clears `*out`) when the file
-// cannot be opened or read.
+// Reads a whole file; returns false (and clears `*out`, with errno set)
+// when the file cannot be opened or read.
 bool ReadFileBytes(const std::filesystem::path& path,
                    std::vector<uint8_t>* out);
+
+// The file image of `frames` sealed by their trailer (see above).
+wire::Buffer SealFrames(uint64_t epoch,
+                        const std::vector<wire::Buffer>& frames);
+
+// A sealed file opened in place: its trailer's epoch, and each frame
+// before the trailer as a view into the bytes it was opened from.
+struct SealedFile {
+  uint64_t epoch = 0;
+  std::vector<std::span<const uint8_t>> frames;
+};
+
+// Cuts the frames, decodes the trailer, and checks the frame count and
+// the checksum. Returns false on any tear or damage; the frames
+// themselves are left for the caller to decode.
+bool OpenSealedFile(const uint8_t* data, size_t size, SealedFile* out);
 
 }  // namespace neco
 

@@ -1,11 +1,9 @@
 #include "src/core/state/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -13,25 +11,6 @@
 
 namespace neco {
 namespace {
-
-// FNV-1a 64: cheap, endian-free, and deterministic across hosts — all an
-// integrity check over already-strictly-decoded frames needs.
-uint64_t Fnv1a(uint64_t hash, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-
-uint64_t ChecksumFrames(const std::vector<wire::Buffer>& frames) {
-  uint64_t hash = kFnvOffset;
-  for (const wire::Buffer& frame : frames) {
-    hash = Fnv1a(hash, frame.data(), frame.size());
-  }
-  return hash;
-}
 
 // Parses "<prefix><decimal><suffix>" (an epoch or snapshot file name)
 // into its number; false for anything else, including a bare or
@@ -92,9 +71,9 @@ std::string FingerprintMismatch(const CampaignSpec& disk,
   return disk == run ? std::string() : "fingerprint mismatch";
 }
 
-}  // namespace
-
-std::optional<CampaignManifestRecord> CampaignJournal::ReadManifestFile(
+// Reads and strictly decodes dir/MANIFEST: nullopt for a fresh
+// directory; throws on a corrupt file or another format version.
+std::optional<CampaignManifestRecord> ReadManifestFile(
     const std::filesystem::path& dir) {
   const std::filesystem::path path = dir / "MANIFEST";
   std::error_code ec;
@@ -124,35 +103,28 @@ std::optional<CampaignManifestRecord> CampaignJournal::ReadManifestFile(
   return disk;
 }
 
+}  // namespace
+
 CampaignJournal::CampaignJournal(std::filesystem::path dir,
                                  const CampaignSpec& spec)
-    : dir_(std::move(dir)),
-      manifest_{spec},
-      // The manifest is read before the crash store constructs so the
-      // store can take the committed artifact count as its reload hint
-      // (0 skips the directory scan outright).
-      disk_manifest_(ReadManifestFile(dir_)),
-      // Creating crashes/ creates the state dir itself on the way.
-      crash_store_(dir_ / "crashes",
-                   disk_manifest_.has_value()
-                       ? std::optional<uint64_t>(disk_manifest_->crash_artifacts)
-                       : std::nullopt) {
-  stats_.reload_ns += crash_store_.reload_ns();
-  if (disk_manifest_.has_value()) {
-    const std::string mismatch = FingerprintMismatch(*disk_manifest_, spec);
+    : dir_(std::move(dir)), manifest_{spec} {
+  const std::optional<CampaignManifestRecord> disk = ReadManifestFile(dir_);
+  if (disk.has_value()) {
+    const std::string mismatch = FingerprintMismatch(*disk, spec);
     if (!mismatch.empty()) {
       throw std::runtime_error(
           "CampaignJournal: " + dir_.string() +
           " belongs to a different campaign: " + mismatch +
           "; use a fresh state_dir (or the original options) to resume");
     }
-    committed_epochs_ = static_cast<size_t>(disk_manifest_->committed_epochs);
-    snapshot_epochs_ = static_cast<size_t>(disk_manifest_->snapshot_epochs);
-    manifest_.committed_epochs = disk_manifest_->committed_epochs;
-    manifest_.snapshot_epochs = disk_manifest_->snapshot_epochs;
-    manifest_.crash_artifacts = disk_manifest_->crash_artifacts;
-    disk_manifest_.reset();
-  } else {
+    committed_epochs_ = static_cast<size_t>(disk->committed_epochs);
+    snapshot_epochs_ = static_cast<size_t>(disk->snapshot_epochs);
+  }
+  // Creating crashes/ creates the state dir itself on the way.
+  const auto start = std::chrono::steady_clock::now();
+  crash_store_ = CrashStore(dir_ / "crashes");
+  stats_.reload_ns += ElapsedNs(start);
+  if (!disk.has_value()) {
     // Stamp the fingerprint immediately: a directory is claimed by its
     // campaign at open, so even a run that dies before its first commit
     // rejects a mismatched resume.
@@ -163,7 +135,6 @@ CampaignJournal::CampaignJournal(std::filesystem::path dir,
 void CampaignJournal::WriteManifest() {
   manifest_.committed_epochs = committed_epochs_;
   manifest_.snapshot_epochs = snapshot_epochs_;
-  manifest_.crash_artifacts = crash_store_.records().size();
   const wire::Buffer frame = wire::Encode(manifest_);
   std::string error;
   if (!AtomicWriteFile(ManifestPath(), frame.data(), frame.size(), &error,
@@ -174,7 +145,7 @@ void CampaignJournal::WriteManifest() {
 
 void CampaignJournal::CommitEpoch(size_t epoch,
                                   const std::vector<wire::Buffer>& frames,
-                                  EpochCommitRecord summary,
+                                  EpochCommitRecord /*trailer*/,
                                   const CampaignSnapshot* snapshot) {
   if (epoch != committed_epochs_) {
     throw std::logic_error("CampaignJournal: commit for epoch " +
@@ -188,15 +159,7 @@ void CampaignJournal::CommitEpoch(size_t epoch,
         " epochs but the commit advances the point to " +
         std::to_string(epoch + 1));
   }
-  summary.epoch = epoch;
-  summary.workers = static_cast<int>(frames.size());
-  summary.checksum = ChecksumFrames(frames);
-  wire::Buffer file;
-  for (const wire::Buffer& frame : frames) {
-    file.insert(file.end(), frame.begin(), frame.end());
-  }
-  const wire::Buffer trailer = wire::Encode(summary);
-  file.insert(file.end(), trailer.begin(), trailer.end());
+  const wire::Buffer file = SealFrames(epoch, frames);
   std::string error;
   if (!AtomicWriteFile(dir_ / EpochFileName(epoch), file.data(), file.size(),
                        &error, &commit_stats_)) {
@@ -290,116 +253,39 @@ size_t CampaignJournal::LoadLatestSnapshot(CampaignSnapshot* out) {
 void CampaignJournal::VerifyEpoch(size_t epoch,
                                   const std::vector<wire::Buffer>& frames) {
   const std::filesystem::path path = dir_ / EpochFileName(epoch);
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    throw std::runtime_error("CampaignJournal: cannot open " + path.string() +
+  std::vector<uint8_t> bytes;
+  if (!ReadFileBytes(path, &bytes)) {
+    // An I/O problem, not a divergence: surface the errno so the operator
+    // can tell the two apart.
+    throw std::runtime_error("CampaignJournal: cannot read " + path.string() +
                              ": " + SafeStrerror(errno));
   }
-  // Stream the committed file in fixed chunks: each chunk is compared in
-  // place against the re-published frames and folded into a running
-  // FNV-1a, so the file is never buffered whole — only the trailer (and,
-  // on a frame-count mismatch, the excess tail) accumulates.
-  auto divergence = [&](size_t shard) {
-    ::close(fd);
-    return std::runtime_error(
-        "CampaignJournal: resume divergence at epoch " +
-        std::to_string(epoch) + ", shard " + std::to_string(shard) +
-        " — the state dir was produced by a different campaign or binary");
-  };
-  uint64_t checksum = kFnvOffset;
-  size_t frame_index = 0;
-  size_t frame_offset = 0;
-  std::vector<uint8_t> chunk(64 * 1024);
-  std::vector<uint8_t> tail;  // Bytes past the last re-published frame.
-  while (true) {
-    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      // A failing read mid-verify is an I/O problem, not a divergence:
-      // surface the errno so the operator can tell the two apart.
-      const std::string detail = SafeStrerror(errno);
-      ::close(fd);
-      throw std::runtime_error("CampaignJournal: short read on " +
-                               path.string() + ": " + detail);
-    }
-    if (n == 0) {
-      break;
-    }
-    size_t pos = 0;
-    const size_t got = static_cast<size_t>(n);
-    while (pos < got && frame_index < frames.size()) {
-      const wire::Buffer& frame = frames[frame_index];
-      const size_t take = std::min(got - pos, frame.size() - frame_offset);
-      if (!std::equal(chunk.begin() + static_cast<ptrdiff_t>(pos),
-                      chunk.begin() + static_cast<ptrdiff_t>(pos + take),
-                      frame.begin() + static_cast<ptrdiff_t>(frame_offset))) {
-        throw divergence(frame_index);
-      }
-      checksum = Fnv1a(checksum, chunk.data() + pos, take);
-      pos += take;
-      frame_offset += take;
-      if (frame_offset == frame.size()) {
-        ++frame_index;
-        frame_offset = 0;
-      }
-    }
-    tail.insert(tail.end(), chunk.begin() + static_cast<ptrdiff_t>(pos),
-                chunk.begin() + static_cast<ptrdiff_t>(got));
+  SealedFile file;
+  if (!OpenSealedFile(bytes.data(), bytes.size(), &file) ||
+      file.epoch != epoch) {
+    throw std::runtime_error("CampaignJournal: torn or corrupt epoch file " +
+                             path.string());
   }
-  ::close(fd);
-  if (frame_index < frames.size()) {
-    // The file ended inside the re-published frames: fewer committed
-    // deltas than replayed ones (or a torn file — either way, not ours).
-    throw std::runtime_error(
-        "CampaignJournal: epoch " + std::to_string(epoch) + " replayed " +
-        std::to_string(frames.size()) +
-        " deltas but the journal committed fewer: torn or foreign file " +
-        path.string());
-  }
-  // The tail must be frames too: zero or more excess committed deltas
-  // (a worker-count mismatch) and then exactly the commit record.
-  size_t committed = frames.size();
-  size_t pos = 0;
-  size_t trailer_pos = 0;
-  while (pos < tail.size()) {
-    size_t frame_size = 0;
-    if (!wire::FrameSize(tail.data() + pos, tail.size() - pos, &frame_size) ||
-        frame_size > tail.size() - pos) {
-      throw std::runtime_error("CampaignJournal: torn epoch file " +
-                               path.string());
-    }
-    trailer_pos = pos;
-    pos += frame_size;
-    ++committed;
-  }
-  EpochCommitRecord summary;
-  if (committed == frames.size() ||
-      !wire::Decode(tail.data() + trailer_pos, tail.size() - trailer_pos,
-                    &summary)) {
-    throw std::runtime_error(
-        "CampaignJournal: epoch file missing its commit record: " +
-        path.string());
-  }
-  --committed;  // The trailer is not a delta.
-  if (committed != frames.size()) {
+  if (file.frames.size() != frames.size()) {
     throw std::runtime_error(
         "CampaignJournal: epoch " + std::to_string(epoch) + " replayed " +
         std::to_string(frames.size()) + " deltas but the journal committed " +
-        std::to_string(committed));
+        std::to_string(file.frames.size()));
   }
-  if (summary.epoch != epoch ||
-      summary.workers != static_cast<int>(frames.size()) ||
-      summary.checksum != checksum) {
-    throw std::runtime_error("CampaignJournal: corrupt epoch file " +
-                             path.string());
+  for (size_t shard = 0; shard < frames.size(); ++shard) {
+    if (!std::equal(file.frames[shard].begin(), file.frames[shard].end(),
+                    frames[shard].begin(), frames[shard].end())) {
+      throw std::runtime_error(
+          "CampaignJournal: resume divergence at epoch " +
+          std::to_string(epoch) + ", shard " + std::to_string(shard) +
+          " — the state dir was produced by a different campaign or binary");
+    }
   }
   ++stats_.replayed_epochs;
 }
 
-bool CampaignJournal::SaveCrashArtifact(const CrashRecord& record) {
-  const bool fresh = crash_store_.Save(record);
+bool CampaignJournal::SaveCrashArtifact(CrashArtifactRecord record) {
+  const bool fresh = crash_store_.Save(std::move(record));
   if (fresh) {
     ++stats_.crash_artifacts;
   }

@@ -11,25 +11,28 @@
 //                             fingerprint (its CampaignSpec) +
 //                             committed_epochs (the journal's commit
 //                             point) + snapshot_epochs (the materialized
-//                             horizon) + the committed crash-artifact
-//                             count
-//   epoch-<N>.journal         N's worker delta frames (worker order) +
-//                             a trailing EpochCommitRecord (checksum +
-//                             merged-state summary)
+//                             horizon)
+//   epoch-<N>.journal         N's worker delta frames (worker order),
+//                             sealed by an EpochCommitRecord for epoch N
 //   snapshot-<H>.state        the full merged campaign state through
-//                             epoch H-1 (src/core/state/snapshot.h);
-//                             resume loads the newest one and replays
-//                             only the tail past it
-//   crashes/                  a CrashStore (src/core/repro): one
-//                             .input/.report/.record triple per crash
+//                             epoch H-1 (src/core/state/snapshot.h),
+//                             sealed by an EpochCommitRecord for epoch
+//                             H-1; resume loads the newest one and
+//                             replays only the tail past it
+//   crashes/                  the campaign's one CrashStore
+//                             (src/core/repro): one .input/.report/.record
+//                             triple per crash
+//
+// Epoch and snapshot files are both sealed frame lists, written by
+// SealFrames and opened by OpenSealedFile (src/core/state/commit.h).
 //
 // Commit protocol per epoch (every file via AtomicWriteFile, commit.h):
 //   1. persist the epoch's new crash artifacts (idempotent; each .record
 //      rename is that crash's own commit point),
 //   2. write epoch-<N>.journal,
 //   3. at a snapshot epoch, write snapshot-<N+1>.state,
-//   4. advance MANIFEST — THE commit point: committed_epochs,
-//      snapshot_epochs, and the crash count move in one atomic write,
+//   4. advance MANIFEST — THE commit point: committed_epochs and
+//      snapshot_epochs move in one atomic write,
 //   5. after the manifest is durable, compact: epoch and snapshot files
 //      behind the *previous* horizon are deleted (one fallback generation
 //      is always kept, so a corrupt newest snapshot degrades to the older
@@ -57,7 +60,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,9 +106,10 @@ class CampaignJournal {
   size_t snapshot_epochs() const { return snapshot_epochs_; }
 
   // Commits the next epoch (`epoch` must equal committed_epochs()):
-  // writes the epoch file from `frames` + `summary` (checksum and frame
-  // count are filled here), then advances the manifest. Throws
-  // std::runtime_error on any write failure.
+  // writes the epoch file, `frames` sealed for `epoch`, then advances the
+  // manifest. Throws std::runtime_error on any write failure. The journal
+  // seals the file itself and ignores `trailer`, which stays only because
+  // perfbench passes one.
   //
   // When `snapshot` is non-null it must materialize exactly epochs
   // [0, epoch + 1); its file is made durable between the epoch file and
@@ -115,7 +118,7 @@ class CampaignJournal {
   // horizon are compacted away afterwards — durability strictly before
   // any deletion.
   void CommitEpoch(size_t epoch, const std::vector<wire::Buffer>& frames,
-                   EpochCommitRecord summary,
+                   EpochCommitRecord trailer,
                    const CampaignSnapshot* snapshot = nullptr);
 
   // Loads the newest decodable snapshot at or below the manifest horizon
@@ -125,18 +128,17 @@ class CampaignJournal {
   // generation, and a 0 return means full replay.
   size_t LoadLatestSnapshot(CampaignSnapshot* out);
 
-  // Resume verification: checks that a replayed epoch's re-published
-  // frames are byte-identical to the committed ones. Divergence throws —
-  // it means the state dir was produced by a different campaign or
-  // binary, and silently mixing the two states would corrupt both.
-  // Streams the committed file in fixed-size chunks (running FNV-1a +
-  // in-place comparison) instead of buffering it, so verification of a
-  // large epoch costs one chunk of memory, not a copy of the file.
+  // Resume verification: opens the committed epoch file and checks that
+  // a replayed epoch's re-published frames are byte-identical to the
+  // committed ones. Divergence throws, naming the first shard that
+  // differs — it means the state dir was produced by a different
+  // campaign or binary, and silently mixing the two states would corrupt
+  // both. An unreadable, torn or damaged file throws too.
   void VerifyEpoch(size_t epoch, const std::vector<wire::Buffer>& frames);
 
   // Persists one crash artifact through the store (idempotent by bug id).
   // Returns whether the artifact was new. Throws on write failure.
-  bool SaveCrashArtifact(const CrashRecord& record);
+  bool SaveCrashArtifact(CrashArtifactRecord record);
 
   CrashStore& crash_store() { return crash_store_; }
   JournalStats stats() const;
@@ -154,19 +156,9 @@ class CampaignJournal {
   // Deletion-only: errors are ignored — a file that refuses to die is
   // retried by the next sweep, never a commit failure.
   void CompactBelow(size_t horizon);
-  // Reads and strictly decodes dir/MANIFEST before any member that
-  // depends on it constructs (the crash store takes its artifact-count
-  // hint from here). nullopt for a fresh directory; throws on a corrupt
-  // file.
-  static std::optional<CampaignManifestRecord> ReadManifestFile(
-      const std::filesystem::path& dir);
 
   std::filesystem::path dir_;
   CampaignManifestRecord manifest_;
-  // The manifest found on open (nullopt for a fresh directory); consumed
-  // by the constructor body. Declared before crash_store_ so the store's
-  // member-initializer can read the artifact-count hint.
-  std::optional<CampaignManifestRecord> disk_manifest_;
   size_t committed_epochs_ = 0;
   size_t snapshot_epochs_ = 0;
   CrashStore crash_store_;

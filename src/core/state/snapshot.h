@@ -3,24 +3,22 @@
 // A snapshot file (snapshot-<horizon>.state under the state dir) holds
 // the complete merged campaign state at an epoch boundary, so a resumed
 // campaign deserializes it and replays only the epochs past the horizon
-// instead of re-executing the whole history. File layout (wire v6,
-// src/core/wire.h):
+// instead of re-executing the whole history. It is a sealed frame list
+// (src/core/state/commit.h), the format of an epoch file too:
 //
 //   frame 0      SnapshotMergedStateRecord — the merge pipeline's global
 //                state (virgin map, covered set, findings, corpus pool
 //                slice, series, feedback bookkeeping)
 //   frame 1..W   one WorkerStateRecord per shard, worker-id order
-//   trailer      CampaignSnapshotRecord — magic + horizon + worker count
-//                + FNV-1a checksum over the preceding frames
+//   trailer      EpochCommitRecord — epoch horizon-1 (the last one the
+//                file covers), W + 1 frames, and their FNV-1a checksum
 //
-// The shape deliberately mirrors an epoch journal file (frames + a
-// checksummed trailer) so the same strict frame-cutting discipline
-// applies: DecodeSnapshotFile() rejects a torn, truncated, or damaged
-// file outright, and the journal falls back — older snapshot generation
-// first, full replay last. A snapshot is committed through
-// AtomicWriteFile and only becomes load-bearing when the MANIFEST's
-// snapshot_epochs advances past it, so a kill mid-snapshot leaves the
-// previous commit point fully intact.
+// DecodeSnapshotFile() opens it with the sealed-file reader, so a torn,
+// truncated, or damaged file is rejected outright, and the journal falls
+// back — older snapshot generation first, full replay last. A snapshot
+// is committed through AtomicWriteFile and only becomes load-bearing when
+// the MANIFEST's snapshot_epochs advances past it, so a kill
+// mid-snapshot leaves the previous commit point fully intact.
 #ifndef SRC_CORE_STATE_SNAPSHOT_H_
 #define SRC_CORE_STATE_SNAPSHOT_H_
 
@@ -45,14 +43,15 @@ struct CampaignSnapshot {
 // "snapshot-<horizon>.state".
 std::string SnapshotFileName(size_t horizon);
 
-// Serializes the snapshot into one file image (frames + trailer, checksum
-// filled here). The caller makes it durable through AtomicWriteFile.
+// Serializes the snapshot into one sealed file image. The caller makes it
+// durable through AtomicWriteFile.
 wire::Buffer EncodeSnapshotFile(const CampaignSnapshot& snapshot);
 
-// Strict inverse: cuts frames, validates the trailer (magic, horizon,
-// worker count, checksum) and every record, and fills `*out`. Returns
-// false — never throws — on any tear or corruption: an unreadable
-// snapshot is a recoverable condition (resume falls back), not an error.
+// Strict inverse: opens the sealed file, decodes every record, checks
+// each record's horizon and worker id against the seal and the frame
+// position, and fills `*out`. Returns false — never throws — on any tear
+// or corruption: an unreadable snapshot is a recoverable condition
+// (resume falls back), not an error.
 bool DecodeSnapshotFile(const uint8_t* data, size_t size,
                         CampaignSnapshot* out);
 

@@ -303,6 +303,11 @@ void Fields(Io& io, CoverageSample& r) {
 }
 
 template <class Io>
+void Fields(Io& io, PoolEntry& r) {
+  io(r.origin, r.input);
+}
+
+template <class Io>
 void Fields(Io& io, FuzzerStats& r) {
   io(r.iterations, r.queue_size, r.unique_anomalies, r.bitmap_edges);
 }
@@ -392,7 +397,7 @@ void Fields(Io& io, CampaignSpec& r) {
 
 template <class Io>
 void Fields(Io& io, ShardChildConfigRecord& r) {
-  io(static_cast<CampaignSpec&>(r), r.worker, r.crash_dir, r.start_epoch,
+  io(static_cast<CampaignSpec&>(r), r.worker, r.start_epoch,
      r.snapshot_every);
   // A worker slot no parent owns.
   io.Check(r.worker >= 0 && r.worker < r.workers);
@@ -408,7 +413,7 @@ void Fields(Io& io, ShardHelloRecord& r) {
 
 template <class Io>
 void Fields(Io& io, CampaignManifestRecord& r) {
-  io(r.magic, r.committed_epochs, r.snapshot_epochs, r.crash_artifacts,
+  io(r.magic, r.committed_epochs, r.snapshot_epochs,
      static_cast<CampaignSpec&>(r));
   io.Check(r.magic == CampaignManifestRecord::kMagic);
   // The snapshot must cover a committed prefix.
@@ -417,8 +422,7 @@ void Fields(Io& io, CampaignManifestRecord& r) {
 
 template <class Io>
 void Fields(Io& io, EpochCommitRecord& r) {
-  io(r.epoch, r.workers, r.checksum, r.iterations, r.covered_points,
-     r.pool_end, r.findings, r.crash_artifacts, r.percent);
+  io(r.epoch, r.frames, r.checksum);
 }
 
 template <class Io>
@@ -451,19 +455,10 @@ void Fields(Io& io, WorkerStateRecord& r) {
 template <class Io>
 void Fields(Io& io, SnapshotMergedStateRecord& r) {
   io(r.epochs_covered, r.virgin, r.covered, r.findings, r.prior_pool_end,
-     r.pool_end);
-  io.Zip(r.pool_origins, r.pool_inputs);
-  io.Zip(r.series_iterations, r.series_percents);
-  io(r.total_iterations, r.feedback_virgin);
+     r.pool_end, r.pool, r.series, r.total_iterations, r.feedback_virgin);
   // The shipped pool slice is exactly [prior_pool_end, pool_end).
   io.Check(r.prior_pool_end <= r.pool_end &&
-           r.pool_end - r.prior_pool_end == r.pool_origins.size());
-}
-
-template <class Io>
-void Fields(Io& io, CampaignSnapshotRecord& r) {
-  io(r.magic, r.epochs_covered, r.workers, r.checksum);
-  io.Check(r.magic == CampaignSnapshotRecord::kMagic);
+           r.pool_end - r.prior_pool_end == r.pool.size());
 }
 
 // --- Framing -------------------------------------------------------------
@@ -550,9 +545,6 @@ Buffer Encode(const WorkerStateRecord& record) { return EncodeRecord(record); }
 Buffer Encode(const SnapshotMergedStateRecord& record) {
   return EncodeRecord(record);
 }
-Buffer Encode(const CampaignSnapshotRecord& record) {
-  return EncodeRecord(record);
-}
 
 bool Decode(const uint8_t* data, size_t size, ShardDelta* out) {
   return DecodeRecord(data, size, out);
@@ -597,9 +589,6 @@ bool Decode(const uint8_t* data, size_t size, WorkerStateRecord* out) {
   return DecodeRecord(data, size, out);
 }
 bool Decode(const uint8_t* data, size_t size, SnapshotMergedStateRecord* out) {
-  return DecodeRecord(data, size, out);
-}
-bool Decode(const uint8_t* data, size_t size, CampaignSnapshotRecord* out) {
   return DecodeRecord(data, size, out);
 }
 

@@ -20,14 +20,15 @@
 //    reproduction inputs, shipped after its last delta, so nothing stays
 //    resident in a child that may live on another machine),
 //    ShardChildConfigRecord (the CampaignSpec a shard is built from, plus
-//    its identity; exec'd and socket children read it at startup), and
+//    its identity; every shard reads it as its first frame), and
 //    ShardHelloRecord (the socket-transport handshake: a dialing shard
 //    identifies itself before receiving its config).
 //
 // A fourth family — the durable-state records further down — reuses the
 // same framing as the storage format of src/core/state/: manifests (which
-// embed the same CampaignSpec), epoch journal files, crash artifacts, and
-// (since v6) materialized campaign snapshots.
+// embed the same CampaignSpec), the EpochCommitRecord trailer that seals
+// epoch files and snapshot files alike, crash artifacts, and (since v6)
+// the records of a materialized campaign snapshot.
 //
 // The binary encoding is versioned, length-prefixed, and endian-stable
 // (everything is serialized little-endian byte by byte, so records decode
@@ -176,9 +177,9 @@ struct ShardDelta {
 // Everything a campaign's results depend on, resolved once by
 // CampaignEngine::Run(). The journal manifest and every shard's config
 // inherit it, so an option cannot reach the fingerprint without reaching
-// the shards, or the reverse. shard_mode, the snapshot cadence and the
-// crash directory are absent: results are invariant to them, so a
-// campaign may resume with them changed. Not a record of its own.
+// the shards, or the reverse. shard_mode and the snapshot cadence are
+// absent: results are invariant to them, so a campaign may resume with
+// them changed. Not a record of its own.
 struct CampaignSpec {
   uint64_t epochs = 0;  // Global epoch count (the longest shard schedule).
   int workers = 1;
@@ -249,11 +250,10 @@ struct ShardHelloRecord {
 };
 
 // Everything one shard is built from: the campaign's spec, the shard's
-// identity, and knobs results do not depend on. Every shard, in every
-// shard mode, receives it as its first frame and decodes it at startup.
+// identity, and where its run starts. Every shard, in every shard mode,
+// receives it as its first frame and decodes it at startup.
 struct ShardChildConfigRecord : CampaignSpec {
   int worker = 0;
-  std::string crash_dir;  // AgentOptions::crash_dir.
   // Snapshot resume: the shard starts at this epoch instead of 0. When
   // non-zero, a WorkerStateRecord frame follows this config frame on the
   // same stream, carrying the shard's materialized state. Not part of the
@@ -290,36 +290,26 @@ struct CampaignManifestRecord : CampaignSpec {
   // committed_epochs, so the snapshot a manifest names is always durable
   // and always covers a prefix of the committed epochs.
   uint64_t snapshot_epochs = 0;
-  // Crash artifacts persisted under <dir>/crashes as of this commit.
-  // Reopen hands it to CrashStore as a sizing hint (reserve + skip the
-  // directory scan when zero); it is advisory — the .record files stay
-  // authoritative.
-  uint64_t crash_artifacts = 0;
 
   bool operator==(const CampaignManifestRecord&) const = default;
 };
 
-// The trailer of an epoch journal file: the epoch's identity, a checksum
-// over the worker delta frames preceding it, and the merged-state summary
-// after folding the epoch (for inspection; the merged state itself is
-// reconstructed by replaying the delta frames).
+// The seal of the journal's epoch files and snapshot files
+// (src/core/state/commit.h): the last frame of each. Its checksum covers
+// every frame before it, so a foreign, torn or damaged file fails the
+// open, whatever its frames decode to.
 struct EpochCommitRecord {
-  uint64_t epoch = 0;
-  int workers = 1;          // Delta frames in this epoch file.
-  uint64_t checksum = 0;    // FNV-1a 64 over the delta frames' bytes.
-  uint64_t iterations = 0;  // Campaign-cumulative after this epoch.
-  uint64_t covered_points = 0;
-  uint64_t pool_end = 0;    // Corpus pool size after this epoch.
-  uint64_t findings = 0;    // Global deduplicated finding count.
-  uint64_t crash_artifacts = 0;  // Persisted crash records so far.
-  double percent = 0.0;     // Merged coverage after this epoch.
+  uint64_t epoch = 0;     // The last epoch the file covers.
+  uint32_t frames = 0;    // Frames before this trailer.
+  uint64_t checksum = 0;  // FNV-1a 64 over those frames' bytes.
 
   bool operator==(const EpochCommitRecord&) const = default;
 };
 
 // One persisted crash: the authoritative `<seq>-<id>.record` file a
 // CrashStore writes last (its commit marker — the human-readable .report
-// and raw .input beside it are derived conveniences).
+// and raw .input beside it are derived conveniences). The store keeps
+// these records in memory too.
 struct CrashArtifactRecord {
   uint64_t seq = 0;
   AnomalyReport report;
@@ -336,10 +326,9 @@ struct CrashArtifactRecord {
 // A snapshot file (snapshot-<horizon>.state under the state dir) is the
 // campaign's full merged state at an epoch boundary, framed as: one
 // SnapshotMergedStateRecord, one WorkerStateRecord per shard (worker-id
-// order), and a CampaignSnapshotRecord trailer whose checksum covers the
-// preceding frames — the same shape as an epoch journal file, so the same
-// strict decode path rejects a torn or damaged snapshot and resume falls
-// back to replay.
+// order), and the EpochCommitRecord trailer an epoch file ends with, so
+// the one sealed-file reader rejects a torn or damaged snapshot and
+// resume falls back to replay.
 
 // Everything one shard needs to continue exactly where the snapshot epoch
 // ended: the fuzzer's full state (the full-state sibling of ShardDelta),
@@ -382,6 +371,15 @@ struct WorkerStateRecord {
   bool operator==(const WorkerStateRecord&) const = default;
 };
 
+// One entry of the merged corpus pool: the input and the shard that
+// published it.
+struct PoolEntry {
+  int origin = 0;
+  FuzzInput input;
+
+  bool operator==(const PoolEntry&) const = default;
+};
+
 // The merge pipeline's global state at the snapshot horizon: the merged
 // views plus the last folded epoch's feedback, which a resumed pipeline
 // pushes again before its first live epoch (every shard absorbed the
@@ -394,17 +392,13 @@ struct SnapshotMergedStateRecord {
   std::vector<AnomalyReport> findings;  // Bug-id order (merge map order).
   // Shared corpus pool: prior_pool_end entries were published before the
   // last folded epoch and pool_end through it; only that epoch's slice
-  // [prior_pool_end, pool_end) ships.
-  // Parallel arrays (origin worker + input bytes); Decode() rejects
-  // disagreement, and rejects prior_pool_end > pool_end or a slice whose
-  // length disagrees with the two bounds.
+  // [prior_pool_end, pool_end) ships, in fold order. Decode() rejects
+  // prior_pool_end > pool_end, or a slice whose length disagrees with the
+  // two bounds.
   uint64_t prior_pool_end = 0;
   uint64_t pool_end = 0;
-  std::vector<int> pool_origins;
-  std::vector<FuzzInput> pool_inputs;
-  // Coverage time series through the horizon (parallel arrays, one count).
-  std::vector<uint64_t> series_iterations;
-  std::vector<double> series_percents;
+  std::vector<PoolEntry> pool;
+  std::vector<CoverageSample> series;  // Coverage series through the horizon.
   uint64_t total_iterations = 0;
   // The last folded epoch's feedback virgin delta (the cells it newly set
   // globally).
@@ -413,51 +407,45 @@ struct SnapshotMergedStateRecord {
   bool operator==(const SnapshotMergedStateRecord&) const = default;
 };
 
-// The snapshot file's trailer: identity + checksum over the preceding
-// frames, mirroring EpochCommitRecord's role in an epoch file.
-struct CampaignSnapshotRecord {
-  static constexpr uint32_t kMagic = 0x5053434Eu;  // "NCSP" little-endian.
-  uint32_t magic = kMagic;
-  uint64_t epochs_covered = 0;
-  int workers = 1;        // WorkerStateRecord frames in this file.
-  uint64_t checksum = 0;  // FNV-1a 64 over the preceding frames' bytes.
-
-  bool operator==(const CampaignSnapshotRecord&) const = default;
-};
-
 // --- Encode / decode -----------------------------------------------------
 
 namespace wire {
 
-inline constexpr uint8_t kVersion = 9;  // v2 added the process-sharding
-                                        // records (kFeedback..kChildConfig);
-                                        // v3 the socket handshake
-                                        // (kShardHello) and crash-input
-                                        // shipping in ShardResultRecord;
-                                        // v4 per-epoch crash shipping in
-                                        // ShardDelta and the durable-state
-                                        // records (kManifest..
-                                        // kCrashArtifact); v5 the
-                                        // execution-core stats in
-                                        // ShardResultRecord and the
-                                        // snapshot-cache capacity in
-                                        // ShardChildConfigRecord; v6 the
-                                        // materialized-snapshot records
-                                        // (kWorkerState..kCampaignSnapshot),
-                                        // the snapshot horizon + crash
-                                        // count in the manifest, and the
-                                        // resume fields in
-                                        // ShardChildConfigRecord; v7
-                                        // removed the v5 additions and
-                                        // the cache counters in
-                                        // WorkerStateRecord; v8 laid
-                                        // ShardChildConfigRecord out as
-                                        // the CampaignSpec it shares with
-                                        // the manifest; v9 embedded a
-                                        // CampaignResult in both
-                                        // completion events and made
-                                        // ShardResultRecord a
-                                        // ShardDoneEvent plus crash pairs.
+inline constexpr uint8_t kVersion = 10;  // v2 added the process-sharding
+                                         // records (kFeedback..kChildConfig);
+                                         // v3 the socket handshake
+                                         // (kShardHello) and crash-input
+                                         // shipping in ShardResultRecord;
+                                         // v4 per-epoch crash shipping in
+                                         // ShardDelta and the durable-state
+                                         // records (kManifest..
+                                         // kCrashArtifact); v5 the
+                                         // execution-core stats in
+                                         // ShardResultRecord and the
+                                         // snapshot-cache capacity in
+                                         // ShardChildConfigRecord; v6 the
+                                         // materialized-snapshot records
+                                         // (kWorkerState..kCampaignSnapshot),
+                                         // the snapshot horizon + crash
+                                         // count in the manifest, and the
+                                         // resume fields in
+                                         // ShardChildConfigRecord; v7
+                                         // removed the v5 additions and
+                                         // the cache counters in
+                                         // WorkerStateRecord; v8 laid
+                                         // ShardChildConfigRecord out as
+                                         // the CampaignSpec it shares with
+                                         // the manifest; v9 embedded a
+                                         // CampaignResult in both
+                                         // completion events and made
+                                         // ShardResultRecord a
+                                         // ShardDoneEvent plus crash pairs;
+                                         // v10 made EpochCommitRecord the
+                                         // three-field seal of epoch and
+                                         // snapshot files, removed
+                                         // CampaignSnapshotRecord, the
+                                         // manifest's crash count and the
+                                         // child config's crash_dir.
 
 enum class RecordType : uint8_t {
   kShardDelta = 1,
@@ -475,7 +463,6 @@ enum class RecordType : uint8_t {
   kCrashArtifact = 13,
   kWorkerState = 14,
   kSnapshotMerged = 15,
-  kCampaignSnapshot = 16,
   kEnd,  // One past the last record type; keep it last.
 };
 
@@ -492,7 +479,7 @@ using Records =
              ShardDoneEvent, FinishEvent, FeedbackRecord, ShardResultRecord,
              ShardChildConfigRecord, ShardHelloRecord, CampaignManifestRecord,
              EpochCommitRecord, CrashArtifactRecord, WorkerStateRecord,
-             SnapshotMergedStateRecord, CampaignSnapshotRecord>;
+             SnapshotMergedStateRecord>;
 static_assert(Records::kSize + 1 == static_cast<size_t>(RecordType::kEnd),
               "every RecordType needs its record in wire::Records");
 
@@ -530,7 +517,6 @@ Buffer Encode(const EpochCommitRecord& record);
 Buffer Encode(const CrashArtifactRecord& record);
 Buffer Encode(const WorkerStateRecord& record);
 Buffer Encode(const SnapshotMergedStateRecord& record);
-Buffer Encode(const CampaignSnapshotRecord& record);
 
 // Strict decoding; `*out` is unspecified when false is returned.
 bool Decode(const uint8_t* data, size_t size, ShardDelta* out);
@@ -548,7 +534,6 @@ bool Decode(const uint8_t* data, size_t size, EpochCommitRecord* out);
 bool Decode(const uint8_t* data, size_t size, CrashArtifactRecord* out);
 bool Decode(const uint8_t* data, size_t size, WorkerStateRecord* out);
 bool Decode(const uint8_t* data, size_t size, SnapshotMergedStateRecord* out);
-bool Decode(const uint8_t* data, size_t size, CampaignSnapshotRecord* out);
 
 template <typename Record>
 bool Decode(const Buffer& buffer, Record* out) {

@@ -248,25 +248,6 @@ TEST(AgentTest, WatchdogRestartsCrashedHost) {
   EXPECT_FALSE(xen.host_crashed() && crashes_seen == 0);
 }
 
-TEST(AgentTest, CrashStoreCapturesFindings) {
-  SimKvm kvm;
-  AgentOptions options;
-  options.arch = Arch::kAmd;
-  Agent agent(kvm, options);
-  Rng rng(12);
-  for (int i = 0; i < 3000 && agent.findings().empty(); ++i) {
-    agent.ExecuteOne(MakeRandomInput(rng));
-  }
-  ASSERT_FALSE(agent.findings().empty());
-  ASSERT_FALSE(agent.crash_store().records().empty());
-  const CrashRecord& record = agent.crash_store().records().front();
-  EXPECT_EQ(record.hypervisor, "kvm");
-  EXPECT_EQ(record.arch, "amd");
-  EXPECT_EQ(record.input.size(), kFuzzInputSize);
-  EXPECT_GT(record.iteration, 0u);
-  EXPECT_TRUE(agent.findings().count(record.report.bug_id));
-}
-
 TEST(AgentTest, OracleRunsOnSchedule) {
   SimKvm kvm;
   AgentOptions options;

@@ -7,8 +7,9 @@
 // including the shipped-home crash reproduction inputs — and event
 // sequence exactly, over the same frames, start frames included),
 // dead-shard error reporting (kill -9 over a socketpair and an abruptly
-// cut socket alike), a shard child that cannot dial saying why, a failing
-// thread shard releasing its siblings, and the observer exception guard.
+// cut socket alike), a shard child that cannot dial or cannot build its
+// shard saying why, a failing thread shard releasing its siblings, and
+// the observer exception guard.
 //
 // This suite defines its own main() (calling MaybeRunShardChild before
 // gtest) so exec-mode campaigns can re-exec this binary as real shard
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "src/core/engine.h"
+#include "src/core/wire.h"
 #include "src/hv/factory.h"
 #include "src/hv/sim_kvm/kvm.h"
 #include "tests/event_recorder.h"
@@ -612,6 +614,53 @@ TEST(ShardChildTest, AChildThatCannotDialSaysWhy) {
   EXPECT_EQ(WEXITSTATUS(status), 2);
   EXPECT_NE(output.find("connect failed"), std::string::npos) << output;
   EXPECT_NE(output.find("shard 3"), std::string::npos) << output;
+}
+
+TEST(ShardChildTest, AChildThatFailsSaysWhy) {
+  // An exec'd process child handed a config whose target its binary does
+  // not know: building the shard throws, and the child must say why on
+  // stderr, naming its worker and the target, and exit 1 — otherwise the
+  // parent sees only a stream that closed mid-campaign.
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends), 0);
+  int err[2];
+  ASSERT_EQ(::pipe2(err, O_CLOEXEC), 0);
+  const std::string fd_arg = "--necofuzz-fd=" + std::to_string(ends[1]);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(err[1], STDERR_FILENO);
+    ::fcntl(ends[1], F_SETFD, 0);  // The stream end survives the exec.
+    ::execl("/proc/self/exe", "/proc/self/exe", "--necofuzz-shard-child",
+            fd_arg.c_str(), "--necofuzz-worker=1", nullptr);
+    ::_exit(127);
+  }
+  ::close(ends[1]);
+  ::close(err[1]);
+
+  ShardChildConfigRecord config;
+  config.workers = 2;
+  config.worker = 1;
+  config.target = "no-such-target";
+  const wire::Buffer frame = wire::Encode(config);
+  // MSG_NOSIGNAL: a child that died early must fail the send, not the
+  // test binary.
+  EXPECT_EQ(::send(ends[0], frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  std::string output;
+  char buffer[256];
+  ssize_t n;
+  while ((n = ::read(err[0], buffer, sizeof(buffer))) > 0) {
+    output.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(err[0]);
+  ::close(ends[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(output.find("shard 1"), std::string::npos) << output;
+  EXPECT_NE(output.find("no-such-target"), std::string::npos) << output;
 }
 
 // --- Failing thread shards -----------------------------------------------

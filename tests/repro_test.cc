@@ -16,7 +16,7 @@ namespace {
 
 TEST(CrashStoreTest, InMemoryDeduplication) {
   CrashStore store;
-  CrashRecord record;
+  CrashArtifactRecord record;
   record.report = {AnomalyKind::kUbsan, "bug-a", "message"};
   record.input = MakeZeroInput();
   EXPECT_TRUE(store.Save(record));
@@ -35,7 +35,7 @@ TEST(CrashStoreTest, PersistsAndReloadsInputs) {
   CrashStore store(dir);
 
   Rng rng(5);
-  CrashRecord record;
+  CrashArtifactRecord record;
   record.report = {AnomalyKind::kAssertion, "kvm-test/bug", "detail line"};
   record.input = MakeRandomInput(rng);
   record.hypervisor = "kvm";

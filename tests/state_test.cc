@@ -1,7 +1,8 @@
 // Tests for the durable campaign state layer (src/core/state/): the
 // atomic commit primitive, CampaignJournal's epoch-granular commit
-// protocol and fingerprint checks, CrashStore persistence (reload, dedup,
-// torn-pair invisibility, loud write failures), and the engine-level
+// protocol and fingerprint checks, one corruption sweep over both kinds
+// of sealed file, CrashStore persistence (reload, dedup, torn-pair
+// invisibility, loud write failures), and the engine-level
 // contract — a campaign killed with SIGKILL mid-run and restarted with
 // the same state_dir resumes from the last committed epoch bit-identical
 // to an uninterrupted run, in thread and process shard mode alike, with
@@ -16,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -157,11 +159,8 @@ TEST(CampaignJournalTest, CommitReopenLoadRoundTrip) {
   {
     CampaignJournal journal(dir.path(), TestFingerprint());
     EXPECT_EQ(journal.committed_epochs(), 0u);
-    EpochCommitRecord summary;
-    summary.iterations = 200;
-    journal.CommitEpoch(0, epoch0, summary);
-    summary.iterations = 400;
-    journal.CommitEpoch(1, epoch1, summary);
+    journal.CommitEpoch(0, epoch0, EpochCommitRecord{});
+    journal.CommitEpoch(1, epoch1, EpochCommitRecord{});
     const JournalStats stats = journal.stats();
     EXPECT_EQ(stats.commits, 2u);
     EXPECT_EQ(stats.replayed_epochs, 0u);
@@ -319,6 +318,17 @@ TEST(CampaignJournalTest, DamagedCommittedEpochFailsLoudlyOnLoad) {
   WriteRaw(path, truncated);
   EXPECT_THROW(journal.VerifyEpoch(0, epoch0), std::runtime_error);
 
+  // A missing file is an I/O error, named by its path and errno.
+  fs::remove(path);
+  try {
+    journal.VerifyEpoch(0, epoch0);
+    ADD_FAILURE() << "expected an unreadable-file error";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path.string()), std::string::npos) << message;
+    EXPECT_NE(message.find("No such file"), std::string::npos) << message;
+  }
+
   // Restoring the original bytes restores the epoch.
   WriteRaw(path, bytes);
   EXPECT_NO_THROW(journal.VerifyEpoch(0, epoch0));
@@ -460,10 +470,70 @@ TEST(CampaignJournalTest, TornCompactionIsSweptByTheNextSnapshotCommit) {
   EXPECT_TRUE(fs::exists(dir.path() / SnapshotFileName(3)));
 }
 
+TEST(CampaignJournalTest, EveryFlipAndTruncationOfASealedFileIsRejected) {
+  // One sweep over both kinds of sealed file a commit writes: every
+  // single-byte flip and every truncation of the epoch file must make
+  // VerifyEpoch throw, and of the snapshot file must make
+  // DecodeSnapshotFile fail.
+  TempDir dir("journal-sealed-sweep");
+  const std::vector<wire::Buffer> frames = EpochFrames(0);
+  const CampaignSnapshot snapshot = MakeSnapshot(1, 2);
+  CampaignJournal journal(dir.path(), TestFingerprint());
+  journal.CommitEpoch(0, frames, EpochCommitRecord{}, &snapshot);
+
+  const fs::path epoch_path = dir.path() / CampaignJournal::EpochFileName(0);
+  std::vector<uint8_t> epoch_file;
+  std::vector<uint8_t> snapshot_file;
+  ASSERT_TRUE(ReadFileBytes(epoch_path, &epoch_file));
+  ASSERT_TRUE(ReadFileBytes(dir.path() / SnapshotFileName(1), &snapshot_file));
+  ASSERT_NO_THROW(journal.VerifyEpoch(0, frames));
+  CampaignSnapshot decoded;
+  ASSERT_TRUE(DecodeSnapshotFile(snapshot_file.data(), snapshot_file.size(),
+                                 &decoded));
+
+  // One copy per flipped byte, then one per length short of the whole.
+  auto damaged_copies = [](const std::vector<uint8_t>& file) {
+    std::vector<std::vector<uint8_t>> copies;
+    for (size_t pos = 0; pos < file.size(); ++pos) {
+      copies.push_back(file);
+      copies.back()[pos] ^= 0xFF;
+    }
+    for (size_t size = 0; size < file.size(); ++size) {
+      copies.emplace_back(file.begin(), file.begin() + size);
+    }
+    return copies;
+  };
+  std::vector<size_t> accepted;
+  const std::vector<std::vector<uint8_t>> epoch_copies =
+      damaged_copies(epoch_file);
+  for (size_t i = 0; i < epoch_copies.size(); ++i) {
+    WriteRaw(epoch_path, epoch_copies[i]);
+    try {
+      journal.VerifyEpoch(0, frames);
+      accepted.push_back(i);
+    } catch (const std::runtime_error&) {
+    }
+  }
+  EXPECT_EQ(accepted, std::vector<size_t>{})
+      << "damaged epoch-file copies accepted, of " << epoch_copies.size();
+
+  accepted.clear();
+  const std::vector<std::vector<uint8_t>> snapshot_copies =
+      damaged_copies(snapshot_file);
+  for (size_t i = 0; i < snapshot_copies.size(); ++i) {
+    if (DecodeSnapshotFile(snapshot_copies[i].data(),
+                           snapshot_copies[i].size(), &decoded)) {
+      accepted.push_back(i);
+    }
+  }
+  EXPECT_EQ(accepted, std::vector<size_t>{})
+      << "damaged snapshot copies accepted, of " << snapshot_copies.size();
+}
+
 // --- CrashStore ----------------------------------------------------------
 
-CrashRecord MakeCrash(const std::string& id, uint8_t fill) {
-  CrashRecord record;
+CrashArtifactRecord MakeCrash(const std::string& id, uint8_t fill) {
+  CrashArtifactRecord record;
   record.report = {AnomalyKind::kAssertion, id,
                    "Assertion failure in " + id};
   record.input = FuzzInput(64, fill);
@@ -625,7 +695,24 @@ TEST(DurableCampaignTest, JournalingChangesNothingAndCommitsEveryEpoch) {
   for (size_t e = 0; e < epochs; ++e) {
     EXPECT_TRUE(fs::exists(state / CampaignJournal::EpochFileName(e)));
   }
-  EXPECT_GE(CountFiles(state / "crashes", ".record"), 1u);
+  // The campaign's one crash store holds one record per merged finding,
+  // whichever shard found it.
+  const CrashStore store(state / "crashes");
+  ASSERT_EQ(store.records().size(), result.merged.findings.size());
+  for (const CrashArtifactRecord& record : store.records()) {
+    EXPECT_EQ(record.hypervisor, "kvm");
+    EXPECT_EQ(record.arch, "amd");
+    EXPECT_EQ(record.input.size(), kFuzzInputSize);
+    EXPECT_GT(record.iteration, 0u);
+    const auto finding = std::find_if(
+        result.merged.findings.begin(), result.merged.findings.end(),
+        [&](const AnomalyReport& r) {
+          return r.bug_id == record.report.bug_id;
+        });
+    ASSERT_NE(finding, result.merged.findings.end()) << record.report.bug_id;
+    EXPECT_EQ(record.report, *finding);
+  }
+  EXPECT_EQ(CountFiles(state / "crashes", ".record"), store.records().size());
 
   // Re-running the completed campaign replays every epoch silently —
   // per-epoch events already fired in the first incarnation — and lands
@@ -884,7 +971,7 @@ TEST(DurableCampaignTest, SnapshotFileBytesArePinned) {
   // its bytes — the merged pool slice and feedback novelty the fold keeps
   // for the last epoch included — in thread and process mode alike.
   const std::map<std::string, uint64_t> expected = {
-      {SnapshotFileName(2), 0x6197C2C9DE63C37BULL},
+      {SnapshotFileName(2), 0x019AF0C3CD643879ULL},
   };
   for (ShardMode mode : {ShardMode::kThreads, ShardMode::kProcesses}) {
     const std::string tag = mode == ShardMode::kThreads ? "threads" : "procs";

@@ -4,7 +4,7 @@
 // wire::Records: round trip with ==, exact sizing, every truncation, a
 // trailing byte, wrong type / version / length, random buffers, a flip of
 // every byte, and decoding into a reused out-param. A table pins the
-// record-specific rejections, golden hashes pin the v9 byte layout, and
+// record-specific rejections, golden hashes pin the v10 byte layout, and
 // the rest covers the zero-copy overload, stream framing and random
 // well-formed records.
 #include <gtest/gtest.h>
@@ -140,7 +140,6 @@ template <>
 ShardChildConfigRecord Sample<ShardChildConfigRecord>() {
   ShardChildConfigRecord r{SampleSpec()};
   r.worker = 2;
-  r.crash_dir = "state/crashes";
   r.start_epoch = 10;
   r.snapshot_every = 5;
   return r;
@@ -158,7 +157,6 @@ CampaignManifestRecord Sample<CampaignManifestRecord>() {
   CampaignManifestRecord r{SampleSpec()};
   r.committed_epochs = 5;
   r.snapshot_epochs = 4;
-  r.crash_artifacts = 2;
   return r;
 }
 
@@ -166,14 +164,8 @@ template <>
 EpochCommitRecord Sample<EpochCommitRecord>() {
   EpochCommitRecord r;
   r.epoch = 5;
-  r.workers = 4;
+  r.frames = 4;
   r.checksum = 0xDEADBEEFCAFEF00DULL;
-  r.iterations = 5000;
-  r.covered_points = 95;
-  r.pool_end = 83;
-  r.findings = 2;
-  r.crash_artifacts = 3;
-  r.percent = 80.50847457627118;
   return r;
 }
 
@@ -244,21 +236,10 @@ SnapshotMergedStateRecord Sample<SnapshotMergedStateRecord>() {
   r.findings = {MakeReport("kvm-a"), MakeReport("kvm-b")};
   r.prior_pool_end = 2;
   r.pool_end = 5;
-  r.pool_origins = {0, 2, 1};
-  r.pool_inputs = {MakeInput(0x31), MakeInput(0x32), MakeInput(0x33)};
-  r.series_iterations = {500, 1000, 1500};
-  r.series_percents = {10.5, 40.25, 79.66101694915254};
+  r.pool = {{0, MakeInput(0x31)}, {2, MakeInput(0x32)}, {1, MakeInput(0x33)}};
+  r.series = {{500, 10.5}, {1000, 40.25}, {1500, 79.66101694915254}};
   r.total_iterations = 1500;
   r.feedback_virgin.Append(12, 0x01);
-  return r;
-}
-
-template <>
-CampaignSnapshotRecord Sample<CampaignSnapshotRecord>() {
-  CampaignSnapshotRecord r;
-  r.epochs_covered = 10;
-  r.workers = 4;
-  r.checksum = 0xDEADBEEFCAFEF00DULL;
   return r;
 }
 
@@ -279,27 +260,26 @@ uint64_t FrameHash() {
   return Fnv1a64(wire::Encode(Sample<Record>()));
 }
 
-TEST(WireGoldenTest, FramesKeepTheVersion9Layout) {
-  // Pipes and state dirs written by any v9 build must keep decoding, so
-  // these hashes of the sample frames are the byte layout itself: a
+TEST(WireGoldenTest, FramesKeepTheVersion10Layout) {
+  // Streams and state dirs written by any v10 build must keep decoding,
+  // so these hashes of the sample frames are the byte layout itself: a
   // change here is a format change, which needs a kVersion bump.
-  EXPECT_EQ(wire::kVersion, 9);
-  EXPECT_EQ(FrameHash<ShardDelta>(), 0x5CAA1737AE9FFD81ULL);
-  EXPECT_EQ(FrameHash<SampleEvent>(), 0x5BC115BD6309EE85ULL);
-  EXPECT_EQ(FrameHash<FindingEvent>(), 0xE7FB3801B5A1D9B7ULL);
-  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0x8019BD22B759B524ULL);
-  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xF358B87B359EF1D5ULL);
-  EXPECT_EQ(FrameHash<FinishEvent>(), 0x177E77C1B2323A27ULL);
-  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0xCE587A9BE35C6CFAULL);
-  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0x994A13B60DFA25D1ULL);
-  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0x0D06B727F749E8EFULL);
-  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0xF0B4B587CE84560AULL);
-  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x60DEC494AA0E1008ULL);
-  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0xC234D6C33D5778D0ULL);
-  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0x4C38BC3DB95195F0ULL);
-  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0x109EF38D066A4B7DULL);
-  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xA47278B7794A02A9ULL);
-  EXPECT_EQ(FrameHash<CampaignSnapshotRecord>(), 0x98D3E72593C77397ULL);
+  EXPECT_EQ(wire::kVersion, 10);
+  EXPECT_EQ(FrameHash<ShardDelta>(), 0x08302B990C838BFAULL);
+  EXPECT_EQ(FrameHash<SampleEvent>(), 0xC5CBDAE53ECDDED4ULL);
+  EXPECT_EQ(FrameHash<FindingEvent>(), 0x9382FDB3E9D73C1AULL);
+  EXPECT_EQ(FrameHash<CorpusSyncEvent>(), 0xAD3E5283FA653631ULL);
+  EXPECT_EQ(FrameHash<ShardDoneEvent>(), 0xFF523FF2622439A4ULL);
+  EXPECT_EQ(FrameHash<FinishEvent>(), 0x3378200F85C28EB6ULL);
+  EXPECT_EQ(FrameHash<FeedbackRecord>(), 0x0F0BEE31CFB3700BULL);
+  EXPECT_EQ(FrameHash<ShardResultRecord>(), 0x63541FD6843E7588ULL);
+  EXPECT_EQ(FrameHash<ShardChildConfigRecord>(), 0xED1738AAF83523C3ULL);
+  EXPECT_EQ(FrameHash<ShardHelloRecord>(), 0x93267157F0223A6FULL);
+  EXPECT_EQ(FrameHash<CampaignManifestRecord>(), 0x334D9EDB81654629ULL);
+  EXPECT_EQ(FrameHash<EpochCommitRecord>(), 0x12A36DB1E60C4579ULL);
+  EXPECT_EQ(FrameHash<CrashArtifactRecord>(), 0xEDD54BB49AF38845ULL);
+  EXPECT_EQ(FrameHash<WorkerStateRecord>(), 0xF8A688AEC80E6458ULL);
+  EXPECT_EQ(FrameHash<SnapshotMergedStateRecord>(), 0xD55E68157B9E8156ULL);
 
   // The zero-copy overload (queue entries read through corpus pointers,
   // record.queue_entries ignored) writes the same ShardDelta frame.
@@ -310,7 +290,7 @@ TEST(WireGoldenTest, FramesKeepTheVersion9Layout) {
   for (const FuzzInput& input : corpus) {
     entries.push_back(&input);
   }
-  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x5CAA1737AE9FFD81ULL);
+  EXPECT_EQ(Fnv1a64(wire::Encode(referencing, entries)), 0x08302B990C838BFAULL);
 }
 
 // --- Generic checks, run on every record in wire::Records --------------------
@@ -516,8 +496,6 @@ TEST(WireInvalidTest, RecordInvariantViolationsAreRejected) {
                                [](auto& r) { r.magic = 0xDEADBEEF; }),
       Broken<CampaignManifestRecord>("manifest magic",
                                      [](auto& r) { r.magic = 0xDEADBEEF; }),
-      Broken<CampaignSnapshotRecord>("snapshot trailer magic",
-                                     [](auto& r) { r.magic = 0xDEADBEEF; }),
       Broken<ShardDelta>("finding kind past kLogWarning",
                          [](auto& r) {
                            r.findings.back().kind =
@@ -536,10 +514,7 @@ TEST(WireInvalidTest, RecordInvariantViolationsAreRejected) {
           "pool bounds inverted",
           [](auto& r) { r.prior_pool_end = r.pool_end + 1; }),
       Broken<SnapshotMergedStateRecord>("pool slice shorter than its bounds",
-                                        [](auto& r) {
-                                          r.pool_origins.pop_back();
-                                          r.pool_inputs.pop_back();
-                                        }),
+                                        [](auto& r) { r.pool.pop_back(); }),
       Broken<CampaignManifestRecord>("manifest arch 9",
                                      [](auto& r) { r.arch = 9; }),
       Broken<CampaignManifestRecord>("manifest zero workers",

@@ -29,11 +29,12 @@
 //                        torn-write analysis covers it.
 //   state-atomic-write   Durable-state files are crash-consistent only
 //                        because every write is AtomicWriteFile's
-//                        temp+rename+fsync sequence. Under
-//                        src/core/state/ (commit.cc itself exempt),
-//                        ofstream/fopen are banned and ::open may only
-//                        name O_RDONLY — a direct write path there has
-//                        no torn-write analysis behind it.
+//                        temp+rename+fsync sequence, and every read is
+//                        ReadFileBytes. Under src/core/state/ (commit.cc
+//                        itself exempt), ofstream/ifstream/fopen and
+//                        ::open are banned: commit.cc is the one file
+//                        that opens a state file, so it is the one seam
+//                        a crash-point checker has to wrap.
 //   wire-buffer-hygiene  Raw new[] is banned in src/ (std::vector /
 //                        unique_ptr exist), and memcpy in src/core/ is
 //                        confined to wire.cc's codec helpers: hand-rolled
@@ -156,12 +157,14 @@ bool IsIdentChar(char c) {
 }
 
 // Finds `needle` at an identifier boundary on the left (so "strerror"
-// does not match inside "SafeStrerror"), starting at `from`.
+// does not match inside "SafeStrerror"), starting at `from`. A needle
+// that starts with punctuation ("::open(") is its own boundary.
 size_t FindWordStart(const std::string& haystack, const std::string& needle,
                      size_t from) {
   size_t pos = from;
   while ((pos = haystack.find(needle, pos)) != std::string::npos) {
-    if (pos == 0 || !IsIdentChar(haystack[pos - 1])) {
+    if (pos == 0 || !IsIdentChar(needle[0]) ||
+        !IsIdentChar(haystack[pos - 1])) {
       return pos;
     }
     pos += needle.size();
@@ -340,34 +343,20 @@ void CheckStateAtomicWrite(const std::vector<SourceFile>& files,
         HasSuffix(file.rel_path, "core/state/commit.cc")) {
       continue;  // The atomic write primitive is the one legitimate home.
     }
-    // Stream/stdio writers cannot express temp+rename+fsync at all, so
-    // their mere presence is a write path escaping the commit primitive.
-    for (const char* call : {"ofstream", "fopen"}) {
+    // Any file opened here, for writing or for reading, escapes the
+    // commit primitive and the one seam that wraps it.
+    for (const char* call : {"ofstream", "ifstream", "fopen", "::open("}) {
       size_t pos = 0;
       while ((pos = FindWordStart(file.code, call, pos)) !=
              std::string::npos) {
         out->push_back(
             {file.rel_path, LineOf(file, pos), "state-atomic-write",
              std::string(call) +
-                 " under src/core/state/ bypasses AtomicWriteFile "
-                 "(src/core/state/commit.h); durable-state writes must "
-                 "use the temp+rename+fsync commit primitive"});
+                 " under src/core/state/ bypasses the commit primitive; "
+                 "state files are written with AtomicWriteFile and read "
+                 "with ReadFileBytes (src/core/state/commit.h)"});
         pos += std::string(call).size();
       }
-    }
-    // ::open may only read: a creating, truncating, or writable mode is
-    // a file-creating write outside the crash-consistency analysis.
-    size_t pos = 0;
-    while ((pos = file.code.find("::open(", pos)) != std::string::npos) {
-      if (StatementAround(file.code, pos).find("O_RDONLY") ==
-          std::string::npos) {
-        out->push_back(
-            {file.rel_path, LineOf(file, pos), "state-atomic-write",
-             "::open under src/core/state/ must be O_RDONLY; "
-             "file-creating writes go through AtomicWriteFile "
-             "(src/core/state/commit.h)"});
-      }
-      pos += 1;
     }
   }
 }

@@ -1,6 +1,7 @@
 // Seeded state-atomic-write violations: a durable-state file written
 // through ofstream and through a writable ::open, both bypassing
-// AtomicWriteFile. The O_RDONLY open below is the one allowed shape.
+// AtomicWriteFile, and one read through a ::open of its own instead of
+// ReadFileBytes.
 #include <fcntl.h>
 
 #include <fstream>
@@ -18,7 +19,7 @@ int CreateStateFileUnsafely(const char* path) {
 }
 
 int ReadStateFile(const char* path) {
-  return ::open(path, O_RDONLY | O_CLOEXEC);  // Allowed: read-only.
+  return ::open(path, O_RDONLY | O_CLOEXEC);  // Fires: reads too.
 }
 
 }  // namespace neco
